@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 tuner constraint unmet
 """
 
 import argparse
+import copy
 import json
 import sys
 import time
@@ -36,7 +37,7 @@ from .events import (
     tokenize_episode,
     write_episodes_jsonl,
 )
-from .features import PrefixRow, expand_prefixes, featurize_rows
+from .features import expand_prefixes, featurize_rows
 from .pipeline import (
     RouterTrainConfig,
     prepare_router_datasets,
@@ -108,18 +109,23 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """Merge override into base, rejecting keys the defaults do not have.
+    Keys are checked only where the default is a dict, so free-form values
+    such as `cohort.counts` and `grid` pass through."""
     out = dict(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
+        if k not in base:
+            raise ConfigError(f"unknown config key: {prefix}{k}")
+        if isinstance(v, dict) and isinstance(base[k], dict):
+            out[k] = _merge(base[k], v, f"{prefix}{k}.")
         else:
             out[k] = v
     return out
 
 
 def load_config(args) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -279,10 +285,10 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
         arrays[f"x_{name}"] = ds.x[name]
         arrays[f"y_{name}"] = ds.y[name].astype(np.uint8)
         arrays[f"w_{name}"] = ds.w[name]
-        arrays[f"ell_{name}"] = np.array([r.ell for r in ds.rows[name]], dtype=np.int64)
-        arrays[f"danger_{name}"] = np.array([r.danger for r in ds.rows[name]], dtype=np.uint8)
-        meta["splits"][name] = len(ds.rows[name])
-        meta["ids"][name] = [r.episode_id for r in ds.rows[name]]
+        arrays[f"ell_{name}"] = ds.ell[name]
+        arrays[f"danger_{name}"] = ds.danger[name].astype(np.uint8)
+        meta["splits"][name] = len(ds.ids[name])
+        meta["ids"][name] = ds.ids[name]
     save_bundle(out / "features.bin", meta, arrays)
     _update_manifest(out, cfg, {"feature_models.bin": None, "features.bin": None})
     print(f"feature table: {meta['splits']} rows, dim {meta['dim']}")
@@ -307,18 +313,9 @@ def _load_datasets(out: Path, cfg: dict):
         ds.x[name] = arrays[f"x_{name}"]
         ds.y[name] = arrays[f"y_{name}"].astype(np.float64)
         ds.w[name] = arrays[f"w_{name}"]
-        rows = []
-        for i, eid in enumerate(meta["ids"][name]):
-            bits = tuple(int(b) for b in arrays[f"y_{name}"][i])
-            rows.append(PrefixRow(
-                episode_id=eid,
-                ell=int(arrays[f"ell_{name}"][i]),
-                tokens=[],
-                label_bits=bits,
-                weight=float(arrays[f"w_{name}"][i]),
-                danger=bool(arrays[f"danger_{name}"][i]),
-            ))
-        ds.rows[name] = rows
+        ds.danger[name] = arrays[f"danger_{name}"].astype(bool)
+        ds.ell[name] = arrays[f"ell_{name}"]
+        ds.ids[name] = meta["ids"][name]
     return ds
 
 
@@ -571,3 +568,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

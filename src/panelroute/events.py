@@ -46,14 +46,6 @@ class DomainLabel(str, Enum):
     MUSCULOSKELETAL = "Musculoskeletal"
     PSYCHOGENIC = "Psychogenic"
 
-    @property
-    def priority(self) -> int:
-        return DOMAINS.index(self) + 1
-
-    @property
-    def life_threat(self) -> bool:
-        return self in LIFE_THREAT_DOMAINS
-
 
 DOMAINS = (
     DomainLabel.CARDIAC,
@@ -63,16 +55,11 @@ DOMAINS = (
     DomainLabel.PSYCHOGENIC,
 )
 LIFE_THREAT_DOMAINS = (DomainLabel.CARDIAC, DomainLabel.PULMONARY)
-N_DOMAINS = len(DOMAINS)
 
 
 def multi_hot(labels) -> tuple:
     labs = {DomainLabel(l) for l in labels}
     return tuple(1 if d in labs else 0 for d in DOMAINS)
-
-
-def labels_from_multi_hot(bits) -> tuple:
-    return tuple(d for d, b in zip(DOMAINS, bits) if b)
 
 
 @dataclass(frozen=True)

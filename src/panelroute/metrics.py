@@ -9,6 +9,8 @@ from scipy import stats
 
 from .events import DOMAINS, LIFE_THREAT_DOMAINS
 
+LIFE_IDX = [DOMAINS.index(d) for d in LIFE_THREAT_DOMAINS]
+
 
 class MetricError(Exception):
     pass
@@ -54,27 +56,36 @@ def pr_auc(scores, labels) -> float:
     return float(area)
 
 
-def routing_recalls(routes, truths):
-    """(Recall_any, Recall_all, life-threat recall) over routed sets vs truth
-    sets. Life-threat recall is restricted to episodes whose truth touches
-    Cardiac or Pulmonary."""
-    life = set(LIFE_THREAT_DOMAINS)
-    any_hits = []
-    all_hits = []
-    life_hits = []
-    for r, y in zip(routes, truths):
-        r, y = set(r), set(y)
-        if not y:
-            warnings.warn("episode with empty truth set excluded from recalls")
-            continue
-        any_hits.append(1.0 if r & y else 0.0)
-        all_hits.append(1.0 if y <= r else 0.0)
-        if y & life:
-            life_hits.append(1.0 if r & life else 0.0)
-    if not any_hits:
+def domain_mask(domain_sets) -> np.ndarray:
+    """(N, 5) boolean mask; column j marks DOMAINS[j] in row i's domain set."""
+    rows = [[d in s for d in DOMAINS] for s in map(set, domain_sets)]
+    return np.array(rows, dtype=bool).reshape(-1, len(DOMAINS))
+
+
+def mask_recalls(routed, truth):
+    """(Recall_any, Recall_all, life-threat recall) over (N, 5) boolean route
+    and truth masks. Rows with no truth domain are excluded with a warning.
+    Life-threat recall is restricted to rows whose truth touches Cardiac or
+    Pulmonary."""
+    routed = np.asarray(routed, dtype=bool)
+    truth = np.asarray(truth, dtype=bool)
+    keep = truth.any(axis=1)
+    if not keep.all():
+        warnings.warn(f"{int((~keep).sum())} episode(s) with empty truth set excluded from recalls")
+    if not keep.any():
         raise MetricError("no episodes with non-empty truth sets")
-    life_recall = float(np.mean(life_hits)) if life_hits else float("nan")
-    return float(np.mean(any_hits)), float(np.mean(all_hits)), life_recall
+    routed, truth = routed[keep], truth[keep]
+    any_hits = (routed & truth).any(axis=1)
+    all_hits = ~(truth & ~routed).any(axis=1)
+    life = truth[:, LIFE_IDX].any(axis=1)
+    life_hits = routed[life][:, LIFE_IDX].any(axis=1)
+    life_recall = float(life_hits.mean()) if life.any() else float("nan")
+    return float(any_hits.mean()), float(all_hits.mean()), life_recall
+
+
+def routing_recalls(routes, truths):
+    """`mask_recalls` over routed domain sets vs truth domain sets."""
+    return mask_recalls(domain_mask(routes), domain_mask(truths))
 
 
 @dataclass

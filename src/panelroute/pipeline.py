@@ -46,10 +46,12 @@ class RouterDatasets:
     vocab: object
     tfidf: object
     svd: object
-    rows: dict = field(default_factory=dict)  # split -> [PrefixRow]
     x: dict = field(default_factory=dict)  # split -> feature matrix
     y: dict = field(default_factory=dict)  # split -> (N, 5) 0/1
     w: dict = field(default_factory=dict)  # split -> sample weights
+    danger: dict = field(default_factory=dict)  # split -> (N,) bool
+    ell: dict = field(default_factory=dict)  # split -> (N,) prefix length
+    ids: dict = field(default_factory=dict)  # split -> [episode id] per row
     episodes: dict = field(default_factory=dict)  # split -> [Episode]
 
 
@@ -59,18 +61,18 @@ def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig) -> RouterDa
     train_eps, dev_eps, test_eps = split(episodes, SplitSpec(seed=cfg.seed))
     ds = RouterDatasets(vocab=vocab, tfidf=None, svd=None,
                         episodes={"train": train_eps, "dev": dev_eps, "test": test_eps})
-    for name, eps in ds.episodes.items():
-        ds.rows[name] = feats.expand_cohort(eps, cfg.k)
-    train_docs = [feats.row_document(r, vocab) for r in ds.rows["train"]]
+    rows = {name: feats.expand_cohort(eps, cfg.k) for name, eps in ds.episodes.items()}
+    train_docs = [feats.row_document(r, vocab) for r in rows["train"]]
     ds.tfidf = feats.tfidf_fit(train_docs, min_df=cfg.min_df)
     ds.svd = feats.svd_fit(ds.tfidf.transform(train_docs), rank=cfg.svd_rank, seed=cfg.seed)
-    for name in ds.rows:
-        ds.x[name] = feats.featurize_rows(ds.rows[name], vocab, ds.tfidf, ds.svd, cfg.use_time)
-        ds.y[name] = np.array([r.label_bits for r in ds.rows[name]], dtype=np.float64)
-        if cfg.use_prefix_weights:
-            ds.w[name] = np.array([r.weight for r in ds.rows[name]])
-        else:
-            ds.w[name] = np.ones(len(ds.rows[name]))
+    for name, split_rows in rows.items():
+        ds.x[name] = feats.featurize_rows(split_rows, vocab, ds.tfidf, ds.svd, cfg.use_time)
+        ds.y[name] = np.array([r.label_bits for r in split_rows], dtype=np.float64)
+        ds.w[name] = (np.array([r.weight for r in split_rows]) if cfg.use_prefix_weights
+                      else np.ones(len(split_rows)))
+        ds.danger[name] = np.array([r.danger for r in split_rows], dtype=bool)
+        ds.ell[name] = np.array([r.ell for r in split_rows], dtype=np.int64)
+        ds.ids[name] = [r.episode_id for r in split_rows]
     return ds
 
 
@@ -97,18 +99,14 @@ def prob_rows_for(model: RouterModel, ds: RouterDatasets, split_name: str,
                   calibrated: bool = True):
     """(probs, truth_domains, danger) triples for the tuner and evaluators."""
     probs = model.predict_proba(ds.x[split_name], calibrated=calibrated)
-    rows = ds.rows[split_name]
-    out = []
-    for i, r in enumerate(rows):
-        truth = tuple(d for d, b in zip(DOMAINS, r.label_bits) if b)
-        out.append((probs[i], truth, r.danger))
-    return out
+    truths = [tuple(d for d, b in zip(DOMAINS, bits) if b) for bits in ds.y[split_name]]
+    return list(zip(probs, truths, ds.danger[split_name].tolist()))
 
 
-def _policy_metrics(routes, truths, lm: metrics.LatencyModel) -> dict:
-    r_any, r_all, r_life = metrics.routing_recalls(routes, truths)
-    e = float(np.mean([len(r) for r in routes]))
-    _, mean_lat = metrics.latency(routes, lm)
+def _policy_metrics(routed, truth, lm: metrics.LatencyModel) -> dict:
+    r_any, r_all, r_life = metrics.mask_recalls(routed, truth)
+    e = float(routed.sum(axis=1).mean())
+    _, mean_lat = metrics.latency(([d for d, m in zip(DOMAINS, row) if m] for row in routed), lm)
     return {
         "recall_any": r_any,
         "recall_all": r_all,
@@ -128,7 +126,7 @@ def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Threshol
     route_kwargs = route_kwargs or {}
     probs = model.predict_proba(ds.x["test"])
     y = ds.y["test"]
-    rows = ds.rows["test"]
+    n = len(y)
 
     per_domain = {}
     for d, domain in enumerate(DOMAINS):
@@ -149,36 +147,26 @@ def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Threshol
         "brier": float(np.mean([v["brier"] for v in per_domain.values()])),
     }
 
-    truths = [set(d for d, b in zip(DOMAINS, r.label_bits) if b) for r in rows]
-    decisions = [
-        policy.route(probs[i], thresholds, danger_flag=rows[i].danger, **route_kwargs)
-        for i in range(len(rows))
-    ]
-    routed = [set(dec.route) for dec in decisions]
-    branch_mix = {b: 0 for b in (policy.TOP1_LIFE, policy.TOP2, policy.FAIL_OPEN)}
-    for dec in decisions:
-        branch_mix[dec.branch] += 1
+    truth = y.astype(bool)
+    routed, branch = policy.route_batch(probs, thresholds, ds.danger["test"], **route_kwargs)
+    branch_mix = {b: int(np.sum(branch == i)) for i, b in enumerate(policy.BRANCHES)}
 
     baselines = {
-        "consult_all": _policy_metrics([set(DOMAINS)] * len(rows), truths, lm),
+        "consult_all": _policy_metrics(metrics.domain_mask([DOMAINS] * n), truth, lm),
         "fixed_cardiac_pulmonary": _policy_metrics(
-            [set(LIFE_THREAT_DOMAINS)] * len(rows), truths, lm),
-        "learned_router": _policy_metrics(routed, truths, lm),
+            metrics.domain_mask([LIFE_THREAT_DOMAINS] * n), truth, lm),
+        "learned_router": _policy_metrics(routed, truth, lm),
     }
 
     def stratum_auc(idx):
-        vals = []
-        for d in range(len(DOMAINS)):
-            vals.append(metrics.roc_auc(probs[idx][:, d], y[idx][:, d]))
-        return float(np.mean(vals))
+        return float(np.mean([metrics.roc_auc(probs[idx][:, d], y[idx][:, d])
+                              for d in range(len(DOMAINS))]))
 
     def stratum_recall_any(idx):
-        r_any, _, _ = metrics.routing_recalls(
-            [routed[i] for i in idx], [truths[i] for i in idx])
-        return r_any
+        return metrics.mask_recalls(routed[idx], truth[idx])[0]
 
-    indices = list(range(len(rows)))
-    ell_of = lambda i: rows[i].ell
+    indices = list(range(n))
+    ell_of = lambda i: ds.ell["test"][i]
     anytime = {
         "macro_roc_auc": metrics.anytime(stratum_auc, indices, ell_of, k),
         "recall_any": metrics.anytime(stratum_recall_any, indices, ell_of, k),
@@ -194,5 +182,5 @@ def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Threshol
         },
         "baselines": baselines,
         "anytime": anytime,
-        "n_test_rows": len(rows),
+        "n_test_rows": n,
     }

@@ -6,16 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import DOMAINS, LIFE_THREAT_DOMAINS, DomainLabel
-from .metrics import routing_recalls
+from .events import DOMAINS
+from .metrics import LIFE_IDX as _LIFE_IDX, domain_mask, mask_recalls
 
 FAIL_OPEN_FLOOR = 0.25
 
 TOP1_LIFE = "TOP1_LIFE"
 TOP2 = "TOP2"
 FAIL_OPEN = "FAIL_OPEN"
-
-_LIFE_IDX = [DOMAINS.index(d) for d in LIFE_THREAT_DOMAINS]
+BRANCHES = (TOP1_LIFE, TOP2, FAIL_OPEN)  # indexed by route_batch's branch code
 
 
 class PolicyError(Exception):
@@ -53,10 +52,9 @@ class RouteDecision:
         }
 
 
-def route(probs, thr: Thresholds, danger_flag: bool = False,
-          restrict_top1_to_life: bool = True,
-          life_guard_tau: float | None = None) -> RouteDecision:
-    """Apply the routing rules in order:
+def route_batch(probs, thr: Thresholds, danger, restrict_top1_to_life: bool = True,
+                life_guard_tau: float | None = None):
+    """Apply the routing rules to each row of an (N, 5) probability matrix:
 
     (a) danger flag, or all probabilities below the fail-open floor -> all 5;
     (b) a life-threat domain at or above tau_hi -> top-1 (restricted to
@@ -65,36 +63,51 @@ def route(probs, thr: Thresholds, danger_flag: bool = False,
         priority; with `life_guard_tau` set, Cardiac and Pulmonary are added
         whenever their max reaches that guard threshold;
     (d) otherwise fail open.
+
+    Returns an (N, 5) boolean route mask and an (N,) branch code indexing
+    BRANCHES. Ties go to the lower domain index.
     """
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != len(DOMAINS):
+        raise PolicyError(f"expected (N, {len(DOMAINS)}) probabilities, got shape {p.shape}")
+    if not np.all((p >= 0) & (p <= 1)):
+        raise PolicyError("probabilities must be finite and within [0, 1]")
+    danger = np.asarray(danger, dtype=bool)
+    if danger.shape != (len(p),):
+        raise PolicyError(f"expected {len(p)} danger flags, got shape {danger.shape}")
+    p_max, life_max = p.max(axis=1), p[:, _LIFE_IDX].max(axis=1)
+    routable = ~danger & (p_max >= thr.fail_open_floor)
+    top1 = routable & (life_max >= thr.tau_hi)
+    top2 = routable & ~top1 & (p_max >= thr.tau_lo)
+    branch = np.where(top1, 0, np.where(top2, 1, 2))
+
+    mask = np.zeros(p.shape, dtype=bool)
+    mask[branch == 2] = True
+    if restrict_top1_to_life:
+        pick = np.asarray(_LIFE_IDX)[np.argmax(p[:, _LIFE_IDX], axis=1)]
+    else:
+        pick = np.argmax(p, axis=1)
+    mask[top1, pick[top1]] = True
+    pair = np.argsort(-p, axis=1, kind="stable")[:, :2]
+    mask[np.flatnonzero(top2)[:, None], pair[top2]] = True
+    if life_guard_tau is not None:
+        mask[:, _LIFE_IDX] |= (top2 & (life_max >= life_guard_tau))[:, None]
+    return mask, branch
+
+
+def route(probs, thr: Thresholds, danger_flag: bool = False,
+          restrict_top1_to_life: bool = True,
+          life_guard_tau: float | None = None) -> RouteDecision:
+    """One-row view of `route_batch`, returned as a RouteDecision."""
     p = np.asarray(probs, dtype=np.float64)
     if p.shape != (len(DOMAINS),):
         raise PolicyError(f"expected {len(DOMAINS)} probabilities, got shape {p.shape}")
-    if np.any(np.isnan(p)) or np.any(p < 0) or np.any(p > 1):
-        raise PolicyError("probabilities must be finite and within [0, 1]")
-
-    def decision(selected, branch):
-        return RouteDecision(tuple(selected), branch, tuple(float(v) for v in p),
-                             thr.tau_hi, thr.tau_lo)
-
-    if danger_flag or p.max() < thr.fail_open_floor:
-        return decision(DOMAINS, FAIL_OPEN)
-
-    life_max = max(p[i] for i in _LIFE_IDX)
-    if life_max >= thr.tau_hi:
-        if restrict_top1_to_life:
-            pick = min(_LIFE_IDX, key=lambda i: (-p[i], i))
-        else:
-            pick = min(range(len(DOMAINS)), key=lambda i: (-p[i], i))
-        return decision([DOMAINS[pick]], TOP1_LIFE)
-
-    if p.max() >= thr.tau_lo:
-        order = sorted(range(len(DOMAINS)), key=lambda i: (-p[i], i))
-        selected = sorted(order[:2])
-        if life_guard_tau is not None and life_max >= life_guard_tau:
-            selected = sorted(set(selected) | set(_LIFE_IDX))
-        return decision([DOMAINS[i] for i in selected], TOP2)
-
-    return decision(DOMAINS, FAIL_OPEN)
+    mask, branch = route_batch(p[None, :], thr, [danger_flag],
+                               restrict_top1_to_life=restrict_top1_to_life,
+                               life_guard_tau=life_guard_tau)
+    return RouteDecision(tuple(d for d, m in zip(DOMAINS, mask[0]) if m),
+                         BRANCHES[branch[0]], tuple(float(v) for v in p),
+                         thr.tau_hi, thr.tau_lo)
 
 
 def expected_experts(decisions) -> float:
@@ -120,21 +133,14 @@ class TuneResult:
     table: list = field(default_factory=list)
 
 
-def _evaluate_point(hi, lo, prob_rows, **route_kwargs):
-    thr = Thresholds(hi, lo)
-    routes = []
-    truths = []
-    for probs, truth, danger in prob_rows:
-        dec = route(probs, thr, danger_flag=danger, **route_kwargs)
-        routes.append(set(dec.route))
-        truths.append(set(truth))
-    r_any, r_all, r_life = routing_recalls(routes, truths)
-    e = float(np.mean([len(r) for r in routes]))
+def _evaluate_point(hi, lo, probs, truth, danger, **route_kwargs):
+    routed, _ = route_batch(probs, Thresholds(hi, lo), danger, **route_kwargs)
+    r_any, r_all, r_life = mask_recalls(routed, truth)
     return {
         "tau_hi": hi,
         "tau_lo": lo,
         "life_recall": r_life,
-        "expected_experts": e,
+        "expected_experts": float(routed.sum(axis=1).mean()),
         "recall_any": r_any,
         "recall_all": r_all,
     }
@@ -155,10 +161,13 @@ def tune_thresholds(prob_rows, grid=None, constraint: float = 0.98, **route_kwar
     grid = [(hi, lo) for hi, lo in grid if lo <= hi]
     if not grid:
         raise PolicyError("empty threshold grid")
-    if not any(set(truth) & set(LIFE_THREAT_DOMAINS) for _, truth, _ in prob_rows):
+    probs = np.array([p for p, _, _ in prob_rows], dtype=np.float64).reshape(-1, len(DOMAINS))
+    truth = domain_mask(t for _, t, _ in prob_rows)
+    danger = np.array([d for _, _, d in prob_rows], dtype=bool)
+    if not truth[:, _LIFE_IDX].any():
         raise PolicyError("no life-threat episodes; safety constraint undefined")
 
-    table = [_evaluate_point(hi, lo, prob_rows, **route_kwargs) for hi, lo in grid]
+    table = [_evaluate_point(hi, lo, probs, truth, danger, **route_kwargs) for hi, lo in grid]
     feasible = [row for row in table if row["life_recall"] >= constraint]
     if feasible:
         best = min(

@@ -60,9 +60,10 @@ def split(episodes, spec: SplitSpec):
             out[s].extend(idx[taken:upto])
             taken = upto
     sets = tuple([episodes[i] for i in sorted(part)] for part in out)
+    in_input = {d for ep in episodes for d in ep.labels}
     for s, part in enumerate(sets):
         present = {d for ep in part for d in ep.labels}
-        missing = [d.value for d in DOMAINS if d not in present]
+        missing = [d.value for d in DOMAINS if d in in_input and d not in present]
         if missing:
             warnings.warn(f"split {s}: no episodes for {missing}")
     return sets

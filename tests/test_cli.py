@@ -1,9 +1,15 @@
+import copy
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from panelroute.cli import EXIT_CONFIG, EXIT_CONSTRAINT, EXIT_DATA, EXIT_OK, run
+import panelroute
+from panelroute.cli import DEFAULT_CONFIG, EXIT_CONFIG, EXIT_CONSTRAINT, EXIT_DATA, EXIT_OK, run
 from panelroute.cohort import default_grammars
 from panelroute.serial import sha256_file
 
@@ -115,6 +121,18 @@ class TestErrorPaths:
         bad.write_text("{not json")
         assert run(["synth", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("cfg, key", [
+        ({"svd_rnak": 32}, "svd_rnak"),
+        ({"specialist": {"epoch": 3}}, "specialist.epoch"),
+        ({"cohort": {"total": 50, "dangr_rate": 0.1}}, "cohort.dangr_rate"),
+    ])
+    def test_unknown_config_key_exits_2_and_names_it(self, tmp_path, capsys, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["synth", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "cohort.jsonl").exists()
+
     def test_missing_artifact_exits_3(self, tmp_path):
         assert run(["tokenize", "--out", str(tmp_path)]) == EXIT_DATA
 
@@ -155,3 +173,22 @@ class TestReproducibility:
             run_pipeline(out, cfg_path)
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
+
+
+class TestEntryPoints:
+    def test_flags_leave_defaults_untouched(self, tmp_path):
+        before = copy.deepcopy(DEFAULT_CONFIG)
+        assert run(["synth", "--total", "50", "--out", str(tmp_path)]) == EXIT_OK
+        assert run(["synth", "--mixture", "0.2,0.2,0.2,0.2,0.2", "--total", "30",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        assert DEFAULT_CONFIG == before
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = str(Path(panelroute.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "panelroute.cli", "synth", "--total", "20", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (tmp_path / "cohort.jsonl").exists()

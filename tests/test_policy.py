@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelroute.events import DOMAINS, LIFE_THREAT_DOMAINS, DomainLabel
+from panelroute.metrics import MetricError, domain_mask, mask_recalls, routing_recalls
 from panelroute.policy import (
+    BRANCHES,
     FAIL_OPEN,
     FAIL_OPEN_FLOOR,
     TOP1_LIFE,
@@ -20,6 +22,7 @@ from panelroute.policy import (
     default_grid,
     expected_experts,
     route,
+    route_batch,
     tune_thresholds,
     write_frontier_csv,
 )
@@ -102,6 +105,92 @@ class TestRoute:
             return np.mean([len(route(p, thr).route) for p in probs])
         sizes = [mean_experts(lo) for lo in (0.1, 0.3, 0.5, 0.8)]
         assert all(b >= a - 1e-12 for a, b in zip(sizes, sizes[1:]))
+
+
+def oracle_route(p, tau_hi, tau_lo, danger, restrict_top1_to_life, life_guard_tau):
+    """The routing rules restated from the prose, both keyword options included."""
+    if danger or max(p) < FAIL_OPEN_FLOOR:
+        return frozenset(range(5)), FAIL_OPEN
+    life_max = max(p[0], p[1])
+    if life_max >= tau_hi:
+        candidates = (0, 1) if restrict_top1_to_life else range(5)
+        best = None
+        for i in candidates:
+            if best is None or p[i] > p[best]:
+                best = i
+        return frozenset([best]), TOP1_LIFE
+    if max(p) >= tau_lo:
+        picked = set(sorted(range(5), key=lambda i: (-p[i], i))[:2])
+        if life_guard_tau is not None and life_max >= life_guard_tau:
+            picked |= {0, 1}
+        return frozenset(picked), TOP2
+    return frozenset(range(5)), FAIL_OPEN
+
+
+@st.composite
+def routing_cases(draw):
+    """Random (N <= 50, 5) matrices whose entries often sit exactly on a
+    threshold or repeat one another, with any tau_lo <= tau_hi."""
+    a, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    guard = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    special = [0.0, 1.0, FAIL_OPEN_FLOOR, a, b] + ([] if guard is None else [guard])
+    value = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
+    n = draw(st.integers(0, 50))
+    probs = draw(st.lists(st.lists(value, min_size=5, max_size=5), min_size=n, max_size=n))
+    danger = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return (np.array(probs, dtype=np.float64).reshape(n, 5), Thresholds(max(a, b), min(a, b)),
+            np.array(danger, dtype=bool), draw(st.booleans()), guard)
+
+
+class TestRouteBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(routing_cases())
+    def test_rows_match_route_and_oracle(self, case):
+        probs, thr, danger, restrict, guard = case
+        kw = {"restrict_top1_to_life": restrict, "life_guard_tau": guard}
+        mask, branch = route_batch(probs, thr, danger, **kw)
+        assert mask.shape == probs.shape and mask.dtype == bool
+        assert branch.shape == (len(probs),)
+        for i, p in enumerate(probs):
+            got = (frozenset(np.flatnonzero(mask[i]).tolist()), BRANCHES[branch[i]])
+            dec = route(p, thr, danger_flag=bool(danger[i]), **kw)
+            assert got == (frozenset(DOMAINS.index(d) for d in dec.route), dec.branch)
+            assert got == oracle_route(p.tolist(), thr.tau_hi, thr.tau_lo, danger[i],
+                                       restrict, guard)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(PolicyError):
+            route_batch(np.full((3, 4), 0.5), THR, np.zeros(3, dtype=bool))
+        with pytest.raises(PolicyError):
+            route_batch(np.full((3, 5), 0.5), THR, np.zeros(2, dtype=bool))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_mask_recalls_match_set_recalls(self, n, seed):
+        rng = np.random.default_rng(seed)
+        routed = rng.random((n, 5)) < 0.4
+        truth = rng.random((n, 5)) < 0.3
+        truth[0] = False  # always one empty truth row, excluded with a warning
+        routes = [{d for d, m in zip(DOMAINS, row) if m} for row in routed]
+        truths = [{d for d, m in zip(DOMAINS, row) if m} for row in truth]
+        assert np.array_equal(domain_mask(truths), truth)
+        if not truth.any():
+            with pytest.warns(UserWarning), pytest.raises(MetricError):
+                mask_recalls(routed, truth)
+            return
+        with pytest.warns(UserWarning, match="empty truth"):
+            got = mask_recalls(routed, truth)
+        with pytest.warns(UserWarning, match="empty truth"):
+            np.testing.assert_array_equal(routing_recalls(routes, truths), got)
+        life = set(LIFE_THREAT_DOMAINS)
+        kept = [(r, t) for r, t in zip(routes, truths) if t]
+        life_rows = [r for r, t in kept if t & life]
+        assert got[:2] == (np.mean([bool(r & t) for r, t in kept]),
+                           np.mean([t <= r for r, t in kept]))
+        if life_rows:
+            assert got[2] == np.mean([bool(r & life) for r in life_rows])
+        else:
+            assert np.isnan(got[2])
 
 
 class TestExpectedExperts:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,19 @@ class TestSplit:
         eps = generate_cohort(CohortConfig(seed=0, counts={"Cardiac": 5}))
         with pytest.raises(RouterError):
             split(eps, SplitSpec())
+
+    def test_single_domain_pool_does_not_warn(self):
+        eps = generate_cohort(CohortConfig(seed=0, counts={"Cardiac": 50}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split(eps, SplitSpec(seed=0))
+
+    def test_domain_missing_from_a_part_warns(self):
+        counts = {d.value: 20 for d in DOMAINS}
+        counts["Musculoskeletal"] = 1
+        eps = generate_cohort(CohortConfig(seed=0, counts=counts))
+        with pytest.warns(UserWarning, match="Musculoskeletal"):
+            split(eps, SplitSpec(seed=0))
 
 
 class TestFitHead:
