@@ -5,12 +5,14 @@ eval, route, report. One config file plus flag overrides (flags win); every
 stage stamps artifacts with the config hash and refuses to mix stages built
 from different configs.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 tuner constraint unmet
-(fallback point selected, outputs still written).
+Exit codes: 0 ok, 2 config error, 3 data error (missing, truncated or corrupt
+artifact), 4 tuner constraint unmet (fallback point selected, outputs still
+written).
 """
 
 import argparse
 import copy
+import functools
 import json
 import sys
 import time
@@ -48,7 +50,7 @@ from .pipeline import (
 )
 from .policy import AuditLog, AuditRecord, Thresholds, arbitrate, tune_thresholds, write_frontier_csv
 from .router import RouterModel, SplitSpec, split
-from .serial import load_bundle, save_bundle, sha256_file, sha256_obj, write_json
+from .serial import BundleError, load_bundle, save_bundle, sha256_file, sha256_obj, write_json
 from .specialist import (
     SpecialistConfig,
     SpecialistModel,
@@ -523,6 +525,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # parse_args never mutates the parser, so run() calls share no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="panelroute")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -561,7 +564,7 @@ def run(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as e:
+    except (DataError, BundleError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

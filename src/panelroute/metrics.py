@@ -5,7 +5,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .events import DOMAINS, LIFE_THREAT_DOMAINS
 
@@ -16,6 +15,17 @@ class MetricError(Exception):
     pass
 
 
+def _mid_ranks(x) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of the ranks they span."""
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(scores, labels) -> float:
     """P(random positive outranks random negative), ties counted 1/2."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -24,7 +34,9 @@ def roc_auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("roc_auc undefined for single-class labels")
-    ranks = stats.rankdata(scores)
+    if np.isnan(scores).any():
+        return float("nan")
+    ranks = _mid_ranks(scores)
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

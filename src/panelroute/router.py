@@ -11,10 +11,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .events import DOMAINS, DomainLabel
-from .serial import load_bundle, save_bundle, sha256_obj
+from .serial import BundleError, load_bundle, save_bundle, sha256_obj
 from .features import SvdProjector, TfidfModel
 
 DEFAULT_C = 2.0
@@ -78,6 +77,12 @@ def _logloss_terms(margins):
     return np.logaddexp(0.0, -margins)
 
 
+def _warn_unconverged(res, what: str) -> None:
+    if not res.success:
+        warnings.warn(f"{what}: L-BFGS did not converge after {res.nit} iterations: "
+                      f"{res.message}", RuntimeWarning, stacklevel=3)
+
+
 @dataclass
 class LogisticHead:
     domain: DomainLabel
@@ -115,6 +120,8 @@ def fit_head(x, y, sample_weight=None, domain=DomainLabel.CARDIAC,
         grad[dim] = g_margin.sum()
         return loss, grad
 
+    from scipy import optimize  # deferred: routing never fits, so never pays this import
+
     res = optimize.minimize(
         objective,
         np.zeros(dim + 1),
@@ -122,6 +129,7 @@ def fit_head(x, y, sample_weight=None, domain=DomainLabel.CARDIAC,
         method="L-BFGS-B",
         options={"maxiter": max_iter, "gtol": 1e-6, "ftol": 1e-12},
     )
+    _warn_unconverged(res, f"{domain.value} head")
     head = LogisticHead(domain=domain, weights=res.x[:dim].copy(), bias=float(res.x[dim]), c=c)
     head.trained = True
     return head
@@ -148,8 +156,11 @@ def _fit_sigmoid_ab(scores, labels):
         g = -p * sign
         return loss, np.array([g @ scores, g.sum()])
 
+    from scipy import optimize
+
     res = optimize.minimize(objective, np.array([1.0, 0.0]), jac=True,
                             method="L-BFGS-B", options={"gtol": 1e-9, "ftol": 1e-14})
+    _warn_unconverged(res, "Platt fit")
     return float(res.x[0]), float(res.x[1])
 
 
@@ -180,6 +191,8 @@ def temperature_fit(logits, labels, bracket=(0.05, 20.0)) -> float:
 
     def nll(t):
         return float(np.sum(_logloss_terms(sign * logits / t)))
+
+    from scipy import optimize
 
     res = optimize.minimize_scalar(nll, bounds=bracket, method="bounded",
                                    options={"xatol": 1e-6})
@@ -234,7 +247,7 @@ class RouterModel:
     def load(cls, path) -> "RouterModel":
         meta, arrays = load_bundle(path)
         if meta.get("kind") != "router":
-            raise RouterError(f"{path}: not a router checkpoint")
+            raise BundleError(f"{path}: not a router checkpoint")
         tfidf = TfidfModel.from_bundle(meta["tfidf"], {"idf": arrays["tfidf_idf"]})
         svd = SvdProjector.from_bundle(
             meta["svd"],

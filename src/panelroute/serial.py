@@ -7,6 +7,8 @@ content always produces identical bytes.
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -31,8 +33,8 @@ def save_bundle(path, meta: dict, arrays: dict | None = None) -> None:
     blobs = []
     offset = 0
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        blob = arr.tobytes()
+        arr = np.asarray(arrays[name])
+        blob = arr.tobytes()  # C order; 0-d arrays keep their empty shape
         specs.append(
             {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape), "offset": offset}
         )
@@ -49,27 +51,43 @@ def save_bundle(path, meta: dict, arrays: dict | None = None) -> None:
 
 
 def load_bundle(path):
-    """Return (meta, arrays) from a bundle file."""
+    """Return (meta, arrays) from a bundle file.
+
+    The payload is read once into one writable buffer and the arrays are views
+    into it; a view that would start off its dtype's alignment is copied.
+    A short, truncated or malformed file raises BundleError naming the file.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
+        preamble = fh.read(16)
+        if len(preamble) < 16:
+            raise BundleError(f"{path}: truncated bundle (short preamble)")
+        if preamble[:4] != MAGIC:
             raise BundleError(f"{path}: not a bundle file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version, hlen = struct.unpack("<IQ", preamble[4:])
         if version != FORMAT_VERSION:
             raise BundleError(f"{path}: unsupported bundle version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = fh.read()
-    arrays = {}
-    for spec in header["arrays"]:
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(spec["shape"])
-        n = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
-        start = spec["offset"]
-        arrays[spec["name"]] = np.frombuffer(
-            payload[start : start + n], dtype=dtype
-        ).reshape(shape).copy()
-    return header["meta"], arrays
+        raw_header = fh.read(hlen)
+        if len(raw_header) < hlen:
+            raise BundleError(f"{path}: truncated bundle (header runs past end of file)")
+        payload = np.empty(os.fstat(fh.fileno()).st_size - fh.tell(), dtype=np.uint8)
+        if fh.readinto(payload) != payload.size:
+            raise BundleError(f"{path}: bundle changed while it was read")
+    try:
+        header = json.loads(raw_header)
+        arrays = {}
+        for spec in header["arrays"]:
+            dtype = np.dtype(spec["dtype"])
+            shape = tuple(spec["shape"])
+            start = int(spec["offset"])
+            end = start + dtype.itemsize * math.prod(shape)
+            if start < 0 or end > payload.size:
+                raise BundleError(f"{path}: truncated bundle (array {spec['name']!r} "
+                                  f"runs past end of payload)")
+            arr = payload[start:end].view(dtype).reshape(shape)
+            arrays[spec["name"]] = arr if arr.flags.aligned else arr.copy()
+        return header["meta"], arrays
+    except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
+        raise BundleError(f"{path}: malformed bundle header ({e})") from e
 
 
 def sha256_file(path) -> str:

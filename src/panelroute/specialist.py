@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import erf
 
 from .events import PAD_ID
-from .serial import load_bundle, save_bundle
+from .serial import BundleError, load_bundle, save_bundle
 
 _LN_EPS = 1e-5
 
@@ -107,40 +107,45 @@ def _layer_norm_backward(dy, g, cache):
     return dx, dg, db
 
 
+def _init_params(c: SpecialistConfig, seed: int) -> dict:
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC1]))
+    d, v, p = c.d_model, c.vocab_size, c.max_positions
+
+    def w(*shape):
+        return rng.normal(0.0, 0.02, size=shape)
+
+    params = {"tok_emb": w(v, d), "pos_emb": w(p, d),
+              "lnf_g": np.ones(d), "lnf_b": np.zeros(d)}
+    for i in range(c.layers):
+        params[f"l{i}.ln1_g"] = np.ones(d)
+        params[f"l{i}.ln1_b"] = np.zeros(d)
+        for nm in ("wq", "wk", "wv", "wo"):
+            params[f"l{i}.{nm}"] = w(d, d)
+            params[f"l{i}.b{nm[1]}"] = np.zeros(d)
+        params[f"l{i}.ln2_g"] = np.ones(d)
+        params[f"l{i}.ln2_b"] = np.zeros(d)
+        params[f"l{i}.w1"] = w(d, c.mlp_mult * d)
+        params[f"l{i}.b1"] = np.zeros(c.mlp_mult * d)
+        params[f"l{i}.w2"] = w(c.mlp_mult * d, d)
+        params[f"l{i}.b2"] = np.zeros(d)
+    return params
+
+
 class SpecialistModel:
     """Causal next-event model; logits at position t depend only on ids <= t."""
 
     ADAPTABLE = ("wq", "wk", "wv", "wo", "w1", "w2")
 
-    def __init__(self, config: SpecialistConfig, seed: int = 0, domain: str | None = None):
+    def __init__(self, config: SpecialistConfig, seed: int = 0, domain: str | None = None,
+                 params: dict | None = None):
+        """Weights are drawn from `seed` unless `params` supplies them."""
         self.config = config
         self.domain = domain
         self.temperature = 1.0
         self.adapters: dict[str, tuple] = {}
         self.lora_alpha = 1.0
         self.lora_rank = 0
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC1]))
-        c = config
-        d, v, p = c.d_model, c.vocab_size, c.max_positions
-
-        def w(*shape):
-            return rng.normal(0.0, 0.02, size=shape)
-
-        params = {"tok_emb": w(v, d), "pos_emb": w(p, d),
-                  "lnf_g": np.ones(d), "lnf_b": np.zeros(d)}
-        for i in range(c.layers):
-            params[f"l{i}.ln1_g"] = np.ones(d)
-            params[f"l{i}.ln1_b"] = np.zeros(d)
-            for nm in ("wq", "wk", "wv", "wo"):
-                params[f"l{i}.{nm}"] = w(d, d)
-                params[f"l{i}.b{nm[1]}"] = np.zeros(d)
-            params[f"l{i}.ln2_g"] = np.ones(d)
-            params[f"l{i}.ln2_b"] = np.zeros(d)
-            params[f"l{i}.w1"] = w(d, c.mlp_mult * d)
-            params[f"l{i}.b1"] = np.zeros(c.mlp_mult * d)
-            params[f"l{i}.w2"] = w(c.mlp_mult * d, d)
-            params[f"l{i}.b2"] = np.zeros(d)
-        self.params = params
+        self.params = _init_params(config, seed) if params is None else params
 
     # --- LoRA -------------------------------------------------------------
 
@@ -386,10 +391,10 @@ class SpecialistModel:
     def load(cls, path) -> "SpecialistModel":
         meta, arrays = load_bundle(path)
         if meta.get("kind") != "specialist":
-            raise SpecialistError(f"{path}: not a specialist checkpoint")
-        model = cls(SpecialistConfig(**meta["config"]), domain=meta.get("domain"))
+            raise BundleError(f"{path}: not a specialist checkpoint")
+        params = {k: v for k, v in arrays.items() if not k.startswith("lora.")}
+        model = cls(SpecialistConfig(**meta["config"]), domain=meta.get("domain"), params=params)
         model.temperature = meta.get("temperature", 1.0)
-        model.params = {k: v for k, v in arrays.items() if not k.startswith("lora.")}
         model.lora_rank = meta.get("lora_rank", 0)
         model.lora_alpha = meta.get("lora_alpha", 1.0)
         adapters = {}

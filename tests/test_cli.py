@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,15 @@ from pathlib import Path
 import pytest
 
 import panelroute
-from panelroute.cli import DEFAULT_CONFIG, EXIT_CONFIG, EXIT_CONSTRAINT, EXIT_DATA, EXIT_OK, run
+from panelroute.cli import (
+    DEFAULT_CONFIG,
+    EXIT_CONFIG,
+    EXIT_CONSTRAINT,
+    EXIT_DATA,
+    EXIT_OK,
+    build_parser,
+    run,
+)
 from panelroute.cohort import default_grammars
 from panelroute.serial import sha256_file
 
@@ -38,6 +47,26 @@ def run_pipeline(out, cfg_path, upto="report"):
         for stage in stages[: stages.index(upto) + 1]:
             codes.append(run([stage, "--config", str(cfg_path), "--out", str(out)]))
     return codes
+
+
+def write_cardiac_probe(path):
+    """An episode whose critical troponin routes TOP1_LIFE to Cardiac."""
+    grammar = default_grammars()["Cardiac"]
+    events = [{"kind": "DIAG", "code": grammar.initial_codes[0][0], "t_min": 0}]
+    t = 5
+    for order, _ in grammar.order_pool:
+        events.append({"kind": "ORDER", "code": order, "t_min": t})
+        t += 10
+    events.append({"kind": "LAB", "code": "TROP", "bin": "CRITICAL", "t_min": t})
+    path.write_text(json.dumps({"episode_id": "probe", "events": events,
+                                "labels": [], "gold": ""}))
+    return path
+
+
+def src_env():
+    src = str(Path(panelroute.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 @pytest.fixture(scope="module")
@@ -94,16 +123,7 @@ class TestPipeline:
 
     def test_route_high_confidence_cardiac_episode(self, pipeline_dir, capsys, tmp_path):
         out, cfg_path = pipeline_dir
-        grammar = default_grammars()["Cardiac"]
-        events = [{"kind": "DIAG", "code": grammar.initial_codes[0][0], "t_min": 0}]
-        t = 5
-        for order, _ in grammar.order_pool:
-            events.append({"kind": "ORDER", "code": order, "t_min": t})
-            t += 10
-        events.append({"kind": "LAB", "code": "TROP", "bin": "CRITICAL", "t_min": t})
-        ep_path = tmp_path / "ep.json"
-        ep_path.write_text(json.dumps({"episode_id": "probe", "events": events,
-                                       "labels": [], "gold": ""}))
+        ep_path = write_cardiac_probe(tmp_path / "ep.json")
         code = run(["route", "--config", str(cfg_path), "--out", str(out),
                     "--episode", str(ep_path)])
         captured = capsys.readouterr().out
@@ -135,6 +155,24 @@ class TestErrorPaths:
 
     def test_missing_artifact_exits_3(self, tmp_path):
         assert run(["tokenize", "--out", str(tmp_path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "wrong_kind"])
+    def test_bad_router_checkpoint_exits_3(self, pipeline_dir, tmp_path, capsys, corrupt):
+        out, cfg_path = pipeline_dir
+        shutil.copytree(out, tmp_path / "run")
+        router = tmp_path / "run" / "router.bin"
+        if corrupt == "truncated":
+            raw = router.read_bytes()
+            router.write_bytes(raw[: len(raw) // 2])
+        else:
+            shutil.copy(tmp_path / "run" / "feature_models.bin", router)
+        capsys.readouterr()
+        code = run(["route", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                    "--episode", str(write_cardiac_probe(tmp_path / "ep.json"))])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and "router.bin" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_config_hash_mismatch_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path / "config.json")
@@ -184,11 +222,37 @@ class TestEntryPoints:
         assert DEFAULT_CONFIG == before
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
-        src = str(Path(panelroute.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "panelroute.cli", "synth", "--total", "20", "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300, check=False)
+            env=src_env(), capture_output=True, text=True, timeout=300, check=False)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (tmp_path / "cohort.jsonl").exists()
+
+    def test_cached_parser_leaks_no_values_between_runs(self, tmp_path):
+        assert build_parser() is build_parser()
+        hashes = []
+        for name, seed in (("a", ["--seed", "3"]), ("b", [])):
+            assert run(["synth", *seed, "--total", "30", "--out", str(tmp_path / name)]) == EXIT_OK
+            hashes.append(json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    def test_route_process_imports_no_fitting_code(self, pipeline_dir, tmp_path):
+        out, cfg_path = pipeline_dir
+        shutil.copytree(out, tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["train-specialist", "--domain", "Cardiac", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "run")]) == EXIT_OK
+        probe = write_cardiac_probe(tmp_path / "ep.json")
+        script = (
+            "import sys, panelroute.cli\n"
+            f"code = panelroute.cli.run(['route', '--config', {str(cfg_path)!r}, "
+            f"'--out', {str(tmp_path / 'run')!r}, '--episode', {str(probe)!r}])\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                              capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert '"suggestions"' in proc.stdout  # the Cardiac specialist was consulted
+        assert proc.stdout.strip().splitlines()[-1] == "[]"

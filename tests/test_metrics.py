@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from panelroute.events import DOMAINS
 from panelroute.metrics import (
@@ -41,6 +43,28 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(MetricError):
             roc_auc([0.1, 0.2], [1, 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                        st.floats(-1e6, 1e6)),
+                              st.booleans()),
+                    min_size=2, max_size=60))
+    @example([(0.5, True), (0.5, False), (0.5, True), (0.5, False)])  # all equal
+    @example([(0.2, True), (0.7, False)])  # n = 2
+    @example([(0.7, True), (0.7, False)])  # n = 2, tied
+    def test_mid_ranks_match_scipy_rankdata(self, pairs):
+        from scipy.stats import rankdata
+
+        scores = np.array([s for s, _ in pairs])
+        labels = np.array([lab for _, lab in pairs])
+        labels[:2] = [True, False]  # both classes present
+        n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+        ranks = rankdata(scores)
+        expected = float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+        assert roc_auc(scores, labels) == expected
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(roc_auc([0.1, np.nan, 0.3, 0.2], [0, 1, 1, 0]))
 
     def test_pr_auc_perfect(self):
         assert pr_auc([0.1, 0.9], [0, 1]) == 1.0

@@ -16,6 +16,7 @@ from panelroute.router import (
     platt_fit,
     split,
     temperature_fit,
+    _fit_sigmoid_ab,
     _sigmoid,
 )
 
@@ -100,6 +101,21 @@ class TestFitHead:
     def test_single_class_rejected(self):
         with pytest.raises(RouterError):
             fit_head(np.zeros((4, 2)), np.ones(4))
+
+    def test_unconverged_solve_warns(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((50, 3))
+        y = (x[:, 0] > 0).astype(float)
+        with pytest.warns(RuntimeWarning, match="Cardiac head: L-BFGS did not converge after 1"):
+            fit_head(x, y, max_iter=1)
+
+    def test_converged_solves_stay_silent(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((50, 3))
+        y = (x[:, 0] + 0.5 * rng.standard_normal(50) > 0).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            platt_fit(fit_head(x, y).raw_scores(x), y)
 
     def test_weight_norm_non_increasing_as_c_decreases(self):
         rng = np.random.default_rng(1)
@@ -190,6 +206,17 @@ class TestPlatt:
         before = np.mean((_sigmoid(scores) - y) ** 2)
         after = np.mean((cal(scores) - y) ** 2)
         assert after <= before + 1e-6
+
+    def test_unconverged_fit_warns(self, monkeypatch):
+        from scipy import optimize
+
+        def no_convergence(fun, x0, **kwargs):
+            return optimize.OptimizeResult(x=np.asarray(x0), success=False, nit=7,
+                                           message="ABNORMAL_TERMINATION_IN_LNSRCH")
+
+        monkeypatch.setattr(optimize, "minimize", no_convergence)
+        with pytest.warns(RuntimeWarning, match="Platt fit: .* after 7 .*ABNORMAL"):
+            assert _fit_sigmoid_ab(np.array([0.1, 0.9]), np.array([0, 1])) == (1.0, 0.0)
 
     def test_positive_slope_preserves_ordering(self):
         rng = np.random.default_rng(3)

@@ -1,0 +1,81 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from panelroute.serial import BundleError, load_bundle, save_bundle
+
+DTYPES = [np.uint8, np.int64, np.float32, np.float64]
+
+
+@st.composite
+def bundle_arrays(draw):
+    """Named arrays of the stored dtypes, zero-size and 0-d ones included,
+    with an odd-length uint8 array sorted ahead of a float64 one, so that the
+    float64 array starts off its alignment in the payload."""
+    arrays = {
+        "a_odd": draw(hnp.arrays(np.uint8, st.integers(1, 9).map(lambda n: 2 * n - 1))),
+        "b_f64": draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                               max_side=4))),
+    }
+    for i in range(draw(st.integers(0, 4))):
+        dtype = draw(st.sampled_from(DTYPES))
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+        arrays[f"c{i}"] = draw(hnp.arrays(dtype, shape))
+    return arrays
+
+
+class TestRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(bundle_arrays())
+    def test_arrays_come_back_equal_aligned_and_writable(self, tmp_path_factory, arrays):
+        path = tmp_path_factory.mktemp("b") / "b.bin"
+        save_bundle(path, {"kind": "t", "n": len(arrays)}, arrays)
+        meta, got = load_bundle(path)
+        assert meta == {"kind": "t", "n": len(arrays)}
+        assert set(got) == set(arrays)
+        for name, want in arrays.items():
+            arr = got[name]
+            assert arr.dtype == want.dtype and arr.shape == want.shape, name
+            assert np.array_equal(arr, want, equal_nan=want.dtype.kind == "f"), name
+            assert arr.flags.aligned and arr.flags.writeable, name
+        before = {name: arr.copy() for name, arr in got.items()}
+        for name, arr in got.items():
+            if arr.size:
+                arr.reshape(-1)[0] = 1 if arr.dtype.kind in "ui" else np.nan
+                for other, arr2 in got.items():
+                    if other != name:
+                        assert np.array_equal(arr2, before[other], equal_nan=True), (name, other)
+                arr[...] = before[name]
+
+    def test_zero_d_array_keeps_its_shape(self, tmp_path):
+        save_bundle(tmp_path / "b.bin", {}, {"x": np.array(2.5)})
+        _, got = load_bundle(tmp_path / "b.bin")
+        assert got["x"].shape == () and got["x"] == 2.5
+
+
+class TestCorruptBundles:
+    @settings(max_examples=60, deadline=None)
+    @given(bundle_arrays(), st.data())
+    def test_every_strict_prefix_raises_bundle_error(self, tmp_path_factory, arrays, data):
+        path = tmp_path_factory.mktemp("b") / "b.bin"
+        save_bundle(path, {"kind": "t"}, arrays)
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        path.write_bytes(raw[:cut])
+        with pytest.raises(BundleError, match="b.bin"):
+            load_bundle(path)
+
+    def test_undecodable_header_raises_bundle_error(self, tmp_path):
+        save_bundle(tmp_path / "b.bin", {"kind": "t"}, {"x": np.arange(3.0)})
+        raw = bytearray((tmp_path / "b.bin").read_bytes())
+        raw[16] = ord("#")  # first byte of the JSON header
+        (tmp_path / "b.bin").write_bytes(bytes(raw))
+        with pytest.raises(BundleError, match="malformed"):
+            load_bundle(tmp_path / "b.bin")
+
+    def test_bad_magic_raises_bundle_error(self, tmp_path):
+        (tmp_path / "b.bin").write_bytes(b"NOPE" + bytes(40))
+        with pytest.raises(BundleError, match="bad magic"):
+            load_bundle(tmp_path / "b.bin")

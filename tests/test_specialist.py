@@ -316,6 +316,31 @@ class TestPersistence:
         assert loaded.temperature == 1.7
         assert set(loaded.adapters) == set(model.adapters)
 
+    @pytest.mark.parametrize("lora_rank", [0, 2])
+    def test_load_rebuilds_the_model_without_random_draws(self, tmp_path, monkeypatch, lora_rank):
+        model = tiny_model(layers=2, seed=4)
+        if lora_rank:
+            model.attach_lora(rank=lora_rank, alpha=4.0, seed=1)
+            rng = np.random.default_rng(5)
+            model.adapters = {k: (a, rng.normal(0, 0.1, b.shape))
+                              for k, (a, b) in model.adapters.items()}
+        model.save(tmp_path / "m.bin")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("SpecialistModel.load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = SpecialistModel.load(tmp_path / "m.bin")
+        monkeypatch.undo()
+        assert list(loaded.params) == sorted(model.params)
+        for k, v in model.params.items():
+            assert np.array_equal(loaded.params[k], v), k
+        for k, (a, b) in model.adapters.items():
+            assert np.array_equal(loaded.adapters[k][0], a) and np.array_equal(loaded.adapters[k][1], b)
+        assert (loaded.lora_rank, loaded.lora_alpha) == (model.lora_rank, model.lora_alpha)
+        ids = np.array([[2, 4, 5, 7, 3]])
+        assert np.array_equal(model.forward(ids)[0], loaded.forward(ids)[0])
+
     def test_save_is_deterministic(self, tmp_path):
         model = tiny_model(seed=7)
         model.save(tmp_path / "a.bin")
