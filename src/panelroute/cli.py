@@ -33,6 +33,7 @@ from .cohort import (
 from .events import (
     DOMAINS,
     DomainLabel,
+    SchemaError,
     Vocabulary,
     episode_from_dict,
     read_episodes_jsonl,
@@ -453,7 +454,11 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     model = _load_router(out, cfg)
     thresholds = _load_thresholds(out, cfg)
     vocab = Vocabulary.load(_require(out, "vocab.tsv", "tokenize"))
-    episode = episode_from_dict(json.loads(Path(args.episode).read_text()))
+    episode_path = Path(args.episode)
+    try:
+        episode = episode_from_dict(json.loads(episode_path.read_text()))
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{episode_path}: not a readable episode: {e!r}") from None
     tokenize_episode(episode, vocab)
     rows = expand_prefixes(episode, cfg["k"])
     if not rows:
@@ -564,7 +569,7 @@ def run(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, BundleError) as e:
+    except (DataError, BundleError, SchemaError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

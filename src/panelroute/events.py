@@ -97,12 +97,24 @@ def render_token(event: ClinicalEvent) -> str:
     return f"[{k.value}]"
 
 
+def _order_key(event: ClinicalEvent) -> tuple:
+    return event.timestamp, _PRECEDENCE.get(event.kind, 99), render_token(event)
+
+
 def order_events(events):
     """Chronological sort, then DIAG > LAB > ORDER, then alphabetical token
     text within a kind. Stable: fully identical keys keep input order."""
-    return sorted(
-        events, key=lambda e: (e.timestamp, _PRECEDENCE.get(e.kind, 99), render_token(e))
-    )
+    return sorted(events, key=_order_key)
+
+
+def _gap_marker(gap, thresholds):
+    """The last threshold k (hours) in `thresholds` with k * 60 <= gap
+    (minutes), or None."""
+    marker = None
+    for k in thresholds:
+        if k * 60 <= gap:
+            marker = k
+    return marker
 
 
 def insert_gap_markers(events, thresholds=DEFAULT_GAP_THRESHOLDS):
@@ -111,11 +123,7 @@ def insert_gap_markers(events, thresholds=DEFAULT_GAP_THRESHOLDS):
     out = []
     for i, ev in enumerate(events):
         if i > 0:
-            gap = ev.timestamp - events[i - 1].timestamp
-            marker = None
-            for k in thresholds:
-                if k * 60 <= gap:
-                    marker = k
+            marker = _gap_marker(ev.timestamp - events[i - 1].timestamp, thresholds)
             if marker is not None:
                 out.append(
                     ClinicalEvent(EventKind.GAP, str(marker), timestamp=events[i - 1].timestamp)
@@ -156,9 +164,13 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         rows = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                sid, tok, cnt = line.rstrip("\n").split("\t")
-                rows.append((int(sid), tok, int(cnt)))
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    sid, tok, cnt = line.rstrip("\n").split("\t")
+                    rows.append((int(sid), tok, int(cnt)))
+                except ValueError:
+                    raise SchemaError(f"{path}, line {lineno}: expected id, token and count "
+                                      f"separated by tabs, got {line.rstrip()!r}") from None
         rows.sort()
         return cls([(tok, cnt) for sid, tok, cnt in rows if tok not in SENTINELS])
 
@@ -191,12 +203,24 @@ def build_vocabulary(token_lists, min_count: int = 1, whitelist=None) -> Vocabul
 
 def render_episode_tokens(events, gold_diag_code=None, gap_thresholds=DEFAULT_GAP_THRESHOLDS):
     """Order events, insert gap markers, render, and drop the gold-label
-    diagnosis rendering (label-leak prevention). Returns token texts."""
-    ordered = insert_gap_markers(order_events(events), gap_thresholds)
+    diagnosis rendering (label-leak prevention). Returns token texts, as
+    rendering `insert_gap_markers(order_events(events))` would, with each event
+    rendered and validated once: its sort key holds the text emitted."""
+    keyed = sorted(map(_order_key, events))
     gold_text = (
         render_token(ClinicalEvent(EventKind.DIAG, gold_diag_code)) if gold_diag_code else None
     )
-    return [t for t in map(render_token, ordered) if t != gold_text]
+    out = []
+    prev_ts = None
+    for ts, _, text in keyed:
+        if prev_ts is not None:
+            marker = _gap_marker(ts - prev_ts, gap_thresholds)
+            if marker is not None:
+                out.append(f"[GAP]_H{marker}")
+        if text != gold_text:
+            out.append(text)
+        prev_ts = ts
+    return out
 
 
 def build_sequence(
@@ -269,11 +293,19 @@ def episode_to_dict(ep: Episode) -> dict:
     return out
 
 
+_KINDS = {k.value: k for k in EventKind}
+
+
+def _event_kind(value) -> EventKind:
+    try:
+        return _KINDS[value]
+    except (KeyError, TypeError):
+        return EventKind(value)  # raises the enum's own ValueError
+
+
 def episode_from_dict(d: dict) -> Episode:
     events = [
-        ClinicalEvent(
-            EventKind(e["kind"]), e["code"], e.get("bin"), int(e["t_min"])
-        )
+        ClinicalEvent(_event_kind(e["kind"]), e["code"], e.get("bin"), int(e["t_min"]))
         for e in d["events"]
     ]
     return Episode(

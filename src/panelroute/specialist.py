@@ -78,12 +78,14 @@ def lr_schedule(step: int, total_steps: int, peak_lr: float,
     return peak_lr * (floor_frac + (1.0 - floor_frac) * 0.5 * (1.0 + math.cos(math.pi * u)))
 
 
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+# GELU and its derivative both take e = erf(x / sqrt 2), computed once in the
+# forward pass and kept for the backward pass.
+def _gelu(x, e):
+    return 0.5 * x * (1.0 + e)
 
 
-def _gelu_grad(x):
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def _gelu_grad(x, e):
+    return 0.5 * (1.0 + e) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def _layer_norm(x, g, b):
@@ -188,8 +190,16 @@ class SpecialistModel:
 
     # --- forward / backward -----------------------------------------------
 
-    def forward(self, ids, train: bool = False, rng=None):
-        """Return (logits, cache). ids: (B, T) int array."""
+    def forward(self, ids, train: bool = False, rng=None, last_only: bool = False):
+        """Return (logits, cache). ids: (B, T) int array.
+
+        With `last_only`, the last block computes keys and values at every
+        position but everything after them at the final position only:
+        logits are (B, 1, V), the next-event distribution after the whole
+        prefix, and the cache is None.
+        """
+        if train and last_only:
+            raise SpecialistError("last_only forward keeps no cache for backward")
         ids = np.atleast_2d(np.asarray(ids))
         bsz, t = ids.shape
         c = self.config
@@ -218,20 +228,24 @@ class SpecialistModel:
             pre = f"l{i}."
             hn, ln1c = _layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
             wq, wk, wv, wo = (self._adapted(pre + nm) for nm in ("wq", "wk", "wv", "wo"))
-            q = hn @ wq + p[pre + "bq"]
             k = hn @ wk + p[pre + "bk"]
             v = hn @ wv + p[pre + "bv"]
+            if last_only and i == c.layers - 1:
+                # Queries, and all that follows them, at the final position only.
+                x, hn = x[:, -1:], hn[:, -1:]
+            tq = x.shape[1]
+            q = hn @ wq + p[pre + "bq"]
 
             def split(z):
-                return z.reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
+                return z.reshape(bsz, z.shape[1], h, dh).transpose(0, 2, 1, 3)
 
             qh, kh, vh = split(q), split(k), split(v)
-            scores = qh @ kh.transpose(0, 1, 3, 2) * scale + mask
+            scores = qh @ kh.transpose(0, 1, 3, 2) * scale + mask[t - tq:]
             scores -= scores.max(-1, keepdims=True)
             ex = np.exp(scores)
             attn = ex / ex.sum(-1, keepdims=True)
             attn_d, attn_mask = dropout(attn)
-            ctx = (attn_d @ vh).transpose(0, 2, 1, 3).reshape(bsz, t, c.d_model)
+            ctx = (attn_d @ vh).transpose(0, 2, 1, 3).reshape(bsz, tq, c.d_model)
             attn_out = ctx @ wo + p[pre + "bo"]
             attn_out_d, res1_mask = dropout(attn_out)
             x1 = x + attn_out_d
@@ -239,18 +253,21 @@ class SpecialistModel:
             h2, ln2c = _layer_norm(x1, p[pre + "ln2_g"], p[pre + "ln2_b"])
             w1, w2 = self._adapted(pre + "w1"), self._adapted(pre + "w2")
             pre_act = h2 @ w1 + p[pre + "b1"]
-            act = _gelu(pre_act)
+            erf_term = erf(pre_act / math.sqrt(2.0))
+            act = _gelu(pre_act, erf_term)
             mlp = act @ w2 + p[pre + "b2"]
             mlp_d, res2_mask = dropout(mlp)
             x = x1 + mlp_d
 
             layer_caches.append(
                 dict(hn=hn, ln1c=ln1c, qh=qh, kh=kh, vh=vh, attn=attn, attn_d=attn_d,
-                     attn_mask=attn_mask, ctx=ctx, res1_mask=res1_mask, x1=x1,
-                     h2=h2, ln2c=ln2c, pre_act=pre_act, act=act, res2_mask=res2_mask)
+                     attn_mask=attn_mask, ctx=ctx, res1_mask=res1_mask, x1=x1, h2=h2,
+                     ln2c=ln2c, pre_act=pre_act, erf_term=erf_term, res2_mask=res2_mask)
             )
         xf, lnfc = _layer_norm(x, p["lnf_g"], p["lnf_b"])
         logits = xf @ p["tok_emb"].T
+        if last_only:
+            return logits, None
         cache = dict(ids=ids, xf=xf, lnfc=lnfc, layers=layer_caches, t=t, bsz=bsz)
         return logits, cache
 
@@ -287,11 +304,14 @@ class SpecialistModel:
             lc = cache["layers"][i]
             # MLP branch
             dmlp = dx if lc["res2_mask"] is None else dx * lc["res2_mask"]
-            act2d = lc["act"].reshape(-1, c.mlp_mult * c.d_model)
+            pre_act, erf_term = lc["pre_act"], lc["erf_term"]
+            # The activation is recomputed, not cached, and freed after this product.
+            act2d = _gelu(pre_act, erf_term).reshape(-1, c.mlp_mult * c.d_model)
             add_weight_grad(pre + "w2", act2d.T @ dmlp.reshape(-1, c.d_model))
+            del act2d
             grads[pre + "b2"] += dmlp.sum((0, 1))
             dact = dmlp @ self._adapted(pre + "w2").T
-            dpre = dact * _gelu_grad(lc["pre_act"])
+            dpre = dact * _gelu_grad(pre_act, erf_term)
             h22d = lc["h2"].reshape(-1, c.d_model)
             add_weight_grad(pre + "w1", h22d.T @ dpre.reshape(-1, c.mlp_mult * c.d_model))
             grads[pre + "b1"] += dpre.sum((0, 1))
@@ -362,11 +382,12 @@ class SpecialistModel:
         if k < 1:
             raise SpecialistError("k must be >= 1")
         k = min(k, self.config.vocab_size)
-        logits, _ = self.forward(np.asarray(prefix_ids)[None, :])
+        logits, _ = self.forward(np.asarray(prefix_ids)[None, :], last_only=True)
         z = logits[0, -1] / self.temperature
         z = z - z.max()
         probs = np.exp(z) / np.exp(z).sum()
-        order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))[:k]
+        # Stable: tied probabilities keep the lower token id first.
+        order = np.argsort(-probs, kind="stable")[:k]
         return [(int(i), float(probs[i])) for i in order]
 
     # --- persistence ----------------------------------------------------------

@@ -174,6 +174,30 @@ class TestErrorPaths:
         assert err.startswith("data error: ") and "router.bin" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_malformed_vocab_exits_3(self, pipeline_dir, tmp_path, capsys):
+        out, cfg_path = pipeline_dir
+        shutil.copytree(out, tmp_path / "run")
+        (tmp_path / "run" / "vocab.tsv").write_text("garbage\n")
+        capsys.readouterr()
+        code = run(["route", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                    "--episode", str(write_cardiac_probe(tmp_path / "ep.json"))])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and "vocab.tsv, line 1" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_truncated_episode_exits_3(self, pipeline_dir, tmp_path, capsys):
+        out, cfg_path = pipeline_dir
+        ep_path = tmp_path / "ep.json"
+        ep_path.write_text('{"episode_id": "x", "events": [')
+        capsys.readouterr()
+        code = run(["route", "--config", str(cfg_path), "--out", str(out),
+                    "--episode", str(ep_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and "ep.json" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_config_hash_mismatch_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path / "config.json")
         run_pipeline(tmp_path, cfg_path, upto="featurize")

@@ -11,10 +11,13 @@ from panelroute.events import (
     ClinicalEvent,
     EventKind,
     SchemaError,
+    Vocabulary,
     build_sequence,
     build_vocabulary,
+    episode_from_dict,
     insert_gap_markers,
     order_events,
+    render_episode_tokens,
     render_token,
 )
 
@@ -214,3 +217,59 @@ class TestSequenceProperties:
         gold_id = vocab.token_to_id.get(f"[DIAG]_ICD9_{gold}")
         if gold_id is not None:
             assert gold_id not in ids
+
+
+@st.composite
+def timed_episode(draw):
+    """Events on timestamps whose gaps include equal times and exactly 60 and
+    360 minutes, with the gold diagnosis present, absent or missing."""
+    n = draw(st.integers(0, 12))
+    events = []
+    for _ in range(n):
+        kind = draw(st.sampled_from([D, L, O]))
+        code = draw(st.sampled_from(["A", "B", "410.71"]))
+        t = draw(st.sampled_from([0, 1, 59, 60, 61, 360, 361, 420, 780]))
+        bin = draw(st.sampled_from(["LOW", "HIGH"])) if kind == L else None
+        events.append(ClinicalEvent(kind, code, bin, t))
+    gold = draw(st.sampled_from([None, "", "A", "410.71", "ZZZ"]))
+    thresholds = draw(st.sampled_from([(1, 6), (6,), (1, 2, 6)]))
+    return events, gold, thresholds
+
+
+class TestRenderEpisodeTokens:
+    @settings(max_examples=200, deadline=None)
+    @given(timed_episode())
+    def test_equals_order_gap_render_reference(self, ep):
+        events, gold, thresholds = ep
+        gold_text = render_token(ev(D, gold)) if gold else None
+        expected = [render_token(e) for e in insert_gap_markers(order_events(events), thresholds)]
+        expected = [t for t in expected if t != gold_text]
+        assert render_episode_tokens(events, gold, thresholds) == expected
+
+    @pytest.mark.parametrize("bad", [ev(L, "TROP"), ev(O, "ECG", t=-5), ev(D, "")])
+    def test_invalid_event_raises_schema_error(self, bad):
+        with pytest.raises(SchemaError):
+            render_episode_tokens([ev(O, "ECG", 0), bad, ev(D, "A", 90)])
+
+
+class TestEpisodeFromDict:
+    def test_unknown_kind_raises_the_enum_error(self):
+        d = {"episode_id": "x", "events": [{"kind": "VITAL", "code": "HR", "t_min": 0}]}
+        with pytest.raises(ValueError, match="'VITAL' is not a valid EventKind"):
+            episode_from_dict(d)
+
+    def test_kinds_map_to_members(self):
+        d = {"episode_id": "x", "events": [{"kind": "LAB", "code": "T", "bin": "LOW", "t_min": 3},
+                                           {"kind": "ORDER", "code": "ECG", "t_min": 4}]}
+        assert [e.kind for e in episode_from_dict(d).events] == [L, O]
+
+
+class TestVocabularyLoad:
+    @pytest.mark.parametrize("line", ["garbage", "4\t[DIAG]_ICD9_1", "x\t[DIAG]_ICD9_1\t3",
+                                      "4\t[DIAG]_ICD9_1\t3\textra"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "vocab.tsv"
+        build_vocabulary([["[DIAG]_ICD9_1"]]).save(path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(SchemaError, match=r"vocab\.tsv, line 6"):
+            Vocabulary.load(path)

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import erf
 
 from panelroute.events import PAD_ID
 from panelroute.specialist import (
+    _gelu,
+    _gelu_grad,
     AdamW,
     SpecialistConfig,
     SpecialistError,
@@ -129,6 +135,54 @@ class TestForward:
         assert (cfg.layers, cfg.d_model, cfg.heads) == (6, 256, 4)
 
 
+@st.composite
+def last_only_cases(draw):
+    heads = draw(st.sampled_from([1, 2]))
+    cfg = SpecialistConfig(vocab_size=draw(st.integers(5, 15)), layers=draw(st.integers(1, 3)),
+                           d_model=heads * draw(st.sampled_from([2, 4])), heads=heads,
+                           dropout=0.1, max_positions=draw(st.integers(1, 12)))
+    t = draw(st.integers(1, cfg.max_positions))
+    bsz = draw(st.integers(1, 3))
+    ids = draw(hnp.arrays(np.int64, (bsz, t), elements=st.integers(0, cfg.vocab_size - 1)))
+    return cfg, ids, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+class TestLastOnlyForward:
+    @settings(max_examples=80, deadline=None)
+    @given(last_only_cases())
+    def test_equals_last_row_of_full_forward(self, case):
+        cfg, ids, lora, seed = case
+        model = SpecialistModel(cfg, seed=seed)
+        if lora:
+            model.attach_lora(rank=1, alpha=4.0, seed=seed)
+            rng = np.random.default_rng(seed)
+            for key, (a, b) in model.adapters.items():
+                model.adapters[key] = (a, rng.normal(0, 0.5, size=b.shape))
+        full, _ = model.forward(ids)
+        last, cache = model.forward(ids, last_only=True)
+        assert cache is None
+        assert last.shape == (ids.shape[0], 1, cfg.vocab_size)
+        np.testing.assert_allclose(last, full[:, -1:], rtol=0, atol=1e-12)
+
+    def test_train_with_last_only_rejected(self):
+        with pytest.raises(SpecialistError):
+            tiny_model(dropout=0.1).forward(np.array([[2, 4, 5]]), train=True, last_only=True)
+
+
+class TestGelu:
+    @settings(max_examples=50, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-60, 60)))
+    def test_matches_the_erf_recomputing_formulas_bitwise(self, x):
+        x = np.concatenate([x, [-40.0, -8.0, -6.5, -0.0, 0.0, 6.5, 8.0, 40.0]])
+        e = erf(x / math.sqrt(2.0))
+        act = _gelu(x, e)
+        ref_act = 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+        ref_grad = (0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+                    + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+        assert np.array_equal(act, ref_act)
+        assert np.array_equal(_gelu_grad(x, e), ref_grad)
+
+
 class TestLora:
     def test_attach_is_output_invariant(self):
         model = tiny_model(seed=1)
@@ -180,6 +234,21 @@ class TestSuggest:
         model.temperature = 3.0
         warm = [t for t, _ in model.suggest(ids, k=5)]
         assert cold == warm
+
+    def test_matches_top_k_of_full_forward_with_ties(self):
+        model = tiny_model(seed=6)
+        tied = [4, 6, 9, 10]
+        model.params["tok_emb"][tied] = 0.0  # logit exactly 0 for each: a four-way tie
+        ids = [2, 5, 7, 3]
+        logits, _ = model.forward(np.array([ids]))
+        z = logits[0, -1] - logits[0, -1].max()
+        probs = np.exp(z) / np.exp(z).sum()
+        ref = sorted(range(12), key=lambda i: (-probs[i], i))
+        assert len({probs[i] for i in tied}) == 1
+        for k in (1, 3, 7, 12):
+            top = model.suggest(ids, k=k)
+            assert [t for t, _ in top] == ref[:k]
+            np.testing.assert_allclose([p for _, p in top], probs[ref[:k]], rtol=0, atol=1e-12)
 
     def test_probs_sum_below_one(self):
         model = tiny_model()
