@@ -1,9 +1,9 @@
 """Command-line orchestration of the full pipeline.
 
 Subcommands: synth, tokenize, featurize, train-router, tune, train-specialist,
-eval, route, report. One config file plus flag overrides (flags win); every
-stage stamps artifacts with the config hash and refuses to mix stages built
-from different configs.
+eval, route, report. One config file plus flag overrides (flags win). Stages
+stamp the artifacts later stages read back with the config hash and refuse one
+built under another config; cohort.jsonl and vocab.tsv carry no stamp yet.
 
 Exit codes: 0 ok, 2 config error, 3 data error (missing, truncated or corrupt
 artifact), 4 tuner constraint unmet (fallback point selected, outputs still
@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, metrics, policy
 from .cohort import (
     CohortConfig,
+    CohortConfigError,
     default_grammars,
     generate_cohort,
     ingest,
@@ -40,7 +41,7 @@ from .events import (
     tokenize_episode,
     write_episodes_jsonl,
 )
-from .features import expand_prefixes, featurize_rows
+from .features import expand_prefixes, featurize_rows, restore_feature_models, store_feature_models
 from .pipeline import (
     RouterTrainConfig,
     prepare_router_datasets,
@@ -54,6 +55,7 @@ from .router import RouterModel, SplitSpec, split
 from .serial import BundleError, load_bundle, save_bundle, sha256_file, sha256_obj, write_json
 from .specialist import (
     SpecialistConfig,
+    SpecialistError,
     SpecialistModel,
     TrainConfig,
     perplexity,
@@ -240,10 +242,39 @@ def _load_tokenized(out: Path, cfg: dict):
     return episodes, vocab
 
 
+def _specialist_split(episodes, cfg: dict, domain: DomainLabel):
+    """(train, dev, test) episodes of `domain`'s specialist: the domain's
+    episodes, capped at `specialist.scope_cap`, then split as the router's."""
+    pool = [ep for ep in episodes if domain in ep.labels]
+    cap = cfg["specialist"]["scope_cap"]
+    if not isinstance(cap, int) or cap < 0:
+        raise ConfigError(f"specialist.scope_cap must be a non-negative integer, got {cap!r}")
+    if cap and len(pool) > cap:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x5C0]))
+        idx = sorted(rng.choice(len(pool), size=cap, replace=False))
+        pool = [pool[i] for i in idx]
+    if len(pool) < 10:
+        raise DataError(f"{domain.value}: only {len(pool)} episodes; cannot train")
+    return split(pool, SplitSpec(seed=cfg["seed"]))
+
+
+def _load_specialist(out: Path, cfg: dict, domain: DomainLabel) -> SpecialistModel | None:
+    """This config's specialist for `domain`, or None when none was trained."""
+    name = f"specialist_{domain.value}.bin"
+    if not (out / name).exists():
+        return None
+    model = SpecialistModel.load(out / name)
+    _check_hash(model.config_hash, cfg, name)
+    return model
+
+
 # --- commands ----------------------------------------------------------------
 
 def cmd_synth(args, cfg: dict, out: Path) -> int:
-    episodes = generate_cohort(_cohort_config(cfg), _grammars(cfg))
+    try:
+        episodes = generate_cohort(_cohort_config(cfg), _grammars(cfg))
+    except CohortConfigError as e:
+        raise ConfigError(str(e)) from None
     episodes = ingest(episodes)
     target = cfg["cohort"].get("sample_target", 0)
     if target:
@@ -271,15 +302,10 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
     episodes, vocab = _load_tokenized(out, cfg)
     rc = _router_config(cfg)
     ds = prepare_router_datasets(episodes, vocab, rc)
-    tf_meta, tf_arrays = ds.tfidf.to_bundle()
-    svd_meta, svd_arrays = ds.svd.to_bundle()
-    save_bundle(
-        out / "feature_models.bin",
-        {"kind": "feature_models", "config_hash": config_hash(cfg),
-         "tfidf": tf_meta, "svd": svd_meta},
-        {"tfidf_idf": tf_arrays["idf"], "svd_components": svd_arrays["components"],
-         "svd_singular_values": svd_arrays["singular_values"]},
-    )
+    fm_meta, fm_arrays = store_feature_models(ds.tfidf, ds.svd)
+    save_bundle(out / "feature_models.bin",
+                {"kind": "feature_models", "config_hash": config_hash(cfg), **fm_meta},
+                fm_arrays)
     arrays = {}
     meta = {"kind": "features", "config_hash": config_hash(cfg), "seed": cfg["seed"],
             "model_hash": sha256_file(out / "feature_models.bin"),
@@ -299,19 +325,13 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
 
 
 def _load_datasets(out: Path, cfg: dict):
-    from .features import SvdProjector, TfidfModel
     from .pipeline import RouterDatasets
 
     meta, arrays = load_bundle(_require(out, "features.bin", "featurize"))
     _check_hash(meta["config_hash"], cfg, "features.bin")
     fm_meta, fm_arrays = load_bundle(_require(out, "feature_models.bin", "featurize"))
-    tfidf = TfidfModel.from_bundle(fm_meta["tfidf"], {"idf": fm_arrays["tfidf_idf"]})
-    svd = SvdProjector.from_bundle(
-        fm_meta["svd"],
-        {"components": fm_arrays["svd_components"],
-         "singular_values": fm_arrays["svd_singular_values"]},
-    )
-    ds = RouterDatasets(vocab=None, tfidf=tfidf, svd=svd)
+    _check_hash(fm_meta.get("config_hash", ""), cfg, "feature_models.bin")
+    ds = RouterDatasets(*restore_feature_models(fm_meta, fm_arrays))
     for name in ("train", "dev", "test"):
         ds.x[name] = arrays[f"x_{name}"]
         ds.y[name] = arrays[f"y_{name}"].astype(np.float64)
@@ -383,24 +403,20 @@ def _load_thresholds(out: Path, cfg: dict) -> Thresholds:
 def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
     episodes, vocab = _load_tokenized(out, cfg)
     sc = cfg["specialist"]
+    try:
+        shape = SpecialistConfig(vocab_size=len(vocab), layers=sc["layers"],
+                                 d_model=sc["d_model"], heads=sc["heads"])
+    except SpecialistError as e:
+        raise ConfigError(f"specialist.heads = {sc['heads']}: {e}") from None
     domains = [DomainLabel(args.domain)] if args.domain else list(DOMAINS)
     for domain in domains:
-        pool = [ep for ep in episodes if domain in ep.labels]
-        if sc["scope_cap"]:
-            rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x5C0]))
-            if len(pool) > sc["scope_cap"]:
-                idx = sorted(rng.choice(len(pool), size=sc["scope_cap"], replace=False))
-                pool = [pool[i] for i in idx]
-        if len(pool) < 10:
-            raise DataError(f"{domain.value}: only {len(pool)} episodes; cannot train")
-        train_eps, dev_eps, _ = split(pool, SplitSpec(seed=cfg["seed"]))
-        model = SpecialistModel(
-            SpecialistConfig(vocab_size=len(vocab), layers=sc["layers"],
-                             d_model=sc["d_model"], heads=sc["heads"]),
-            seed=cfg["seed"], domain=domain.value,
-        )
+        train_eps, dev_eps, _ = _specialist_split(episodes, cfg, domain)
+        model = SpecialistModel(shape, seed=cfg["seed"], domain=domain.value)
         if sc["lora_rank"]:
-            model.attach_lora(sc["lora_rank"], sc["lora_alpha"], seed=cfg["seed"])
+            try:
+                model.attach_lora(sc["lora_rank"], sc["lora_alpha"], seed=cfg["seed"])
+            except SpecialistError as e:
+                raise ConfigError(f"specialist.lora_rank = {sc['lora_rank']}: {e}") from None
         tc = TrainConfig(peak_lr=sc["peak_lr"], batch_size=sc["batch_size"],
                          epochs=sc["epochs"], seed=cfg["seed"])
         curve = train(model, [e.tokens for e in train_eps], [e.tokens for e in dev_eps],
@@ -429,11 +445,9 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
                             **report["baselines"]["fixed_cardiac_pulmonary"]}
     specialists = {}
     for domain in DOMAINS:
-        path = out / f"specialist_{domain.value}.bin"
-        if path.exists():
-            spec_model = SpecialistModel.load(path)
-            test_pool = [ep for ep in _load_tokenized(out, cfg)[0] if domain in ep.labels]
-            _, _, test_eps = split(test_pool, SplitSpec(seed=cfg["seed"]))
+        spec_model = _load_specialist(out, cfg, domain)
+        if spec_model is not None:
+            _, _, test_eps = _specialist_split(_load_tokenized(out, cfg)[0], cfg, domain)
             specialists[domain.value] = {
                 "test_ppl": perplexity(spec_model, [e.tokens for e in test_eps])
             }
@@ -473,9 +487,8 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
 
     suggestions = {}
     for domain in decision.route:
-        path = out / f"specialist_{domain.value}.bin"
-        if path.exists():
-            spec_model = SpecialistModel.load(path)
+        spec_model = _load_specialist(out, cfg, domain)
+        if spec_model is not None:
             top = spec_model.suggest(episode.tokens[:-1], k=3)
             suggestions[domain] = [vocab.decode(t) for t, _ in top]
     merged = arbitrate(suggestions) if suggestions else []

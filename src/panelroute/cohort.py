@@ -43,7 +43,7 @@ class DomainGrammar:
             raise CohortConfigError(f"{self.domain}: signal_strength out of [0,1]")
         if self.length_range[0] < k:
             raise CohortConfigError(
-                f"{self.domain}: min length {self.length_range[0]} < K={k}"
+                f"k = {k} exceeds {self.domain.value}'s minimum length {self.length_range[0]}"
             )
         for pool in (self.initial_codes, self.order_pool, self.gold_codes):
             if not pool or any(w <= 0 for _, w in pool):

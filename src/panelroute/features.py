@@ -105,14 +105,6 @@ class TfidfModel:
             shape=(len(indptr) - 1, self.n_terms),
         )
 
-    def to_bundle(self):
-        meta = {"kind": "tfidf", "terms": self.terms, "n_docs": self.n_docs, "min_df": self.min_df}
-        return meta, {"idf": self.idf}
-
-    @classmethod
-    def from_bundle(cls, meta, arrays) -> "TfidfModel":
-        return cls(meta["terms"], arrays["idf"], meta["n_docs"], meta["min_df"])
-
 
 def tfidf_fit(docs, min_df: int = 2) -> TfidfModel:
     """1-2 gram TF-IDF vocabulary over `docs` with document frequency >= min_df."""
@@ -149,13 +141,25 @@ class SvdProjector:
             return np.asarray(x @ self.components.T)
         return np.asarray(x) @ self.components.T
 
-    def to_bundle(self):
-        meta = {"kind": "svd", "seed": self.seed}
-        return meta, {"components": self.components, "singular_values": self.singular_values}
 
-    @classmethod
-    def from_bundle(cls, meta, arrays) -> "SvdProjector":
-        return cls(arrays["components"], arrays["singular_values"], meta["seed"])
+def store_feature_models(tfidf: TfidfModel, svd: SvdProjector):
+    """(meta, arrays) entries under which a bundle stores the fitted models.
+    `feature_models.bin` and `router.bin` both use this layout."""
+    meta = {"tfidf": {"kind": "tfidf", "terms": tfidf.terms, "n_docs": tfidf.n_docs,
+                      "min_df": tfidf.min_df},
+            "svd": {"kind": "svd", "seed": svd.seed}}
+    arrays = {"tfidf_idf": tfidf.idf, "svd_components": svd.components,
+              "svd_singular_values": svd.singular_values}
+    return meta, arrays
+
+
+def restore_feature_models(meta: dict, arrays: dict):
+    """The (TfidfModel, SvdProjector) pair `store_feature_models` stored."""
+    tf = meta["tfidf"]
+    tfidf = TfidfModel(tf["terms"], arrays["tfidf_idf"], tf["n_docs"], tf["min_df"])
+    svd = SvdProjector(arrays["svd_components"], arrays["svd_singular_values"],
+                       meta["svd"]["seed"])
+    return tfidf, svd
 
 
 def _fix_signs(vt: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """End-to-end orchestration: tokenize -> features -> router -> thresholds ->
 evaluation. Shared by the CLI and the test suites."""
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,14 +23,6 @@ class RouterTrainConfig:
     c: float = 2.0
     max_iter: int = 3000
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k, "seed": self.seed, "use_time": self.use_time,
-            "use_prefix_weights": self.use_prefix_weights, "calibrate": self.calibrate,
-            "svd_rank": self.svd_rank, "min_df": self.min_df,
-            "c": self.c, "max_iter": self.max_iter,
-        }
-
 
 def tokenize_cohort(episodes, min_count: int = 1, whitelist=None):
     """Build the vocabulary over rendered sequences and encode every episode."""
@@ -43,7 +35,6 @@ def tokenize_cohort(episodes, min_count: int = 1, whitelist=None):
 
 @dataclass
 class RouterDatasets:
-    vocab: object
     tfidf: object
     svd: object
     x: dict = field(default_factory=dict)  # split -> feature matrix
@@ -52,19 +43,18 @@ class RouterDatasets:
     danger: dict = field(default_factory=dict)  # split -> (N,) bool
     ell: dict = field(default_factory=dict)  # split -> (N,) prefix length
     ids: dict = field(default_factory=dict)  # split -> [episode id] per row
-    episodes: dict = field(default_factory=dict)  # split -> [Episode]
 
 
 def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig) -> RouterDatasets:
     """Split episodes (before prefix expansion), expand, fit TF-IDF and SVD on
     the training rows only, and featurize every split."""
-    train_eps, dev_eps, test_eps = split(episodes, SplitSpec(seed=cfg.seed))
-    ds = RouterDatasets(vocab=vocab, tfidf=None, svd=None,
-                        episodes={"train": train_eps, "dev": dev_eps, "test": test_eps})
-    rows = {name: feats.expand_cohort(eps, cfg.k) for name, eps in ds.episodes.items()}
+    parts = split(episodes, SplitSpec(seed=cfg.seed))
+    rows = {name: feats.expand_cohort(eps, cfg.k)
+            for name, eps in zip(("train", "dev", "test"), parts)}
     train_docs = [feats.row_document(r, vocab) for r in rows["train"]]
-    ds.tfidf = feats.tfidf_fit(train_docs, min_df=cfg.min_df)
-    ds.svd = feats.svd_fit(ds.tfidf.transform(train_docs), rank=cfg.svd_rank, seed=cfg.seed)
+    tfidf = feats.tfidf_fit(train_docs, min_df=cfg.min_df)
+    svd = feats.svd_fit(tfidf.transform(train_docs), rank=cfg.svd_rank, seed=cfg.seed)
+    ds = RouterDatasets(tfidf, svd)
     for name, split_rows in rows.items():
         ds.x[name] = feats.featurize_rows(split_rows, vocab, ds.tfidf, ds.svd, cfg.use_time)
         ds.y[name] = np.array([r.label_bits for r in split_rows], dtype=np.float64)
@@ -92,13 +82,12 @@ def train_router(ds: RouterDatasets, cfg: RouterTrainConfig) -> RouterModel:
             calibrators.append(platt_fit(scores, ds.y["dev"][:, d]))
         else:
             calibrators.append(PlattCalibrator(1.0, 0.0))
-    return RouterModel(ds.tfidf, ds.svd, heads, calibrators, cfg.to_dict())
+    return RouterModel(ds.tfidf, ds.svd, heads, calibrators, asdict(cfg))
 
 
-def prob_rows_for(model: RouterModel, ds: RouterDatasets, split_name: str,
-                  calibrated: bool = True):
+def prob_rows_for(model: RouterModel, ds: RouterDatasets, split_name: str):
     """(probs, truth_domains, danger) triples for the tuner and evaluators."""
-    probs = model.predict_proba(ds.x[split_name], calibrated=calibrated)
+    probs = model.predict_proba(ds.x[split_name])
     truths = [tuple(d for d, b in zip(DOMAINS, bits) if b) for bits in ds.y[split_name]]
     return list(zip(probs, truths, ds.danger[split_name].tolist()))
 

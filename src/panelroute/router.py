@@ -14,7 +14,7 @@ import numpy as np
 
 from .events import DOMAINS, DomainLabel
 from .serial import BundleError, load_bundle, save_bundle, sha256_obj
-from .features import SvdProjector, TfidfModel
+from .features import SvdProjector, TfidfModel, restore_feature_models, store_feature_models
 
 DEFAULT_C = 2.0
 DEFAULT_MAX_ITER = 3000
@@ -213,34 +213,25 @@ class RouterModel:
         b = np.array([h.bias for h in self.heads])
         return x @ w.T + b
 
-    def predict_proba(self, x, calibrated: bool = True) -> np.ndarray:
+    def predict_proba(self, x) -> np.ndarray:
         raw = self.predict_raw(x)
-        if not calibrated:
-            return _sigmoid(raw)
         out = np.empty_like(raw)
         for d, cal in enumerate(self.calibrators):
             out[:, d] = cal(raw[:, d])
         return out
 
     def save(self, path) -> None:
-        tf_meta, tf_arrays = self.tfidf.to_bundle()
-        svd_meta, svd_arrays = self.svd.to_bundle()
+        fm_meta, fm_arrays = store_feature_models(self.tfidf, self.svd)
         meta = {
             "kind": "router",
             "config": self.config,
             "config_hash": sha256_obj(self.config),
-            "tfidf": tf_meta,
-            "svd": svd_meta,
+            **fm_meta,
             "domains": [d.value for d in DOMAINS],
             "calibrators": [[cal.a, cal.b] for cal in self.calibrators],
             "biases": [h.bias for h in self.heads],
         }
-        arrays = {
-            "tfidf_idf": tf_arrays["idf"],
-            "svd_components": svd_arrays["components"],
-            "svd_singular_values": svd_arrays["singular_values"],
-            "head_weights": np.stack([h.weights for h in self.heads]),
-        }
+        arrays = {**fm_arrays, "head_weights": np.stack([h.weights for h in self.heads])}
         save_bundle(path, meta, arrays)
 
     @classmethod
@@ -248,12 +239,7 @@ class RouterModel:
         meta, arrays = load_bundle(path)
         if meta.get("kind") != "router":
             raise BundleError(f"{path}: not a router checkpoint")
-        tfidf = TfidfModel.from_bundle(meta["tfidf"], {"idf": arrays["tfidf_idf"]})
-        svd = SvdProjector.from_bundle(
-            meta["svd"],
-            {"components": arrays["svd_components"],
-             "singular_values": arrays["svd_singular_values"]},
-        )
+        tfidf, svd = restore_feature_models(meta, arrays)
         heads = []
         for i, d in enumerate(DOMAINS):
             h = LogisticHead(domain=d, weights=arrays["head_weights"][i],

@@ -7,7 +7,7 @@ optional low-rank adapters on attention and feed-forward weights.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -33,19 +33,8 @@ class SpecialistConfig:
     max_positions: int = 512
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
-            raise SpecialistError("d_model must be divisible by heads")
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "layers": self.layers,
-            "d_model": self.d_model,
-            "heads": self.heads,
-            "mlp_mult": self.mlp_mult,
-            "dropout": self.dropout,
-            "max_positions": self.max_positions,
-        }
+        if self.heads < 1 or self.d_model % self.heads != 0:
+            raise SpecialistError("heads must be positive and divide d_model")
 
 
 # Paper-scale configuration kept as a named preset; desk-scale is the default.
@@ -148,6 +137,7 @@ class SpecialistModel:
         self.lora_alpha = 1.0
         self.lora_rank = 0
         self.params = _init_params(config, seed) if params is None else params
+        self.config_hash = ""  # the stamp `load` read from the checkpoint, if any
 
     # --- LoRA -------------------------------------------------------------
 
@@ -161,8 +151,8 @@ class SpecialistModel:
     def attach_lora(self, rank: int, alpha: float = 1.0, seed: int = 0) -> None:
         """Zero-initialized adapters on attention and feed-forward weights;
         outputs are unchanged at attach time (B starts at zero)."""
-        if rank > self.config.d_model:
-            raise SpecialistError(f"LoRA rank {rank} exceeds d_model {self.config.d_model}")
+        if not 1 <= rank <= self.config.d_model:
+            raise SpecialistError(f"LoRA rank {rank} is outside 1..d_model ({self.config.d_model})")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x10AA]))
         self.lora_rank = rank
         self.lora_alpha = alpha
@@ -395,7 +385,7 @@ class SpecialistModel:
     def save(self, path, extra_meta: dict | None = None) -> None:
         meta = {
             "kind": "specialist",
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "domain": self.domain,
             "temperature": self.temperature,
             "lora_rank": self.lora_rank,
@@ -418,6 +408,7 @@ class SpecialistModel:
         model.temperature = meta.get("temperature", 1.0)
         model.lora_rank = meta.get("lora_rank", 0)
         model.lora_alpha = meta.get("lora_alpha", 1.0)
+        model.config_hash = meta.get("config_hash", "")
         adapters = {}
         for k in arrays:
             if k.startswith("lora.") and k.endswith(".A"):

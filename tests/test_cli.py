@@ -225,6 +225,111 @@ class TestErrorPaths:
         assert not data["constraint_met"]
 
 
+    @pytest.mark.parametrize("stage, override, key", [
+        ("synth", {"k": 7}, "k = 7"),
+        ("train-specialist", {"specialist": {"heads": 3}}, "specialist.heads"),
+        ("train-specialist", {"specialist": {"heads": 0}}, "specialist.heads"),
+        ("train-specialist", {"specialist": {"lora_rank": 100}}, "specialist.lora_rank"),
+        ("train-specialist", {"specialist": {"lora_rank": -1}}, "specialist.lora_rank"),
+        ("train-specialist", {"specialist": {"scope_cap": -5}}, "specialist.scope_cap"),
+    ])
+    def test_invalid_config_value_exits_2_and_names_it(self, tmp_path, capsys, stage,
+                                                       override, key):
+        cfg_path = write_config(tmp_path / "config.json", **override)
+        if stage == "train-specialist":
+            assert run_pipeline(tmp_path, cfg_path, upto="tokenize") == [EXIT_OK] * 2
+        argv = [stage, "--config", str(cfg_path), "--out", str(tmp_path)]
+        if stage == "train-specialist":
+            argv += ["--domain", "Cardiac"]
+        capsys.readouterr()
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and key in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.glob("specialist_*.bin"))
+
+    def test_stale_specialist_is_refused_by_route_and_eval(self, pipeline_dir, tmp_path, capsys):
+        out, cfg_path = pipeline_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["train-specialist", "--domain", "Gastro", "--config", str(cfg_path),
+                        "--out", str(run_dir)]) == EXIT_OK
+        other = write_config(tmp_path / "other.json", seed=8)
+        assert run_pipeline(run_dir, other, upto="tune") == [EXIT_OK] * 5
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert "specialist_Gastro.bin" not in manifest["artifacts"]
+        probe = write_cardiac_probe(tmp_path / "ep.json")
+        probe.write_text(json.dumps({**json.loads(probe.read_text()), "danger": True}))
+        for argv in (["route", "--episode", str(probe)], ["eval"]):
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = run([*argv, "--config", str(other), "--out", str(run_dir)])
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG, argv[0]
+            assert err.startswith("config error: ") and "specialist_Gastro.bin" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_foreign_feature_models_exit_2(self, pipeline_dir, tmp_path, capsys):
+        out, cfg_path = pipeline_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        other = write_config(tmp_path / "other.json", seed=99)
+        assert run_pipeline(tmp_path / "other", other, upto="featurize") == [EXIT_OK] * 3
+        shutil.copy(tmp_path / "other" / "feature_models.bin", run_dir / "feature_models.bin")
+        capsys.readouterr()
+        code = run(["train-router", "--config", str(cfg_path), "--out", str(run_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and "feature_models.bin" in err
+
+
+class TestSpecialistScope:
+    def test_eval_scores_the_test_part_of_the_capped_split(self, tmp_path, monkeypatch):
+        """With scope_cap below Cardiac's 30 episodes, eval's test perplexity is
+        taken over the test part of the capped pool that train-specialist split,
+        and over no episode the specialist trained or early-stopped on."""
+        import numpy as np
+
+        from panelroute import cli
+        from panelroute.router import SplitSpec, split
+        from panelroute.specialist import SpecialistModel, perplexity
+
+        cfg_path = write_config(tmp_path / "config.json",
+                                specialist={"scope_cap": 20, "epochs": 1})
+        assert run_pipeline(tmp_path, cfg_path, upto="tune") == [EXIT_OK] * 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["train-specialist", "--domain", "Cardiac", "--config", str(cfg_path),
+                        "--out", str(tmp_path)]) == EXIT_OK
+        scored = []
+
+        def recording_perplexity(model, sequences):
+            scored.extend(tuple(s) for s in sequences)
+            return perplexity(model, sequences)
+
+        monkeypatch.setattr(cli, "perplexity", recording_perplexity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+
+        episodes, _ = cli._load_tokenized(tmp_path, {})
+        pool = [ep for ep in episodes if cli.DomainLabel.CARDIAC in ep.labels]
+        assert len(pool) == 30
+        rng = np.random.default_rng(np.random.SeedSequence([7, 0x5C0]))
+        capped = [pool[i] for i in sorted(rng.choice(len(pool), size=20, replace=False))]
+        train_eps, dev_eps, test_eps = split(capped, SplitSpec(seed=7))
+        test_seqs = [e.tokens for e in test_eps]
+        assert scored == [tuple(s) for s in test_seqs]
+        assert not set(scored) & {tuple(e.tokens) for e in train_eps + dev_eps}
+        model = SpecialistModel.load(tmp_path / "specialist_Cardiac.bin")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["specialists"]["Cardiac"]["test_ppl"] == perplexity(model, test_seqs)
+
+
 class TestReproducibility:
     def test_seed_7_pipeline_twice_identical_manifests(self, tmp_path):
         manifests = []
