@@ -43,10 +43,10 @@ from .events import (
 )
 from .features import expand_prefixes, featurize_rows, restore_feature_models, store_feature_models
 from .pipeline import (
+    RouterDatasets,
     RouterTrainConfig,
     prepare_router_datasets,
     evaluate,
-    tokenize_cohort,
     train_router,
     prob_rows_for,
 )
@@ -162,11 +162,22 @@ def config_hash(cfg: dict) -> str:
 
 # --- manifest ----------------------------------------------------------------
 
+def _read_json(path: Path) -> dict:
+    """A JSON artifact's top-level object; anything else is a data error."""
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as e:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: not readable JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return data
+
+
 def _update_manifest(out: Path, cfg: dict, artifacts: dict) -> None:
     path = out / "manifest.json"
     manifest = {"config_hash": config_hash(cfg), "tool_version": __version__, "artifacts": {}}
     if path.exists():
-        prev = json.loads(path.read_text())
+        prev = _read_json(path)
         if prev.get("config_hash") == manifest["config_hash"]:
             manifest["artifacts"] = prev.get("artifacts", {})
     for name in artifacts:
@@ -176,7 +187,7 @@ def _update_manifest(out: Path, cfg: dict, artifacts: dict) -> None:
 
 def _log_timing(out: Path, command: str, seconds: float) -> None:
     path = out / "timings.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
+    data = _read_json(path) if path.exists() else {}
     data[command] = round(seconds, 3)
     write_json(path, data)
 
@@ -188,7 +199,7 @@ def _require(out: Path, name: str, producer: str) -> Path:
     return path
 
 
-def _check_hash(found: str, cfg: dict, artifact: str) -> None:
+def _check_hash(found: str | None, cfg: dict, artifact: str) -> None:
     if found != config_hash(cfg):
         raise ConfigError(
             f"{artifact} was built with a different config (hash mismatch); "
@@ -200,10 +211,9 @@ def _check_hash(found: str, cfg: dict, artifact: str) -> None:
 
 def _cohort_config(cfg: dict) -> CohortConfig:
     c = cfg["cohort"]
-    counts = c["counts"]
     return CohortConfig(
         seed=cfg["seed"],
-        counts=counts,
+        counts=c["counts"],
         total=c["total"],
         mixture=tuple(c["mixture"]),
         k=cfg["k"],
@@ -325,12 +335,11 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
 
 
 def _load_datasets(out: Path, cfg: dict):
-    from .pipeline import RouterDatasets
-
-    meta, arrays = load_bundle(_require(out, "features.bin", "featurize"))
-    _check_hash(meta["config_hash"], cfg, "features.bin")
-    fm_meta, fm_arrays = load_bundle(_require(out, "feature_models.bin", "featurize"))
-    _check_hash(fm_meta.get("config_hash", ""), cfg, "feature_models.bin")
+    meta, arrays = load_bundle(_require(out, "features.bin", "featurize"), "features")
+    _check_hash(meta.get("config_hash"), cfg, "features.bin")
+    fm_meta, fm_arrays = load_bundle(_require(out, "feature_models.bin", "featurize"),
+                                     "feature_models")
+    _check_hash(fm_meta.get("config_hash"), cfg, "feature_models.bin")
     ds = RouterDatasets(*restore_feature_models(fm_meta, fm_arrays))
     for name in ("train", "dev", "test"):
         ds.x[name] = arrays[f"x_{name}"]
@@ -346,8 +355,7 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
     ds = _load_datasets(out, cfg)
     rc = _router_config(cfg)
     model = train_router(ds, rc)
-    model.config["config_hash"] = config_hash(cfg)
-    model.save(out / "router.bin")
+    model.save(out / "router.bin", {"config_hash": config_hash(cfg)})
     _update_manifest(out, cfg, {"router.bin": None})
     print(f"router checkpoint written to {out / 'router.bin'}")
     return EXIT_OK
@@ -355,7 +363,7 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
 
 def _load_router(out: Path, cfg: dict) -> RouterModel:
     model = RouterModel.load(_require(out, "router.bin", "train-router"))
-    _check_hash(model.config.get("config_hash", ""), cfg, "router.bin")
+    _check_hash(model.config_hash, cfg, "router.bin")
     return model
 
 
@@ -395,8 +403,8 @@ def cmd_tune(args, cfg: dict, out: Path) -> int:
 
 def _load_thresholds(out: Path, cfg: dict) -> Thresholds:
     path = _require(out, "thresholds.json", "tune")
-    data = json.loads(path.read_text())
-    _check_hash(data["config_hash"], cfg, "thresholds.json")
+    data = _read_json(path)
+    _check_hash(data.get("config_hash"), cfg, "thresholds.json")
     return Thresholds(data["tau_hi"], data["tau_lo"])
 
 
@@ -517,8 +525,8 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
 
 def cmd_report(args, cfg: dict, out: Path) -> int:
     path = _require(out, "report.json", "eval")
-    report = json.loads(path.read_text())
-    _check_hash(report["config_hash"], cfg, "report.json")
+    report = _read_json(path)
+    _check_hash(report.get("config_hash"), cfg, "report.json")
     with open(out / "anytime.csv", "w", encoding="utf-8") as fh:
         fh.write("ell,metric,value\n")
         for metric_name, curve in report["anytime"].items():

@@ -19,6 +19,7 @@ from .events import (
     EventKind,
     compute_time_feats,
 )
+from .serial import write_json
 
 # Paper-shaped default domain mixture (Cardiac, Pulmonary, Gastro, MSK, Psych).
 DEFAULT_MIXTURE = (0.082, 0.228, 0.326, 0.038, 0.326)
@@ -86,6 +87,9 @@ class CohortConfig:
     def domain_counts(self) -> dict:
         if self.counts is not None:
             return {DomainLabel(d): int(n) for d, n in self.counts.items()}
+        m = np.asarray(self.mixture, dtype=float)
+        if m.shape != (len(DOMAINS),) or not (m >= 0).all() or not abs(m.sum() - 1.0) <= 1e-6:
+            raise CohortConfigError(f"mixture {self.mixture}: need 5 shares >= 0 summing to 1")
         quotas = largest_remainder_quotas(self.mixture, self.total)
         return dict(zip(DOMAINS, quotas))
 
@@ -193,19 +197,19 @@ def default_grammars() -> dict:
 
 
 def load_grammars(path) -> dict:
-    data = json.loads(open(path, encoding="utf-8").read())
-    out = {}
-    for d in data["grammars"]:
-        g = DomainGrammar.from_dict(d)
-        out[g.domain] = g
-    return out
+    """{domain: grammar} from a grammar file; a bad file raises CohortConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            grammars = [DomainGrammar.from_dict(d) for d in json.load(fh)["grammars"]]
+    except KeyError as e:
+        raise CohortConfigError(f"grammar file {path}: missing key {e}") from None
+    except (OSError, ValueError, TypeError) as e:
+        raise CohortConfigError(f"grammar file {path}: {e}") from None
+    return {g.domain: g for g in grammars}
 
 
 def save_grammars(path, grammars: dict) -> None:
-    data = {"grammars": [grammars[d].to_dict() for d in DOMAINS if d in grammars]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"grammars": [grammars[d].to_dict() for d in DOMAINS if d in grammars]})
 
 
 def _emit_event(rng, grammar, t: int, events: list) -> int:

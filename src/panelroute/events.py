@@ -325,10 +325,14 @@ def write_episodes_jsonl(path, episodes) -> None:
 
 
 def read_episodes_jsonl(path) -> list:
+    """Episodes of a JSONL file; a malformed line raises SchemaError naming it."""
     episodes = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                episodes.append(episode_from_dict(json.loads(line)))
+                try:
+                    episodes.append(episode_from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError, AttributeError, SchemaError) as e:
+                    raise SchemaError(f"{path}, line {lineno}: not an episode: {e!r}") from None
     return episodes

@@ -41,31 +41,19 @@ def roc_auc(scores, labels) -> float:
 
 
 def pr_auc(scores, labels) -> float:
-    """Precision-recall step integration (average precision over thresholds)."""
+    """Precision-recall step integration (average precision over thresholds):
+    one step per run of tied scores, added left to right."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     n_pos = int(labels.sum())
     if n_pos == 0 or n_pos == len(labels):
         raise MetricError("pr_auc undefined for single-class labels")
     order = np.argsort(-scores, kind="stable")
-    scores, labels = scores[order], labels[order]
-    area = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j < n and scores[j] == scores[i]:
-            tp += int(labels[j])
-            fp += int(not labels[j])
-            j += 1
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return float(area)
+    scores = scores[order]
+    last = np.flatnonzero(np.r_[scores[1:] != scores[:-1], True])
+    tp = np.cumsum(labels[order])[last]
+    recall = tp / n_pos
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * (tp / (last + 1)))[-1])
 
 
 def domain_mask(domain_sets) -> np.ndarray:
@@ -100,6 +88,13 @@ def routing_recalls(routes, truths):
     return mask_recalls(domain_mask(routes), domain_mask(truths))
 
 
+def policy_metrics(routed, truth) -> dict:
+    """Recalls and E[|R|] (mean route size) of an (N, 5) route mask vs its truth mask."""
+    r_any, r_all, r_life = mask_recalls(routed, truth)
+    return {"life_recall": r_life, "expected_experts": float(np.sum(routed, axis=1).mean()),
+            "recall_any": r_any, "recall_all": r_all}
+
+
 @dataclass
 class LatencyModel:
     l_router: float = 10.0
@@ -109,11 +104,17 @@ class LatencyModel:
     def expert_ms(self, domain) -> float:
         return float(self.per_expert.get(domain, self.l_expert_default))
 
+    def per_row(self, routed) -> np.ndarray:
+        """L_router + consulted experts' times per row of an (N, 5) route mask,
+        added in DOMAINS order (a cumulative sum keeps it; a dot product would not)."""
+        times = np.array([self.expert_ms(d) for d in DOMAINS])
+        return self.l_router + np.cumsum(np.where(routed, times, 0.0), axis=1)[:, -1]
+
 
 def latency(routes, lm: LatencyModel):
-    """Per-episode L_i = L_router + sum of consulted expert times, plus mean."""
-    per = [lm.l_router + sum(lm.expert_ms(d) for d in r) for r in routes]
-    return per, float(np.mean(per)) if per else float("nan")
+    """Per-episode L_i over routed domain sets, plus their mean."""
+    per = lm.per_row(domain_mask(routes))
+    return per.tolist(), float(per.mean()) if per.size else float("nan")
 
 
 def compute_savings(expected_experts: float) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 from . import features as feats
 from . import metrics, policy
 from .events import DOMAINS, LIFE_THREAT_DOMAINS, build_vocabulary, render_episode_tokens, tokenize_episode
-from .router import RouterModel, SplitSpec, fit_head, platt_fit, split
+from .router import PlattCalibrator, RouterModel, SplitSpec, fit_head, platt_fit, split
 
 
 @dataclass
@@ -67,8 +67,6 @@ def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig) -> RouterDa
 
 
 def train_router(ds: RouterDatasets, cfg: RouterTrainConfig) -> RouterModel:
-    from .router import PlattCalibrator
-
     heads = []
     for d, domain in enumerate(DOMAINS):
         heads.append(
@@ -93,17 +91,9 @@ def prob_rows_for(model: RouterModel, ds: RouterDatasets, split_name: str):
 
 
 def _policy_metrics(routed, truth, lm: metrics.LatencyModel) -> dict:
-    r_any, r_all, r_life = metrics.mask_recalls(routed, truth)
-    e = float(routed.sum(axis=1).mean())
-    _, mean_lat = metrics.latency(([d for d, m in zip(DOMAINS, row) if m] for row in routed), lm)
-    return {
-        "recall_any": r_any,
-        "recall_all": r_all,
-        "life_recall": r_life,
-        "expected_experts": e,
-        "compute_savings": metrics.compute_savings(e),
-        "latency_mean_ms": mean_lat,
-    }
+    m = metrics.policy_metrics(routed, truth)
+    return {**m, "compute_savings": metrics.compute_savings(m["expected_experts"]),
+            "latency_mean_ms": float(lm.per_row(routed).mean())}
 
 
 def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Thresholds,
@@ -141,9 +131,9 @@ def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Threshol
     branch_mix = {b: int(np.sum(branch == i)) for i, b in enumerate(policy.BRANCHES)}
 
     baselines = {
-        "consult_all": _policy_metrics(metrics.domain_mask([DOMAINS] * n), truth, lm),
+        "consult_all": _policy_metrics(metrics.domain_mask([DOMAINS]).repeat(n, 0), truth, lm),
         "fixed_cardiac_pulmonary": _policy_metrics(
-            metrics.domain_mask([LIFE_THREAT_DOMAINS] * n), truth, lm),
+            metrics.domain_mask([LIFE_THREAT_DOMAINS]).repeat(n, 0), truth, lm),
         "learned_router": _policy_metrics(routed, truth, lm),
     }
 
@@ -152,7 +142,7 @@ def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Threshol
                               for d in range(len(DOMAINS))]))
 
     def stratum_recall_any(idx):
-        return metrics.mask_recalls(routed[idx], truth[idx])[0]
+        return metrics.policy_metrics(routed[idx], truth[idx])["recall_any"]
 
     indices = list(range(n))
     ell_of = lambda i: ds.ell["test"][i]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import DOMAINS
-from .metrics import LIFE_IDX as _LIFE_IDX, domain_mask, mask_recalls
+from .metrics import LIFE_IDX as _LIFE_IDX, domain_mask, policy_metrics
 
 FAIL_OPEN_FLOOR = 0.25
 
@@ -135,15 +135,7 @@ class TuneResult:
 
 def _evaluate_point(hi, lo, probs, truth, danger, **route_kwargs):
     routed, _ = route_batch(probs, Thresholds(hi, lo), danger, **route_kwargs)
-    r_any, r_all, r_life = mask_recalls(routed, truth)
-    return {
-        "tau_hi": hi,
-        "tau_lo": lo,
-        "life_recall": r_life,
-        "expected_experts": float(routed.sum(axis=1).mean()),
-        "recall_any": r_any,
-        "recall_all": r_all,
-    }
+    return {"tau_hi": hi, "tau_lo": lo, **policy_metrics(routed, truth)}
 
 
 def tune_thresholds(prob_rows, grid=None, constraint: float = 0.98, **route_kwargs) -> TuneResult:

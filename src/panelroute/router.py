@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import DOMAINS, DomainLabel
-from .serial import BundleError, load_bundle, save_bundle, sha256_obj
+from .serial import load_bundle, save_bundle
 from .features import SvdProjector, TfidfModel, restore_feature_models, store_feature_models
 
 DEFAULT_C = 2.0
@@ -206,6 +206,7 @@ class RouterModel:
     heads: list  # 5 LogisticHead in DOMAINS order
     calibrators: list  # 5 PlattCalibrator
     config: dict = field(default_factory=dict)
+    config_hash: str = ""  # the stamp `load` read from the checkpoint, if any
 
     def predict_raw(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -220,25 +221,23 @@ class RouterModel:
             out[:, d] = cal(raw[:, d])
         return out
 
-    def save(self, path) -> None:
+    def save(self, path, extra_meta: dict | None = None) -> None:
         fm_meta, fm_arrays = store_feature_models(self.tfidf, self.svd)
         meta = {
             "kind": "router",
             "config": self.config,
-            "config_hash": sha256_obj(self.config),
             **fm_meta,
             "domains": [d.value for d in DOMAINS],
             "calibrators": [[cal.a, cal.b] for cal in self.calibrators],
             "biases": [h.bias for h in self.heads],
+            **(extra_meta or {}),
         }
         arrays = {**fm_arrays, "head_weights": np.stack([h.weights for h in self.heads])}
         save_bundle(path, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "RouterModel":
-        meta, arrays = load_bundle(path)
-        if meta.get("kind") != "router":
-            raise BundleError(f"{path}: not a router checkpoint")
+        meta, arrays = load_bundle(path, "router")
         tfidf, svd = restore_feature_models(meta, arrays)
         heads = []
         for i, d in enumerate(DOMAINS):
@@ -247,4 +246,4 @@ class RouterModel:
             h.trained = True
             heads.append(h)
         calibrators = [PlattCalibrator(a, b) for a, b in meta["calibrators"]]
-        return cls(tfidf, svd, heads, calibrators, meta["config"])
+        return cls(tfidf, svd, heads, calibrators, meta["config"], meta.get("config_hash", ""))

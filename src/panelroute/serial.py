@@ -50,12 +50,12 @@ def save_bundle(path, meta: dict, arrays: dict | None = None) -> None:
             fh.write(blob)
 
 
-def load_bundle(path):
+def load_bundle(path, kind: str | None = None):
     """Return (meta, arrays) from a bundle file.
 
     The payload is read once into one writable buffer and the arrays are views
     into it; a view that would start off its dtype's alignment is copied.
-    A short, truncated or malformed file raises BundleError naming the file.
+    A short, truncated or malformed file, or one not of `kind`, raises BundleError.
     """
     with open(path, "rb") as fh:
         preamble = fh.read(16)
@@ -85,8 +85,10 @@ def load_bundle(path):
                                   f"runs past end of payload)")
             arr = payload[start:end].view(dtype).reshape(shape)
             arrays[spec["name"]] = arr if arr.flags.aligned else arr.copy()
+        if kind is not None and header["meta"].get("kind") != kind:
+            raise BundleError(f"{path}: not a {kind} bundle")
         return header["meta"], arrays
-    except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, AttributeError) as e:  # incl. JSONDecodeError
         raise BundleError(f"{path}: malformed bundle header ({e})") from e
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import erf
 
 from .events import PAD_ID
-from .serial import BundleError, load_bundle, save_bundle
+from .serial import load_bundle, save_bundle
 
 _LN_EPS = 1e-5
 
@@ -400,9 +400,7 @@ class SpecialistModel:
 
     @classmethod
     def load(cls, path) -> "SpecialistModel":
-        meta, arrays = load_bundle(path)
-        if meta.get("kind") != "specialist":
-            raise BundleError(f"{path}: not a specialist checkpoint")
+        meta, arrays = load_bundle(path, "specialist")
         params = {k: v for k, v in arrays.items() if not k.startswith("lora.")}
         model = cls(SpecialistConfig(**meta["config"]), domain=meta.get("domain"), params=params)
         model.temperature = meta.get("temperature", 1.0)

@@ -19,8 +19,8 @@ from panelroute.cli import (
     build_parser,
     run,
 )
-from panelroute.cohort import default_grammars
-from panelroute.serial import sha256_file
+from panelroute.cohort import default_grammars, save_grammars
+from panelroute.serial import load_bundle, sha256_file
 
 
 def write_config(path, **overrides):
@@ -92,6 +92,13 @@ class TestPipeline:
         assert "cohort.jsonl" in manifest["artifacts"]
         assert "timings.json" not in manifest["artifacts"]
         assert manifest["artifacts"]["router.bin"] == sha256_file(out / "router.bin")
+
+    def test_router_stamp_matches_manifest(self, pipeline_dir):
+        out, _ = pipeline_dir
+        meta, _ = load_bundle(out / "router.bin")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert meta["config_hash"] == manifest["config_hash"]
+        assert "config_hash" not in meta["config"]
 
     def test_report_structure(self, pipeline_dir):
         out, _ = pipeline_dir
@@ -173,6 +180,97 @@ class TestErrorPaths:
         assert code == EXIT_DATA
         assert err.startswith("data error: ") and "router.bin" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage, name, corrupt, code", [
+        ("route", "thresholds.json", "truncated", EXIT_DATA),
+        ("route", "thresholds.json", "unstamped", EXIT_CONFIG),
+        ("report", "report.json", "truncated", EXIT_DATA),
+        ("tune", "manifest.json", "truncated", EXIT_DATA),
+        ("route", "timings.json", "open_brace", EXIT_DATA),
+        ("tune", "features.bin", "wrong_kind", EXIT_DATA),
+    ])
+    def test_unreadable_artifact_exits_with_one_line_naming_it(
+            self, pipeline_dir, tmp_path, capsys, stage, name, corrupt, code):
+        out, cfg_path = pipeline_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        path = run_dir / name
+        if corrupt == "truncated":
+            path.write_bytes(path.read_bytes()[:40])
+        elif corrupt == "unstamped":
+            data = json.loads(path.read_text())
+            del data["config_hash"]
+            path.write_text(json.dumps(data))
+        elif corrupt == "open_brace":
+            path.write_text("{")
+        else:
+            shutil.copy(run_dir / "feature_models.bin", path)
+        argv = [stage, "--config", str(cfg_path), "--out", str(run_dir)]
+        if stage == "route":
+            argv += ["--episode", str(write_cardiac_probe(tmp_path / "ep.json"))]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " if code == EXIT_DATA else "config error: ")
+        assert name in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "bad_kind", "missing_key"])
+    def test_malformed_cohort_line_exits_3_naming_the_line(self, tmp_path, capsys, corrupt):
+        cfg_path = write_config(tmp_path / "config.json")
+        assert run_pipeline(tmp_path, cfg_path, upto="tokenize") == [EXIT_OK] * 2
+        cohort = tmp_path / "cohort.jsonl"
+        raw = cohort.read_bytes()
+        if corrupt == "truncated":
+            assert raw[2999:3000] != b"\n"  # the cut falls inside a line
+            cohort.write_bytes(raw[:3000])
+            lineno = raw[:3000].count(b"\n") + 1
+        else:
+            lines = raw.decode().splitlines()
+            rec = json.loads(lines[4])
+            if corrupt == "bad_kind":
+                rec["events"][0]["kind"] = "NOTE"
+            else:
+                del rec["episode_id"]
+            lines[4] = json.dumps(rec)
+            cohort.write_text("\n".join(lines) + "\n")
+            lineno = 5
+        capsys.readouterr()
+        assert run(["featurize", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"cohort.jsonl, line {lineno}:" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("case, key", [
+        ("missing_grammar_file", "none.json"),
+        ("grammar_without_initial_codes", "initial_codes"),
+        ("two_entry_mixture", "mixture"),
+        ("mixture_summing_to_2.5", "mixture"),
+    ])
+    def test_bad_cohort_config_exits_2_and_names_it(self, tmp_path, capsys, case, key):
+        cohort = {"counts": None, "total": 50}
+        if case == "missing_grammar_file":
+            cohort["grammar_file"] = str(tmp_path / "none.json")
+        elif case == "grammar_without_initial_codes":
+            grammar_path = tmp_path / "grammar.json"
+            save_grammars(grammar_path, default_grammars())
+            data = json.loads(grammar_path.read_text())
+            del data["grammars"][2]["initial_codes"]
+            grammar_path.write_text(json.dumps(data))
+            cohort["grammar_file"] = str(grammar_path)
+        elif case == "two_entry_mixture":
+            cohort["mixture"] = [0.5, 0.5]
+        else:
+            cohort["mixture"] = [0.5] * 5
+        cfg_path = write_config(tmp_path / "config.json", cohort=cohort)
+        capsys.readouterr()
+        assert run(["synth", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "cohort.jsonl").exists()
 
     def test_malformed_vocab_exits_3(self, pipeline_dir, tmp_path, capsys):
         out, cfg_path = pipeline_dir

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,17 @@ class TestGenerateCohort:
         loaded = load_grammars(tmp_path / "g.json")
         assert set(loaded) == set(grammars)
         assert loaded[C].to_dict() == grammars[C].to_dict()
+
+    def test_grammar_file_is_sorted_json_and_closed_after_load(self, tmp_path):
+        grammars = default_grammars()
+        save_grammars(tmp_path / "g.json", grammars)
+        data = {"grammars": [grammars[d].to_dict() for d in DOMAINS]}
+        assert (tmp_path / "g.json").read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_grammars(tmp_path / "g.json")
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestLargestRemainderQuotas:

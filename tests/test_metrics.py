@@ -14,6 +14,7 @@ from panelroute.metrics import (
     latency,
     macro_average,
     ndcg_at_k,
+    policy_metrics,
     pr_auc,
     roc_auc,
     routing_recalls,
@@ -21,6 +22,32 @@ from panelroute.metrics import (
 )
 
 C, P, G, M, S = DOMAINS
+
+
+def step_loop_pr_auc(scores, labels):
+    """The original per-row step integration, kept as the oracle for pr_auc."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="stable")
+    scores, labels = scores[order], labels[order]
+    area = 0.0
+    tp = fp = 0
+    prev_recall = 0.0
+    i = 0
+    n = len(scores)
+    while i < n:
+        j = i
+        while j < n and scores[j] == scores[i]:
+            tp += int(labels[j])
+            fp += int(not labels[j])
+            j += 1
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j
+    return float(area)
 
 
 class TestRocAuc:
@@ -74,6 +101,20 @@ class TestRocAuc:
         scores = [0.5, 0.9, 0.7]
         labels = [1, 1, 0]
         assert pr_auc(scores, labels) == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3), abs=1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                        st.floats(0.0, 1.0)),
+                              st.booleans()),
+                    min_size=2, max_size=80))
+    @example([(0.5, True), (0.5, False), (0.5, True), (0.5, False)])  # all tied
+    @example([(0.2, True), (0.7, False)])  # n = 2
+    @example([(0.7, True), (0.7, False)])  # n = 2, tied
+    def test_pr_auc_equals_step_loop_bitwise(self, pairs):
+        scores = np.array([s for s, _ in pairs])
+        labels = np.array([lab for _, lab in pairs])
+        labels[:2] = [True, False]  # both classes present
+        assert pr_auc(scores, labels) == step_loop_pr_auc(scores, labels)
 
 
 class TestRoutingRecalls:
@@ -138,6 +179,36 @@ class TestLatency:
     def test_per_expert_override(self):
         lm = LatencyModel(l_router=10.0, per_expert={C: 100.0}, l_expert_default=50.0)
         assert latency([{C, G}], lm)[1] == 160.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 100.0), st.lists(st.floats(0.0, 500.0), min_size=5, max_size=5),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_mask_latency_equals_domains_order_sum(self, l_router, times, n, seed):
+        lm = LatencyModel(l_router=l_router, per_expert=dict(zip(DOMAINS, times)))
+        routed = np.random.default_rng(seed).random((n, 5)) < 0.5
+        expected = [l_router + sum(lm.expert_ms(d) for d, m in zip(DOMAINS, row) if m)
+                    for row in routed]
+        assert lm.per_row(routed).tolist() == expected
+        assert latency([[d for d, m in zip(DOMAINS, row) if m] for row in routed], lm) == (
+            expected, float(np.mean(expected)))
+
+
+class TestPolicyMetrics:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_equals_routing_recalls_and_mean_route_size(self, n, seed):
+        rng = np.random.default_rng(seed)
+        routed = rng.random((n, 5)) < 0.4
+        truth = rng.random((n, 5)) < 0.3
+        truth[:, 0] |= ~truth.any(axis=1)  # no empty truth rows
+        routes = [{d for d, m in zip(DOMAINS, row) if m} for row in routed]
+        truths = [{d for d, m in zip(DOMAINS, row) if m} for row in truth]
+        r_any, r_all, r_life = routing_recalls(routes, truths)
+        got = policy_metrics(routed, truth)
+        assert list(got) == ["life_recall", "expected_experts", "recall_any", "recall_all"]
+        np.testing.assert_array_equal(
+            [got["recall_any"], got["recall_all"], got["life_recall"], got["expected_experts"]],
+            [r_any, r_all, r_life, float(np.mean([len(r) for r in routes]))])
 
 
 class TestComputeSavings:
