@@ -114,18 +114,27 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, override: dict, prefix: str = "") -> dict:
-    """Merge override into base, rejecting keys the defaults do not have.
-    Keys are checked only where the default is a dict, so free-form values
-    such as `cohort.counts` and `grid` pass through."""
+# JSON types a value may take, by the type of its default; a None default
+# takes any value, so free-form values such as `cohort.counts` and `grid` pass.
+_VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,),
+                dict: (dict,)}
+
+
+def _merge(base: dict, override, prefix: str = "") -> dict:
+    """Merge override into base, rejecting keys the defaults do not have and
+    values whose type does not fit the default's."""
+    if not isinstance(override, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, "
+                          f"got {override!r}")
     out = dict(base)
     for k, v in override.items():
         if k not in base:
             raise ConfigError(f"unknown config key: {prefix}{k}")
-        if isinstance(v, dict) and isinstance(base[k], dict):
-            out[k] = _merge(base[k], v, f"{prefix}{k}.")
-        else:
-            out[k] = v
+        default = base[k]
+        if default is not None and (not isinstance(v, _VALUE_TYPES[type(default)])
+                                    or isinstance(v, bool) != isinstance(default, bool)):
+            raise ConfigError(f"{prefix}{k} must be of type {type(default).__name__}, got {v!r}")
+        out[k] = _merge(default, v, f"{prefix}{k}.") if isinstance(default, dict) else v
     return out
 
 
@@ -136,9 +145,10 @@ def load_config(args) -> dict:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            cfg = _merge(cfg, json.loads(path.read_text()))
+            override = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid config JSON: {e}") from e
+        cfg = _merge(cfg, override)
     for flag in ("seed", "k"):
         v = getattr(args, flag, None)
         if v is not None:
@@ -146,9 +156,15 @@ def load_config(args) -> dict:
     if getattr(args, "total", None) is not None:
         cfg["cohort"]["total"] = args.total
     if getattr(args, "counts", None):
-        cfg["cohort"]["counts"] = json.loads(args.counts)
+        try:
+            cfg["cohort"]["counts"] = json.loads(args.counts)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"--counts: invalid JSON: {e}") from None
     if getattr(args, "mixture", None):
-        cfg["cohort"]["mixture"] = [float(x) for x in args.mixture.split(",")]
+        try:
+            cfg["cohort"]["mixture"] = [float(x) for x in args.mixture.split(",")]
+        except ValueError as e:
+            raise ConfigError(f"--mixture: {e}") from None
     if getattr(args, "multi_label_rate", None) is not None:
         cfg["cohort"]["multi_label_rate"] = args.multi_label_rate
     if cfg["k"] < 1:

@@ -86,8 +86,14 @@ class CohortConfig:
 
     def domain_counts(self) -> dict:
         if self.counts is not None:
-            return {DomainLabel(d): int(n) for d, n in self.counts.items()}
-        m = np.asarray(self.mixture, dtype=float)
+            try:
+                return {DomainLabel(d): int(n) for d, n in self.counts.items()}
+            except (AttributeError, TypeError, ValueError) as e:
+                raise CohortConfigError(f"counts {self.counts!r}: {e}") from None
+        try:
+            m = np.asarray(self.mixture, dtype=float)
+        except (TypeError, ValueError) as e:
+            raise CohortConfigError(f"mixture {self.mixture!r}: {e}") from None
         if m.shape != (len(DOMAINS),) or not (m >= 0).all() or not abs(m.sum() - 1.0) <= 1e-6:
             raise CohortConfigError(f"mixture {self.mixture}: need 5 shares >= 0 summing to 1")
         quotas = largest_remainder_quotas(self.mixture, self.total)
@@ -205,7 +211,11 @@ def load_grammars(path) -> dict:
         raise CohortConfigError(f"grammar file {path}: missing key {e}") from None
     except (OSError, ValueError, TypeError) as e:
         raise CohortConfigError(f"grammar file {path}: {e}") from None
-    return {g.domain: g for g in grammars}
+    by_domain = {g.domain: g for g in grammars}
+    missing = [d.value for d in DOMAINS if d not in by_domain]
+    if missing:
+        raise CohortConfigError(f"grammar file {path}: no grammar for {', '.join(missing)}")
+    return by_domain
 
 
 def save_grammars(path, grammars: dict) -> None:

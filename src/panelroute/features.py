@@ -9,7 +9,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .events import Episode, Vocabulary
 
@@ -81,8 +80,10 @@ class TfidfModel:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def transform(self, docs) -> sparse.csr_matrix:
-        """Rows are L2-normalized tf*idf vectors; OOV terms ignored."""
+    def csr(self, docs):
+        """(indptr, indices, data) of the CSR matrix whose rows are the
+        L2-normalized tf*idf vectors of `docs`, columns sorted within each
+        row; OOV terms ignored."""
         indptr = [0]
         indices = []
         data = []
@@ -100,10 +101,15 @@ class TfidfModel:
             indices.extend(cols)
             data.extend(vals.tolist())
             indptr.append(len(indices))
-        return sparse.csr_matrix(
-            (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-            shape=(len(indptr) - 1, self.n_terms),
-        )
+        return (np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64),
+                np.asarray(data, dtype=np.float64))
+
+    def transform(self, docs):
+        """`csr(docs)` as a scipy.sparse.csr_matrix, for fitting the SVD."""
+        from scipy import sparse  # deferred: routing projects the CSR arrays with numpy
+
+        indptr, indices, data = self.csr(docs)
+        return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, self.n_terms))
 
 
 def tfidf_fit(docs, min_df: int = 2) -> TfidfModel:
@@ -137,9 +143,8 @@ class SvdProjector:
         return self.components.shape[0]
 
     def transform(self, x) -> np.ndarray:
-        if sparse.issparse(x):
-            return np.asarray(x @ self.components.T)
-        return np.asarray(x) @ self.components.T
+        """x @ components.T for a dense array or a scipy.sparse matrix."""
+        return np.asarray(x @ self.components.T)
 
 
 def store_feature_models(tfidf: TfidfModel, svd: SvdProjector):
@@ -180,6 +185,8 @@ def svd_fit(x, rank: int = 256, seed: int = 0, oversample: int = 10, power_iters
     Small instances take the dense path (exact); larger ones use a seeded
     randomized range-finder with power iterations and oversampling.
     """
+    from scipy import sparse
+
     n, m = x.shape
     if n < 2 or m < 1:
         raise FeatureError(f"svd_fit needs N >= 2 and M >= 1, got {x.shape}")
@@ -207,12 +214,30 @@ def svd_fit(x, rank: int = 256, seed: int = 0, oversample: int = 10, power_iters
     return SvdProjector(_fix_signs(vt[:r]), s[:r], seed)
 
 
+def _project_csr(indptr, indices, data, components) -> np.ndarray:
+    """x @ components.T for the CSR matrix x = (indptr, indices, data).
+
+    Every row adds a * components[:, j] for its nonzeros (j, a) in column
+    order, starting from zero, as scipy's csr_matvecs does, so the result is
+    bitwise `csr_matrix(...) @ components.T`. Step k adds the k-th nonzero of
+    every row that has one."""
+    nnz = np.diff(indptr)
+    z = np.zeros((len(nnz), components.shape[0]))
+    for k in range(int(nnz.max(initial=0))):
+        rows = np.flatnonzero(nnz > k)
+        pos = indptr[rows] + k
+        terms = components.T[indices[pos]]
+        terms *= data[pos, None]
+        z[rows] += terms
+    return z
+
+
 def featurize_rows(rows, vocab: Vocabulary, tfidf: TfidfModel, svd: SvdProjector,
                    use_time: bool = False) -> np.ndarray:
     """Dense feature matrix: SVD projection of each prefix document, with
     time feats appended when use_time is set."""
     docs = [row_document(r, vocab) for r in rows]
-    z = svd.transform(tfidf.transform(docs))
+    z = _project_csr(*tfidf.csr(docs), svd.components)
     if not use_time:
         return z
     n_tf = max((len(r.time_feats) for r in rows), default=0)

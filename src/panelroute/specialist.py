@@ -10,7 +10,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .events import PAD_ID
 from .serial import load_bundle, save_bundle
@@ -65,6 +64,47 @@ def lr_schedule(step: int, total_steps: int, peak_lr: float,
     u = (step - warmup) / max(last - warmup, 1)
     u = min(u, 1.0)
     return peak_lr * (floor_frac + (1.0 - floor_frac) * 0.5 * (1.0 + math.cos(math.pi * u)))
+
+
+# erf after Cephes ndtr.c (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the algorithm behind scipy.special.erf, with its
+# coefficients and Horner order: x T(x^2) / U(x^2) for |x| <= 1, and
+# 1 - exp(-x^2) P(|x|) / Q(|x|) above. U and Q carry their implicit leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+
+
+def _horner(x, coefs):
+    y = coefs[0] * x + coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def erf(x) -> np.ndarray:
+    """Elementwise erf of a float64 array, within 1 ulp of scipy.special.erf.
+
+    |x| is clipped to 6, where 1 - erfc already rounds to 1; this also keeps
+    both rationals finite for huge and infinite x. The erfc rational runs only
+    on the |x| > 1 elements."""
+    x = np.asarray(x, dtype=np.float64)
+    a = np.minimum(np.abs(x), 6.0).ravel()
+    z = a * a
+    y = a * _horner(z, _ERF_T)
+    y /= _horner(z, _ERF_U)
+    big = np.flatnonzero(a > 1.0)
+    ab = a[big]
+    y[big] = 1.0 - np.exp(-ab * ab) * _horner(ab, _ERFC_P) / _horner(ab, _ERFC_Q)
+    return np.copysign(y, x.ravel()).reshape(x.shape)
 
 
 # GELU and its derivative both take e = erf(x / sqrt 2), computed once in the

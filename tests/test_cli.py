@@ -248,6 +248,9 @@ class TestErrorPaths:
         ("grammar_without_initial_codes", "initial_codes"),
         ("two_entry_mixture", "mixture"),
         ("mixture_summing_to_2.5", "mixture"),
+        ("non_numeric_mixture", "mixture"),
+        ("counts_not_a_mapping", "counts"),
+        ("grammar_file_without_gastro", "Gastro"),
     ])
     def test_bad_cohort_config_exits_2_and_names_it(self, tmp_path, capsys, case, key):
         cohort = {"counts": None, "total": 50}
@@ -260,13 +263,45 @@ class TestErrorPaths:
             del data["grammars"][2]["initial_codes"]
             grammar_path.write_text(json.dumps(data))
             cohort["grammar_file"] = str(grammar_path)
+        elif case == "grammar_file_without_gastro":
+            grammar_path = tmp_path / "grammar.json"
+            grammars = default_grammars()
+            del grammars["Gastro"]
+            save_grammars(grammar_path, grammars)
+            cohort["grammar_file"] = str(grammar_path)
         elif case == "two_entry_mixture":
             cohort["mixture"] = [0.5, 0.5]
+        elif case == "non_numeric_mixture":
+            cohort["mixture"] = ["a"]
+        elif case == "counts_not_a_mapping":
+            cohort["counts"] = [1]
         else:
             cohort["mixture"] = [0.5] * 5
         cfg_path = write_config(tmp_path / "config.json", cohort=cohort)
         capsys.readouterr()
         assert run(["synth", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "cohort.jsonl").exists()
+
+    @pytest.mark.parametrize("config, flags, key", [
+        ([1], [], "JSON object"),
+        ({"cohort": 5}, [], "cohort"),
+        ({"k": True}, [], "k"),
+        ({"svd_rank": "64"}, [], "svd_rank"),
+        ({"specialist": {"epochs": 1.5}}, [], "specialist.epochs"),
+        (None, ["--counts", '{"Cardiac": 10'], "--counts"),
+        (None, ["--mixture", "0.5,half"], "--mixture"),
+    ])
+    def test_config_value_of_wrong_type_exits_2_and_names_it(self, tmp_path, capsys, config,
+                                                             flags, key):
+        argv = ["synth", "--total", "20", "--out", str(tmp_path), *flags]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        capsys.readouterr()
+        assert run(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -475,7 +510,7 @@ class TestEntryPoints:
             "import sys, panelroute.cli\n"
             f"code = panelroute.cli.run(['route', '--config', {str(cfg_path)!r}, "
             f"'--out', {str(tmp_path / 'run')!r}, '--episode', {str(probe)!r}])\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "sys.exit(code)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
@@ -483,3 +518,11 @@ class TestEntryPoints:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert '"suggestions"' in proc.stdout  # the Cardiac specialist was consulted
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        script = ("import sys, panelroute.cli\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                              capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip() == "[]"

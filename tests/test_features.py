@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelroute.events import BOS_ID, EOS_ID, DomainLabel, Episode, Vocabulary, multi_hot
 from panelroute.features import (
@@ -204,3 +207,43 @@ class TestFeaturizeRows:
             x1 = featurize_rows([r1], vocab, tfidf, svd)
             x2 = featurize_rows([r2], vocab, tfidf, svd)
             assert np.array_equal(x1, x2)
+
+
+@st.composite
+def projection_cases(draw):
+    """A vocabulary whose last token never occurs in the TF-IDF training
+    documents, those documents, and query prefixes over the whole vocabulary."""
+    n_tokens = draw(st.integers(3, 10))
+    vocab = make_vocab([f"[ACTION]_T{i}" for i in range(n_tokens)])
+    oov = 4 + n_tokens - 1
+    known = st.lists(st.integers(4, oov - 1), min_size=1, max_size=10)
+    train = draw(st.lists(known, min_size=3, max_size=12))
+    queries = draw(st.lists(st.lists(st.integers(4, oov), min_size=1, max_size=10),
+                            min_size=1, max_size=8))
+    queries += [[oov, oov], train[0] * 3]  # an OOV-only row; a row of repeated terms
+    return vocab, train, draw(st.permutations(queries)), oov
+
+
+def prefix_rows(token_lists):
+    return [PrefixRow(f"e{i}", len(t), t, (1, 0, 0, 0, 0), 1.0) for i, t in enumerate(token_lists)]
+
+
+class TestProjection:
+    @settings(max_examples=200, deadline=None)
+    @given(projection_cases())
+    def test_featurize_rows_is_bitwise_the_sparse_product(self, case):
+        vocab, train, queries, oov = case
+        train_docs = [row_document(r, vocab) for r in prefix_rows(train)]
+        tfidf = tfidf_fit(train_docs, min_df=1)
+        x = tfidf.transform(train_docs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rank clamped to the toy matrix
+            svd = svd_fit(x, rank=8)
+        rows = prefix_rows(queries)
+        docs = [row_document(r, vocab) for r in rows]
+        want = np.asarray(tfidf.transform(docs) @ svd.components.T)
+        got = featurize_rows(rows, vocab, tfidf, svd)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not want[queries.index([oov, oov])].any()
+        for i, r in enumerate(rows):  # one row, as `route` featurizes it
+            assert featurize_rows([r], vocab, tfidf, svd).tobytes() == want[i].tobytes()

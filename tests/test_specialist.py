@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import erf
+from scipy.special import erf as scipy_erf
 
 from panelroute.events import PAD_ID
 from panelroute.specialist import (
@@ -18,6 +18,7 @@ from panelroute.specialist import (
     TrainConfig,
     clip_global_norm,
     cross_entropy,
+    erf,
     iter_batches,
     lr_schedule,
     pad_batch,
@@ -181,6 +182,42 @@ class TestGelu:
                     + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
         assert np.array_equal(act, ref_act)
         assert np.array_equal(_gelu_grad(x, e), ref_grad)
+
+
+ERF_EDGES = [0.0, -0.0, 1.0, -1.0, 6.0, -6.0, 8.0, -8.0, 5e-324, -5e-324,
+             2.2250738585072014e-308, -1.1125369292536007e-308, np.inf, -np.inf, np.nan]
+
+
+def assert_within_one_ulp(got, want):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    got, want = got[~np.isnan(want)], want[~np.isnan(want)]
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # same sign: the distance of the bit patterns counts the ulps between them
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max(initial=0) <= 1
+
+
+class TestErf:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-60, 60)))
+    def test_within_one_ulp_of_scipy_odd_and_one_from_six(self, x):
+        x = np.concatenate([x, ERF_EDGES])
+        got = erf(x)
+        assert_within_one_ulp(got, scipy_erf(x))
+        assert np.array_equal(erf(-x), -got, equal_nan=True)
+        saturated = np.abs(x) >= 6.0
+        assert np.array_equal(got[saturated], np.sign(x[saturated]))
+
+    def test_dense_grid_within_one_ulp(self):
+        x = np.linspace(-60.0, 60.0, 240001)
+        assert_within_one_ulp(erf(x), scipy_erf(x))
+        x = np.linspace(-6.5, 6.5, 130001)
+        assert_within_one_ulp(erf(x), scipy_erf(x))
+
+    def test_keeps_shape(self):
+        x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        assert erf(x).shape == (2, 3, 4)
+        assert erf(np.float64(0.5)).shape == ()
+        assert_within_one_ulp(erf(x).ravel(), scipy_erf(x).ravel())
 
 
 class TestLora:
