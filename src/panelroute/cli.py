@@ -41,7 +41,7 @@ from .events import (
     tokenize_episode,
     write_episodes_jsonl,
 )
-from .features import expand_prefixes, featurize_rows, restore_feature_models, store_feature_models
+from .features import expand_prefixes, featurize_rows, load_feature_models, save_feature_models
 from .pipeline import (
     RouterDatasets,
     RouterTrainConfig,
@@ -114,27 +114,39 @@ DEFAULT_CONFIG = {
 }
 
 
-# JSON types a value may take, by the type of its default; a None default
-# takes any value, so free-form values such as `cohort.counts` and `grid` pass.
+# JSON types a value may take, by the type of its default; a key whose default
+# is None takes null or a value of the type it is declared with here.
 _VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,),
                 dict: (dict,)}
+_NULL_DEFAULT_TYPES = {"cohort.counts": dict, "cohort.signal_strength": float,
+                       "cohort.grammar_file": str, "life_guard_tau": float, "grid": list}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _merge(base: dict, override, prefix: str = "") -> dict:
     """Merge override into base, rejecting keys the defaults do not have and
-    values whose type does not fit the default's."""
+    values whose type does not fit the key's."""
     if not isinstance(override, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, "
                           f"got {override!r}")
     out = dict(base)
     for k, v in override.items():
+        key = f"{prefix}{k}"
         if k not in base:
-            raise ConfigError(f"unknown config key: {prefix}{k}")
+            raise ConfigError(f"unknown config key: {key}")
         default = base[k]
-        if default is not None and (not isinstance(v, _VALUE_TYPES[type(default)])
-                                    or isinstance(v, bool) != isinstance(default, bool)):
-            raise ConfigError(f"{prefix}{k} must be of type {type(default).__name__}, got {v!r}")
-        out[k] = _merge(default, v, f"{prefix}{k}.") if isinstance(default, dict) else v
+        want = type(default) if default is not None else _NULL_DEFAULT_TYPES[key]
+        if (v is not None or default is not None) and (
+                not isinstance(v, _VALUE_TYPES[want]) or isinstance(v, bool) != (want is bool)):
+            null = " or null" if default is None else ""
+            raise ConfigError(f"{key} must be of type {want.__name__}{null}, got {v!r}")
+        if key == "grid" and v and not all(isinstance(p, list) and len(p) == 2
+                                           and all(map(_is_number, p)) for p in v):
+            raise ConfigError(f"grid must be a list of [tau_hi, tau_lo] number pairs, got {v!r}")
+        out[k] = _merge(default, v, f"{key}.") if isinstance(default, dict) else v
     return out
 
 
@@ -328,10 +340,8 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
     episodes, vocab = _load_tokenized(out, cfg)
     rc = _router_config(cfg)
     ds = prepare_router_datasets(episodes, vocab, rc)
-    fm_meta, fm_arrays = store_feature_models(ds.tfidf, ds.svd)
-    save_bundle(out / "feature_models.bin",
-                {"kind": "feature_models", "config_hash": config_hash(cfg), **fm_meta},
-                fm_arrays)
+    save_feature_models(out / "feature_models.bin", ds.tfidf, ds.svd,
+                        {"config_hash": config_hash(cfg)})
     arrays = {}
     meta = {"kind": "features", "config_hash": config_hash(cfg), "seed": cfg["seed"],
             "model_hash": sha256_file(out / "feature_models.bin"),
@@ -350,13 +360,17 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
+def _load_feature_models(out: Path, cfg: dict):
+    """This config's fitted (tfidf, svd) from feature_models.bin."""
+    tfidf, svd, stamp = load_feature_models(_require(out, "feature_models.bin", "featurize"))
+    _check_hash(stamp, cfg, "feature_models.bin")
+    return tfidf, svd
+
+
 def _load_datasets(out: Path, cfg: dict):
     meta, arrays = load_bundle(_require(out, "features.bin", "featurize"), "features")
     _check_hash(meta.get("config_hash"), cfg, "features.bin")
-    fm_meta, fm_arrays = load_bundle(_require(out, "feature_models.bin", "featurize"),
-                                     "feature_models")
-    _check_hash(fm_meta.get("config_hash"), cfg, "feature_models.bin")
-    ds = RouterDatasets(*restore_feature_models(fm_meta, fm_arrays))
+    ds = RouterDatasets(*_load_feature_models(out, cfg))
     for name in ("train", "dev", "test"):
         ds.x[name] = arrays[f"x_{name}"]
         ds.y[name] = arrays[f"y_{name}"].astype(np.float64)
@@ -490,6 +504,7 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
 
 def cmd_route(args, cfg: dict, out: Path) -> int:
     model = _load_router(out, cfg)
+    tfidf, svd = _load_feature_models(out, cfg)
     thresholds = _load_thresholds(out, cfg)
     vocab = Vocabulary.load(_require(out, "vocab.tsv", "tokenize"))
     episode_path = Path(args.episode)
@@ -502,7 +517,7 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     if not rows:
         raise DataError(f"episode {episode.episode_id} has no content tokens")
     row = rows[-1]  # longest available prefix, at most K events
-    x = featurize_rows([row], vocab, model.tfidf, model.svd, cfg["use_time"])
+    x = featurize_rows([row], vocab, tfidf, svd, cfg["use_time"])
     raw = model.predict_raw(x)[0]
     probs = model.predict_proba(x)[0]
     decision = policy.route(probs, thresholds, danger_flag=episode.danger,

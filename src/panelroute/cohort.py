@@ -87,9 +87,14 @@ class CohortConfig:
     def domain_counts(self) -> dict:
         if self.counts is not None:
             try:
-                return {DomainLabel(d): int(n) for d, n in self.counts.items()}
+                counts = {DomainLabel(d): int(n) for d, n in self.counts.items()}
             except (AttributeError, TypeError, ValueError) as e:
                 raise CohortConfigError(f"counts {self.counts!r}: {e}") from None
+            if min(counts.values(), default=0) < 0:
+                raise CohortConfigError(f"counts {self.counts!r}: sizes must be >= 0")
+            return counts
+        if self.total < 0:
+            raise CohortConfigError(f"total {self.total}: must be >= 0")
         try:
             m = np.asarray(self.mixture, dtype=float)
         except (TypeError, ValueError) as e:

@@ -1,5 +1,6 @@
-"""Prefix expansion for anytime supervision and TF-IDF -> truncated SVD
-featurization with optional time-feature concatenation.
+"""Prefix expansion for anytime supervision, TF-IDF -> truncated SVD
+featurization with optional time-feature concatenation, and the
+`feature_models` bundle that stores the fitted TF-IDF and SVD models.
 
 TF-IDF convention: raw term counts, smoothed idf ln((1+N)/(1+df)) + 1,
 L2 row normalization, 1-2 grams over rendered token text, min_df=2.
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import Episode, Vocabulary
+from .serial import load_bundle, save_bundle
 
 
 class FeatureError(Exception):
@@ -142,29 +144,31 @@ class SvdProjector:
     def rank(self) -> int:
         return self.components.shape[0]
 
-    def transform(self, x) -> np.ndarray:
-        """x @ components.T for a dense array or a scipy.sparse matrix."""
-        return np.asarray(x @ self.components.T)
 
-
-def store_feature_models(tfidf: TfidfModel, svd: SvdProjector):
-    """(meta, arrays) entries under which a bundle stores the fitted models.
-    `feature_models.bin` and `router.bin` both use this layout."""
-    meta = {"tfidf": {"kind": "tfidf", "terms": tfidf.terms, "n_docs": tfidf.n_docs,
-                      "min_df": tfidf.min_df},
-            "svd": {"kind": "svd", "seed": svd.seed}}
+def save_feature_models(path, tfidf: TfidfModel, svd: SvdProjector,
+                        extra_meta: dict | None = None) -> None:
+    """Write the fitted TF-IDF and SVD models to one `feature_models` bundle."""
+    meta = {
+        "kind": "feature_models",
+        "tfidf": {"kind": "tfidf", "terms": tfidf.terms, "n_docs": tfidf.n_docs,
+                  "min_df": tfidf.min_df},
+        "svd": {"kind": "svd", "seed": svd.seed},
+        **(extra_meta or {}),
+    }
     arrays = {"tfidf_idf": tfidf.idf, "svd_components": svd.components,
               "svd_singular_values": svd.singular_values}
-    return meta, arrays
+    save_bundle(path, meta, arrays)
 
 
-def restore_feature_models(meta: dict, arrays: dict):
-    """The (TfidfModel, SvdProjector) pair `store_feature_models` stored."""
+def load_feature_models(path):
+    """(tfidf, svd, config_hash) from a bundle `save_feature_models` wrote;
+    config_hash is the stamp it carries, or ""."""
+    meta, arrays = load_bundle(path, "feature_models")
     tf = meta["tfidf"]
     tfidf = TfidfModel(tf["terms"], arrays["tfidf_idf"], tf["n_docs"], tf["min_df"])
     svd = SvdProjector(arrays["svd_components"], arrays["svd_singular_values"],
                        meta["svd"]["seed"])
-    return tfidf, svd
+    return tfidf, svd, meta.get("config_hash", "")
 
 
 def _fix_signs(vt: np.ndarray) -> np.ndarray:

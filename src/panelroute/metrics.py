@@ -198,10 +198,3 @@ def bootstrap_ci(metric_fn, episodes, b: int = 1000, level: float = 0.95, seed: 
         reps[i] = metric_fn([episodes[j] for j in idx])
     alpha = (1.0 - level) / 2.0
     return float(np.quantile(reps, alpha)), float(np.quantile(reps, 1.0 - alpha))
-
-
-def macro_average(per_domain: dict) -> float:
-    vals = [per_domain[d] for d in per_domain]
-    if len(vals) != len(DOMAINS):
-        warnings.warn("macro average over a partial domain set")
-    return float(np.mean(vals))

@@ -19,9 +19,6 @@ class RouterTrainConfig:
     use_prefix_weights: bool = True
     calibrate: bool = True
     svd_rank: int = 256
-    min_df: int = 2
-    c: float = 2.0
-    max_iter: int = 3000
 
 
 def tokenize_cohort(episodes, min_count: int = 1, whitelist=None):
@@ -52,7 +49,7 @@ def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig) -> RouterDa
     rows = {name: feats.expand_cohort(eps, cfg.k)
             for name, eps in zip(("train", "dev", "test"), parts)}
     train_docs = [feats.row_document(r, vocab) for r in rows["train"]]
-    tfidf = feats.tfidf_fit(train_docs, min_df=cfg.min_df)
+    tfidf = feats.tfidf_fit(train_docs)
     svd = feats.svd_fit(tfidf.transform(train_docs), rank=cfg.svd_rank, seed=cfg.seed)
     ds = RouterDatasets(tfidf, svd)
     for name, split_rows in rows.items():
@@ -67,12 +64,8 @@ def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig) -> RouterDa
 
 
 def train_router(ds: RouterDatasets, cfg: RouterTrainConfig) -> RouterModel:
-    heads = []
-    for d, domain in enumerate(DOMAINS):
-        heads.append(
-            fit_head(ds.x["train"], ds.y["train"][:, d], ds.w["train"],
-                     domain=domain, c=cfg.c, max_iter=cfg.max_iter)
-        )
+    heads = [fit_head(ds.x["train"], ds.y["train"][:, d], ds.w["train"], domain=domain)
+             for d, domain in enumerate(DOMAINS)]
     calibrators = []
     for d, head in enumerate(heads):
         if cfg.calibrate:
@@ -80,7 +73,7 @@ def train_router(ds: RouterDatasets, cfg: RouterTrainConfig) -> RouterModel:
             calibrators.append(platt_fit(scores, ds.y["dev"][:, d]))
         else:
             calibrators.append(PlattCalibrator(1.0, 0.0))
-    return RouterModel(ds.tfidf, ds.svd, heads, calibrators, asdict(cfg))
+    return RouterModel(heads, calibrators, asdict(cfg))
 
 
 def prob_rows_for(model: RouterModel, ds: RouterDatasets, split_name: str):

@@ -110,12 +110,6 @@ def route(probs, thr: Thresholds, danger_flag: bool = False,
                          thr.tau_hi, thr.tau_lo)
 
 
-def expected_experts(decisions) -> float:
-    if not decisions:
-        raise PolicyError("expected_experts needs at least one decision")
-    return float(np.mean([len(d.route) for d in decisions]))
-
-
 def default_grid():
     """tau_hi in {0.50..0.95 step .05} x tau_lo in {0.10..0.50 step .05}."""
     his = [round(0.50 + 0.05 * i, 2) for i in range(10)]

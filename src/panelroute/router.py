@@ -1,6 +1,7 @@
 """Five one-vs-rest L2-regularized logistic heads over prefix features,
 episode-level stratified splitting, Platt calibration per head, and optional
-temperature scaling.
+temperature scaling. The router checkpoint holds the heads and calibrators
+only; the feature models it scores on live in `features`.
 
 The head objective is sum_i w_i * logloss + (1/(2C)) * ||weights||^2 with an
 unpenalized bias; the contract is the optimum, not a specific solver, so we
@@ -14,7 +15,6 @@ import numpy as np
 
 from .events import DOMAINS, DomainLabel
 from .serial import load_bundle, save_bundle
-from .features import SvdProjector, TfidfModel, restore_feature_models, store_feature_models
 
 DEFAULT_C = 2.0
 DEFAULT_MAX_ITER = 3000
@@ -88,8 +88,6 @@ class LogisticHead:
     domain: DomainLabel
     weights: np.ndarray = None
     bias: float = 0.0
-    c: float = DEFAULT_C
-    trained: bool = False
 
     def raw_scores(self, x) -> np.ndarray:
         return np.asarray(x) @ self.weights + self.bias
@@ -130,9 +128,7 @@ def fit_head(x, y, sample_weight=None, domain=DomainLabel.CARDIAC,
         options={"maxiter": max_iter, "gtol": 1e-6, "ftol": 1e-12},
     )
     _warn_unconverged(res, f"{domain.value} head")
-    head = LogisticHead(domain=domain, weights=res.x[:dim].copy(), bias=float(res.x[dim]), c=c)
-    head.trained = True
-    return head
+    return LogisticHead(domain=domain, weights=res.x[:dim].copy(), bias=float(res.x[dim]))
 
 
 @dataclass
@@ -201,8 +197,6 @@ def temperature_fit(logits, labels, bracket=(0.05, 20.0)) -> float:
 
 @dataclass
 class RouterModel:
-    tfidf: TfidfModel
-    svd: SvdProjector
     heads: list  # 5 LogisticHead in DOMAINS order
     calibrators: list  # 5 PlattCalibrator
     config: dict = field(default_factory=dict)
@@ -222,28 +216,21 @@ class RouterModel:
         return out
 
     def save(self, path, extra_meta: dict | None = None) -> None:
-        fm_meta, fm_arrays = store_feature_models(self.tfidf, self.svd)
         meta = {
             "kind": "router",
             "config": self.config,
-            **fm_meta,
             "domains": [d.value for d in DOMAINS],
             "calibrators": [[cal.a, cal.b] for cal in self.calibrators],
             "biases": [h.bias for h in self.heads],
             **(extra_meta or {}),
         }
-        arrays = {**fm_arrays, "head_weights": np.stack([h.weights for h in self.heads])}
-        save_bundle(path, meta, arrays)
+        save_bundle(path, meta, {"head_weights": np.stack([h.weights for h in self.heads])})
 
     @classmethod
     def load(cls, path) -> "RouterModel":
         meta, arrays = load_bundle(path, "router")
-        tfidf, svd = restore_feature_models(meta, arrays)
-        heads = []
-        for i, d in enumerate(DOMAINS):
-            h = LogisticHead(domain=d, weights=arrays["head_weights"][i],
-                             bias=float(meta["biases"][i]))
-            h.trained = True
-            heads.append(h)
+        heads = [LogisticHead(domain=d, weights=arrays["head_weights"][i],
+                              bias=float(meta["biases"][i]))
+                 for i, d in enumerate(DOMAINS)]
         calibrators = [PlattCalibrator(a, b) for a, b in meta["calibrators"]]
-        return cls(tfidf, svd, heads, calibrators, meta["config"], meta.get("config_hash", ""))
+        return cls(heads, calibrators, meta["config"], meta.get("config_hash", ""))

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import shutil
@@ -99,6 +100,18 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert meta["config_hash"] == manifest["config_hash"]
         assert "config_hash" not in meta["config"]
+
+    def test_no_array_is_stored_in_two_bundles(self, pipeline_dir):
+        out, _ = pipeline_dir
+        bundle_of = {}  # SHA-256 of an array's bytes -> first "bundle:array" holding it
+        for path in sorted(out.glob("*.bin")):
+            _, arrays = load_bundle(path)
+            for name, arr in arrays.items():
+                if arr.nbytes < 1024:
+                    continue
+                digest = hashlib.sha256(arr.tobytes()).hexdigest()
+                first = bundle_of.setdefault(digest, f"{path.name}:{name}")
+                assert first.split(":")[0] == path.name, f"{path.name}:{name} repeats {first}"
 
     def test_report_structure(self, pipeline_dir):
         out, _ = pipeline_dir
@@ -251,6 +264,8 @@ class TestErrorPaths:
         ("non_numeric_mixture", "mixture"),
         ("counts_not_a_mapping", "counts"),
         ("grammar_file_without_gastro", "Gastro"),
+        ("negative_total", "total"),
+        ("negative_count", "counts"),
     ])
     def test_bad_cohort_config_exits_2_and_names_it(self, tmp_path, capsys, case, key):
         cohort = {"counts": None, "total": 50}
@@ -275,6 +290,10 @@ class TestErrorPaths:
             cohort["mixture"] = ["a"]
         elif case == "counts_not_a_mapping":
             cohort["counts"] = [1]
+        elif case == "negative_total":
+            cohort["total"] = -5
+        elif case == "negative_count":
+            cohort["counts"] = {"Cardiac": -3}
         else:
             cohort["mixture"] = [0.5] * 5
         cfg_path = write_config(tmp_path / "config.json", cohort=cohort)
@@ -293,6 +312,12 @@ class TestErrorPaths:
         ({"specialist": {"epochs": 1.5}}, [], "specialist.epochs"),
         (None, ["--counts", '{"Cardiac": 10'], "--counts"),
         (None, ["--mixture", "0.5,half"], "--mixture"),
+        ({"cohort": {"signal_strength": "x"}}, [], "cohort.signal_strength"),
+        ({"life_guard_tau": "x"}, [], "life_guard_tau"),
+        ({"cohort": {"grammar_file": ["g.json"]}}, [], "cohort.grammar_file"),
+        ({"cohort": {"counts": "x"}}, [], "cohort.counts"),
+        ({"grid": "ab"}, [], "grid"),
+        ({"grid": [[0.7]]}, [], "grid"),
     ])
     def test_config_value_of_wrong_type_exits_2_and_names_it(self, tmp_path, capsys, config,
                                                              flags, key):
@@ -406,18 +431,23 @@ class TestErrorPaths:
             assert err.startswith("config error: ") and "specialist_Gastro.bin" in err
             assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_foreign_feature_models_exit_2(self, pipeline_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("stage", ["train-router", "route"])
+    def test_foreign_feature_models_exit_2(self, pipeline_dir, tmp_path, capsys, stage):
         out, cfg_path = pipeline_dir
         run_dir = tmp_path / "run"
         shutil.copytree(out, run_dir)
         other = write_config(tmp_path / "other.json", seed=99)
         assert run_pipeline(tmp_path / "other", other, upto="featurize") == [EXIT_OK] * 3
         shutil.copy(tmp_path / "other" / "feature_models.bin", run_dir / "feature_models.bin")
+        argv = [stage, "--config", str(cfg_path), "--out", str(run_dir)]
+        if stage == "route":
+            argv += ["--episode", str(write_cardiac_probe(tmp_path / "ep.json"))]
         capsys.readouterr()
-        code = run(["train-router", "--config", str(cfg_path), "--out", str(run_dir)])
+        code = run(argv)
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error: ") and "feature_models.bin" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestSpecialistScope:

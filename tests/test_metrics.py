@@ -12,7 +12,6 @@ from panelroute.metrics import (
     calibration_metrics,
     compute_savings,
     latency,
-    macro_average,
     ndcg_at_k,
     policy_metrics,
     pr_auc,
@@ -308,13 +307,3 @@ class TestBootstrap:
     def test_too_few_episodes_rejected(self):
         with pytest.raises(MetricError):
             bootstrap_ci(np.mean, [1.0] * 5)
-
-
-class TestMacroAverage:
-    def test_equals_unweighted_mean(self):
-        vals = {d.value: v for d, v in zip(DOMAINS, [0.9, 0.8, 0.7, 0.6, 0.5])}
-        assert abs(macro_average(vals) - 0.7) <= 1e-12
-
-    def test_partial_set_warns(self):
-        with pytest.warns(UserWarning):
-            macro_average({"Cardiac": 0.9})

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelroute.events import DOMAINS, LIFE_THREAT_DOMAINS, DomainLabel
-from panelroute.metrics import MetricError, domain_mask, mask_recalls, routing_recalls
+from panelroute.metrics import MetricError, domain_mask, mask_recalls, policy_metrics, routing_recalls
 from panelroute.policy import (
     BRANCHES,
     FAIL_OPEN,
@@ -20,7 +20,6 @@ from panelroute.policy import (
     Thresholds,
     arbitrate,
     default_grid,
-    expected_experts,
     route,
     route_batch,
     tune_thresholds,
@@ -191,6 +190,12 @@ class TestRouteBatch:
             assert got[2] == np.mean([bool(r & life) for r in life_rows])
         else:
             assert np.isnan(got[2])
+
+
+def expected_experts(decisions) -> float:
+    """E[|R|] of route decisions by the one rule, `metrics.policy_metrics`."""
+    routed = domain_mask([d.route for d in decisions])
+    return policy_metrics(routed, np.ones_like(routed))["expected_experts"]
 
 
 class TestExpectedExperts:

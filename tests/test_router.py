@@ -5,7 +5,6 @@ import pytest
 
 from panelroute.cohort import DEFAULT_MIXTURE, CohortConfig, generate_cohort
 from panelroute.events import DOMAINS, DomainLabel
-from panelroute.features import SvdProjector, TfidfModel
 from panelroute.router import (
     LogisticHead,
     PlattCalibrator,
@@ -80,7 +79,6 @@ class TestFitHead:
         head = fit_head(x, y)
         preds = head.raw_scores(x) > 0
         assert np.array_equal(preds, y.astype(bool))
-        assert head.trained
 
     def test_symmetric_data_boundary_at_zero(self):
         x = np.array([[-1.0], [1.0]])
@@ -126,15 +124,9 @@ class TestFitHead:
 
 
 def toy_router():
-    tfidf = TfidfModel(["a"], [1.0], 2)
-    svd = SvdProjector(np.eye(2), np.ones(2))
-    heads = []
-    for i, d in enumerate(DOMAINS):
-        h = LogisticHead(domain=d, weights=np.zeros(2), bias=0.0)
-        h.trained = True
-        heads.append(h)
+    heads = [LogisticHead(domain=d, weights=np.zeros(2), bias=0.0) for d in DOMAINS]
     cals = [PlattCalibrator(1.0, 0.0)] * 5
-    return RouterModel(tfidf, svd, heads, cals, {"seed": 0})
+    return RouterModel(heads, cals, {"seed": 0})
 
 
 class TestRouterModel:
