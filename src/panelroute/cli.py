@@ -12,6 +12,7 @@ written).
 
 import argparse
 import copy
+import dataclasses
 import functools
 import json
 import sys
@@ -50,7 +51,7 @@ from .pipeline import (
     train_router,
     prob_rows_for,
 )
-from .policy import AuditLog, AuditRecord, Thresholds, arbitrate, tune_thresholds, write_frontier_csv
+from .policy import AuditLog, PolicyError, Thresholds, arbitrate, tune_thresholds, write_frontier_csv
 from .router import RouterModel, SplitSpec, split
 from .serial import BundleError, load_bundle, save_bundle, sha256_file, sha256_obj, write_json
 from .specialist import (
@@ -120,6 +121,14 @@ _VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), li
                 dict: (dict,)}
 _NULL_DEFAULT_TYPES = {"cohort.counts": dict, "cohort.signal_strength": float,
                        "cohort.grammar_file": str, "life_guard_tau": float, "grid": list}
+# Least value of each size key (and of the seed, which numpy needs >= 0).
+_LOWER_BOUNDS = {"seed": 0, "k": 1, "svd_rank": 1, "specialist.layers": 1,
+                 "specialist.d_model": 1, "specialist.heads": 1, "specialist.epochs": 1,
+                 "specialist.batch_size": 1, "specialist.scope_cap": 0,
+                 "specialist.lora_rank": 0, "cohort.sample_target": 0}
+# Routing-policy keys, checked by the rule `Thresholds` states for them.
+_POLICY_RULES = {"grid": lambda v: [Thresholds(hi, lo) for hi, lo in v],
+                 "life_guard_tau": lambda v: Thresholds(1.0, 0.0, life_guard_tau=v)}
 
 
 def _is_number(v) -> bool:
@@ -127,8 +136,8 @@ def _is_number(v) -> bool:
 
 
 def _merge(base: dict, override, prefix: str = "") -> dict:
-    """Merge override into base, rejecting keys the defaults do not have and
-    values whose type does not fit the key's."""
+    """Merge override into base, rejecting keys the defaults do not have,
+    values whose type does not fit the key's, and values out of range."""
     if not isinstance(override, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, "
                           f"got {override!r}")
@@ -137,16 +146,25 @@ def _merge(base: dict, override, prefix: str = "") -> dict:
         key = f"{prefix}{k}"
         if k not in base:
             raise ConfigError(f"unknown config key: {key}")
-        default = base[k]
-        want = type(default) if default is not None else _NULL_DEFAULT_TYPES[key]
-        if (v is not None or default is not None) and (
-                not isinstance(v, _VALUE_TYPES[want]) or isinstance(v, bool) != (want is bool)):
-            null = " or null" if default is None else ""
+        nullable = key in _NULL_DEFAULT_TYPES
+        want = _NULL_DEFAULT_TYPES[key] if nullable else type(base[k])
+        if v is None and nullable:
+            out[k] = v
+            continue
+        if not isinstance(v, _VALUE_TYPES[want]) or isinstance(v, bool) != (want is bool):
+            null = " or null" if nullable else ""
             raise ConfigError(f"{key} must be of type {want.__name__}{null}, got {v!r}")
-        if key == "grid" and v and not all(isinstance(p, list) and len(p) == 2
-                                           and all(map(_is_number, p)) for p in v):
+        if key == "grid" and not all(isinstance(p, list) and len(p) == 2
+                                     and all(map(_is_number, p)) for p in v):
             raise ConfigError(f"grid must be a list of [tau_hi, tau_lo] number pairs, got {v!r}")
-        out[k] = _merge(default, v, f"{key}.") if isinstance(default, dict) else v
+        if key in _POLICY_RULES:
+            try:
+                _POLICY_RULES[key](v)
+            except PolicyError as e:
+                raise ConfigError(f"{key}: {e}") from None
+        if key in _LOWER_BOUNDS and v < _LOWER_BOUNDS[key]:
+            raise ConfigError(f"{key} must be >= {_LOWER_BOUNDS[key]}, got {v!r}")
+        out[k] = _merge(base[k], v, f"{key}.") if want is dict and not nullable else v
     return out
 
 
@@ -161,27 +179,27 @@ def load_config(args) -> dict:
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid config JSON: {e}") from e
         cfg = _merge(cfg, override)
-    for flag in ("seed", "k"):
-        v = getattr(args, flag, None)
-        if v is not None:
-            cfg[flag] = v
-    if getattr(args, "total", None) is not None:
-        cfg["cohort"]["total"] = args.total
+    return _merge(cfg, _flag_overrides(args))
+
+
+def _flag_overrides(args) -> dict:
+    """The config values given as flags, as a config override."""
+    flags = {k: v for k in ("seed", "k") if (v := getattr(args, k, None)) is not None}
+    cohort = {k: v for k in ("total", "multi_label_rate")
+              if (v := getattr(args, k, None)) is not None}
     if getattr(args, "counts", None):
         try:
-            cfg["cohort"]["counts"] = json.loads(args.counts)
+            cohort["counts"] = json.loads(args.counts)
         except json.JSONDecodeError as e:
             raise ConfigError(f"--counts: invalid JSON: {e}") from None
     if getattr(args, "mixture", None):
         try:
-            cfg["cohort"]["mixture"] = [float(x) for x in args.mixture.split(",")]
+            cohort["mixture"] = [float(x) for x in args.mixture.split(",")]
         except ValueError as e:
             raise ConfigError(f"--mixture: {e}") from None
-    if getattr(args, "multi_label_rate", None) is not None:
-        cfg["cohort"]["multi_label_rate"] = args.multi_label_rate
-    if cfg["k"] < 1:
-        raise ConfigError("k must be >= 1")
-    return cfg
+    if cohort:
+        flags["cohort"] = cohort
+    return flags
 
 
 def config_hash(cfg: dict) -> str:
@@ -285,8 +303,6 @@ def _specialist_split(episodes, cfg: dict, domain: DomainLabel):
     episodes, capped at `specialist.scope_cap`, then split as the router's."""
     pool = [ep for ep in episodes if domain in ep.labels]
     cap = cfg["specialist"]["scope_cap"]
-    if not isinstance(cap, int) or cap < 0:
-        raise ConfigError(f"specialist.scope_cap must be a non-negative integer, got {cap!r}")
     if cap and len(pool) > cap:
         rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x5C0]))
         idx = sorted(rng.choice(len(pool), size=cap, replace=False))
@@ -397,20 +413,14 @@ def _load_router(out: Path, cfg: dict) -> RouterModel:
     return model
 
 
-def _route_kwargs(cfg: dict) -> dict:
-    return {
-        "restrict_top1_to_life": cfg["restrict_top1_to_life"],
-        "life_guard_tau": cfg["life_guard_tau"],
-    }
-
-
 def cmd_tune(args, cfg: dict, out: Path) -> int:
     ds = _load_datasets(out, cfg)
     model = _load_router(out, cfg)
     dev_rows = prob_rows_for(model, ds, "dev")
     grid = [tuple(p) for p in cfg["grid"]] if cfg["grid"] else None
     result = tune_thresholds(dev_rows, grid=grid, constraint=cfg["constraint"],
-                             **_route_kwargs(cfg))
+                             restrict_top1_to_life=cfg["restrict_top1_to_life"],
+                             life_guard_tau=cfg["life_guard_tau"])
     write_json(out / "thresholds.json", {
         "config_hash": config_hash(cfg),
         "tau_hi": result.tau_hi,
@@ -432,10 +442,13 @@ def cmd_tune(args, cfg: dict, out: Path) -> int:
 
 
 def _load_thresholds(out: Path, cfg: dict) -> Thresholds:
+    """The routing policy: the tuned thresholds and the config's options."""
     path = _require(out, "thresholds.json", "tune")
     data = _read_json(path)
     _check_hash(data.get("config_hash"), cfg, "thresholds.json")
-    return Thresholds(data["tau_hi"], data["tau_lo"])
+    return Thresholds(data["tau_hi"], data["tau_lo"],
+                      restrict_top1_to_life=cfg["restrict_top1_to_life"],
+                      life_guard_tau=cfg["life_guard_tau"])
 
 
 def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
@@ -474,8 +487,7 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
     thresholds = _load_thresholds(out, cfg)
     lm = metrics.LatencyModel(l_router=cfg["latency"]["l_router"],
                               l_expert_default=cfg["latency"]["l_expert"])
-    report = evaluate(model, ds, thresholds, lm, k=cfg["k"],
-                      route_kwargs=_route_kwargs(cfg))
+    report = evaluate(model, ds, thresholds, lm, k=cfg["k"])
     if args.policy == "consult-all":
         report["policy"] = {"policy": "consult-all", **report["baselines"]["consult_all"]}
     elif args.policy == "fixed-life":
@@ -520,8 +532,7 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     x = featurize_rows([row], vocab, tfidf, svd, cfg["use_time"])
     raw = model.predict_raw(x)[0]
     probs = model.predict_proba(x)[0]
-    decision = policy.route(probs, thresholds, danger_flag=episode.danger,
-                            **_route_kwargs(cfg))
+    decision = policy.route(probs, thresholds, danger_flag=episode.danger)
     decision.timestamp = datetime.now(timezone.utc).isoformat()
 
     suggestions = {}
@@ -530,27 +541,15 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
         if spec_model is not None:
             top = spec_model.suggest(episode.tokens[:-1], k=3)
             suggestions[domain] = [vocab.decode(t) for t, _ in top]
-    merged = arbitrate(suggestions) if suggestions else []
+    merged = [[item, d.value] for item, d in arbitrate(suggestions)]
 
-    audit = AuditLog(out / "audit.jsonl")
-    audit.append(AuditRecord(
-        episode_id=episode.episode_id,
-        ell=row.ell,
-        raw_scores=tuple(float(v) for v in raw),
-        probs=tuple(float(v) for v in probs),
-        tau_hi=thresholds.tau_hi,
-        tau_lo=thresholds.tau_lo,
-        branch=decision.branch,
-        route=decision.route,
-        arbitration=[[item, d.value] for item, d in merged],
-        danger_flag=episode.danger,
-        timestamp=decision.timestamp,
-    ))
-    payload = decision.to_dict()
-    payload["episode_id"] = episode.episode_id
+    record = {**dataclasses.asdict(decision), "episode_id": episode.episode_id}
+    AuditLog(out / "audit.jsonl").append({**record, "ell": row.ell,
+                                          "raw_scores": [float(v) for v in raw],
+                                          "danger_flag": episode.danger, "arbitration": merged})
     if merged:
-        payload["suggestions"] = [[item, d.value] for item, d in merged]
-    print(json.dumps(payload, sort_keys=True, indent=2))
+        record["suggestions"] = merged
+    print(json.dumps(record, sort_keys=True, indent=2))
     return EXIT_OK
 
 

@@ -87,20 +87,23 @@ class CohortConfig:
     def domain_counts(self) -> dict:
         if self.counts is not None:
             try:
-                counts = {DomainLabel(d): int(n) for d, n in self.counts.items()}
+                counts = {DomainLabel(d): n for d, n in self.counts.items()}
             except (AttributeError, TypeError, ValueError) as e:
-                raise CohortConfigError(f"counts {self.counts!r}: {e}") from None
-            if min(counts.values(), default=0) < 0:
-                raise CohortConfigError(f"counts {self.counts!r}: sizes must be >= 0")
+                raise CohortConfigError(f"cohort.counts {self.counts!r}: {e}") from None
+            if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
+                       for n in counts.values()):
+                raise CohortConfigError(f"cohort.counts {self.counts!r}: "
+                                        "sizes must be integers >= 0")
             return counts
         if self.total < 0:
-            raise CohortConfigError(f"total {self.total}: must be >= 0")
+            raise CohortConfigError(f"cohort.total {self.total}: must be >= 0")
         try:
             m = np.asarray(self.mixture, dtype=float)
         except (TypeError, ValueError) as e:
-            raise CohortConfigError(f"mixture {self.mixture!r}: {e}") from None
+            raise CohortConfigError(f"cohort.mixture {self.mixture!r}: {e}") from None
         if m.shape != (len(DOMAINS),) or not (m >= 0).all() or not abs(m.sum() - 1.0) <= 1e-6:
-            raise CohortConfigError(f"mixture {self.mixture}: need 5 shares >= 0 summing to 1")
+            raise CohortConfigError(f"cohort.mixture {self.mixture}: "
+                                    "need 5 shares >= 0 summing to 1")
         quotas = largest_remainder_quotas(self.mixture, self.total)
         return dict(zip(DOMAINS, quotas))
 

@@ -90,12 +90,10 @@ def _policy_metrics(routed, truth, lm: metrics.LatencyModel) -> dict:
 
 
 def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Thresholds,
-             lm: metrics.LatencyModel | None = None, k: int = 5,
-             route_kwargs: dict | None = None) -> dict:
+             lm: metrics.LatencyModel | None = None, k: int = 5) -> dict:
     """Full metric report on the test split: per-head discrimination and
     calibration, tuned-policy routing quality, baselines, anytime curves."""
     lm = lm or metrics.LatencyModel()
-    route_kwargs = route_kwargs or {}
     probs = model.predict_proba(ds.x["test"])
     y = ds.y["test"]
     n = len(y)
@@ -120,7 +118,7 @@ def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Threshol
     }
 
     truth = y.astype(bool)
-    routed, branch = policy.route_batch(probs, thresholds, ds.danger["test"], **route_kwargs)
+    routed, branch = policy.route_batch(probs, thresholds, ds.danger["test"])
     branch_mix = {b: int(np.sum(branch == i)) for i, b in enumerate(policy.BRANCHES)}
 
     baselines = {

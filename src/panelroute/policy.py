@@ -1,5 +1,5 @@
 """Safety-first routing decision, threshold grid search under a life-threat
-recall constraint, deterministic arbitration, and audit records."""
+recall constraint, deterministic arbitration, and the audit log."""
 
 import json
 from dataclasses import dataclass, field
@@ -23,17 +23,24 @@ class PolicyError(Exception):
 
 @dataclass(frozen=True)
 class Thresholds:
+    """The whole routing policy: every parameter `route_batch` reads."""
     tau_hi: float
     tau_lo: float
     fail_open_floor: float = FAIL_OPEN_FLOOR
+    restrict_top1_to_life: bool = True
+    life_guard_tau: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.tau_lo <= self.tau_hi <= 1.0):
-            raise PolicyError(f"need 0 <= tau_lo <= tau_hi <= 1, got {self}")
+            raise PolicyError(f"need 0 <= tau_lo <= tau_hi <= 1, "
+                              f"got tau_hi={self.tau_hi}, tau_lo={self.tau_lo}")
+        if self.life_guard_tau is not None and not 0.0 <= self.life_guard_tau <= 1.0:
+            raise PolicyError(f"need 0 <= life_guard_tau <= 1, got {self.life_guard_tau}")
 
 
 @dataclass
 class RouteDecision:
+    """One routing decision; `dataclasses.asdict` of it is the printed record."""
     route: tuple  # DomainLabel tuple, priority-ordered
     branch: str
     probs: tuple
@@ -41,27 +48,16 @@ class RouteDecision:
     tau_lo: float
     timestamp: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "route": [d.value for d in self.route],
-            "branch": self.branch,
-            "probs": list(self.probs),
-            "tau_hi": self.tau_hi,
-            "tau_lo": self.tau_lo,
-            "timestamp": self.timestamp,
-        }
 
-
-def route_batch(probs, thr: Thresholds, danger, restrict_top1_to_life: bool = True,
-                life_guard_tau: float | None = None):
+def route_batch(probs, thr: Thresholds, danger):
     """Apply the routing rules to each row of an (N, 5) probability matrix:
 
     (a) danger flag, or all probabilities below the fail-open floor -> all 5;
     (b) a life-threat domain at or above tau_hi -> top-1 (restricted to
-        Cardiac/Pulmonary unless `restrict_top1_to_life` is off);
+        Cardiac/Pulmonary unless `thr.restrict_top1_to_life` is off);
     (c) any domain at or above tau_lo -> top-2 by probability, ties broken by
-        priority; with `life_guard_tau` set, Cardiac and Pulmonary are added
-        whenever their max reaches that guard threshold;
+        priority; with `thr.life_guard_tau` set, Cardiac and Pulmonary are
+        added whenever their max reaches that guard threshold;
     (d) otherwise fail open.
 
     Returns an (N, 5) boolean route mask and an (N,) branch code indexing
@@ -83,28 +79,24 @@ def route_batch(probs, thr: Thresholds, danger, restrict_top1_to_life: bool = Tr
 
     mask = np.zeros(p.shape, dtype=bool)
     mask[branch == 2] = True
-    if restrict_top1_to_life:
+    if thr.restrict_top1_to_life:
         pick = np.asarray(_LIFE_IDX)[np.argmax(p[:, _LIFE_IDX], axis=1)]
     else:
         pick = np.argmax(p, axis=1)
     mask[top1, pick[top1]] = True
     pair = np.argsort(-p, axis=1, kind="stable")[:, :2]
     mask[np.flatnonzero(top2)[:, None], pair[top2]] = True
-    if life_guard_tau is not None:
-        mask[:, _LIFE_IDX] |= (top2 & (life_max >= life_guard_tau))[:, None]
+    if thr.life_guard_tau is not None:
+        mask[:, _LIFE_IDX] |= (top2 & (life_max >= thr.life_guard_tau))[:, None]
     return mask, branch
 
 
-def route(probs, thr: Thresholds, danger_flag: bool = False,
-          restrict_top1_to_life: bool = True,
-          life_guard_tau: float | None = None) -> RouteDecision:
+def route(probs, thr: Thresholds, danger_flag: bool = False) -> RouteDecision:
     """One-row view of `route_batch`, returned as a RouteDecision."""
     p = np.asarray(probs, dtype=np.float64)
     if p.shape != (len(DOMAINS),):
         raise PolicyError(f"expected {len(DOMAINS)} probabilities, got shape {p.shape}")
-    mask, branch = route_batch(p[None, :], thr, [danger_flag],
-                               restrict_top1_to_life=restrict_top1_to_life,
-                               life_guard_tau=life_guard_tau)
+    mask, branch = route_batch(p[None, :], thr, [danger_flag])
     return RouteDecision(tuple(d for d, m in zip(DOMAINS, mask[0]) if m),
                          BRANCHES[branch[0]], tuple(float(v) for v in p),
                          thr.tau_hi, thr.tau_lo)
@@ -127,15 +119,16 @@ class TuneResult:
     table: list = field(default_factory=list)
 
 
-def _evaluate_point(hi, lo, probs, truth, danger, **route_kwargs):
-    routed, _ = route_batch(probs, Thresholds(hi, lo), danger, **route_kwargs)
-    return {"tau_hi": hi, "tau_lo": lo, **policy_metrics(routed, truth)}
+def _evaluate_point(thr: Thresholds, probs, truth, danger):
+    routed, _ = route_batch(probs, thr, danger)
+    return {"tau_hi": thr.tau_hi, "tau_lo": thr.tau_lo, **policy_metrics(routed, truth)}
 
 
-def tune_thresholds(prob_rows, grid=None, constraint: float = 0.98, **route_kwargs) -> TuneResult:
+def tune_thresholds(prob_rows, grid=None, constraint: float = 0.98, **options) -> TuneResult:
     """Grid search (tau_hi, tau_lo) with tau_lo <= tau_hi.
 
     prob_rows: iterable of (probs, truth_domains, danger_flag).
+    options: the other `Thresholds` fields, shared by every grid point.
     Selection: among constraint-satisfying points, minimal E[|R|] (ties:
     higher life recall, then ascending (tau_hi, tau_lo)); if none satisfies
     the constraint, maximal life recall (ties: lower E[|R|], then ascending
@@ -153,7 +146,8 @@ def tune_thresholds(prob_rows, grid=None, constraint: float = 0.98, **route_kwar
     if not truth[:, _LIFE_IDX].any():
         raise PolicyError("no life-threat episodes; safety constraint undefined")
 
-    table = [_evaluate_point(hi, lo, probs, truth, danger, **route_kwargs) for hi, lo in grid]
+    table = [_evaluate_point(Thresholds(hi, lo, **options), probs, truth, danger)
+             for hi, lo in grid]
     feasible = [row for row in table if row["life_recall"] >= constraint]
     if feasible:
         best = min(
@@ -201,36 +195,6 @@ def arbitrate(suggestions: dict) -> list:
     return merged
 
 
-@dataclass
-class AuditRecord:
-    episode_id: str
-    ell: int
-    raw_scores: tuple
-    probs: tuple
-    tau_hi: float
-    tau_lo: float
-    branch: str
-    route: tuple
-    arbitration: list = field(default_factory=list)
-    danger_flag: bool = False
-    timestamp: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "episode_id": self.episode_id,
-            "ell": self.ell,
-            "raw_scores": list(self.raw_scores),
-            "probs": list(self.probs),
-            "tau_hi": self.tau_hi,
-            "tau_lo": self.tau_lo,
-            "branch": self.branch,
-            "route": [d.value for d in self.route],
-            "arbitration": self.arbitration,
-            "danger_flag": self.danger_flag,
-            "timestamp": self.timestamp,
-        }
-
-
 class AuditLog:
     """Append-only JSONL audit sink; one record per routed prefix."""
 
@@ -238,7 +202,7 @@ class AuditLog:
         self.path = path
         self.count = 0
 
-    def append(self, record: AuditRecord) -> None:
+    def append(self, record: dict) -> None:
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
         self.count += 1

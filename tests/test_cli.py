@@ -143,16 +143,32 @@ class TestPipeline:
 
     def test_route_high_confidence_cardiac_episode(self, pipeline_dir, capsys, tmp_path):
         out, cfg_path = pipeline_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["train-specialist", "--domain", "Cardiac", "--config", str(cfg_path),
+                        "--out", str(run_dir)]) == EXIT_OK
         ep_path = write_cardiac_probe(tmp_path / "ep.json")
-        code = run(["route", "--config", str(cfg_path), "--out", str(out),
+        capsys.readouterr()
+        code = run(["route", "--config", str(cfg_path), "--out", str(run_dir),
                     "--episode", str(ep_path)])
         captured = capsys.readouterr().out
         assert code == EXIT_OK
         payload = json.loads(captured[captured.index("{"):])
         assert payload["branch"] == "TOP1_LIFE"
         assert payload["route"] == ["Cardiac"]
-        audit = (out / "audit.jsonl").read_text().strip().split("\n")
-        assert json.loads(audit[-1])["episode_id"] == "probe"
+        suggestions = payload.pop("suggestions")
+        assert [d for _, d in suggestions] == ["Cardiac"] * 3
+        # the audit line is the printed decision plus its provenance
+        audit = (run_dir / "audit.jsonl").read_text().strip().split("\n")
+        record = json.loads(audit[-1])
+        assert record["episode_id"] == "probe"
+        assert set(record) - set(payload) == {"ell", "raw_scores", "danger_flag", "arbitration"}
+        assert {k: record[k] for k in payload} == payload
+        assert record["arbitration"] == suggestions
+        assert record["danger_flag"] is False and record["ell"] >= 1
+        assert len(record["raw_scores"]) == 5
 
 
 class TestErrorPaths:
@@ -266,6 +282,8 @@ class TestErrorPaths:
         ("grammar_file_without_gastro", "Gastro"),
         ("negative_total", "total"),
         ("negative_count", "counts"),
+        ("fractional_count", "cohort.counts"),
+        ("boolean_count", "cohort.counts"),
     ])
     def test_bad_cohort_config_exits_2_and_names_it(self, tmp_path, capsys, case, key):
         cohort = {"counts": None, "total": 50}
@@ -294,6 +312,10 @@ class TestErrorPaths:
             cohort["total"] = -5
         elif case == "negative_count":
             cohort["counts"] = {"Cardiac": -3}
+        elif case == "fractional_count":
+            cohort["counts"] = {"Cardiac": 40.9, "Pulmonary": 10}
+        elif case == "boolean_count":
+            cohort["counts"] = {"Cardiac": 40, "Pulmonary": True}
         else:
             cohort["mixture"] = [0.5] * 5
         cfg_path = write_config(tmp_path / "config.json", cohort=cohort)
@@ -318,6 +340,13 @@ class TestErrorPaths:
         ({"cohort": {"counts": "x"}}, [], "cohort.counts"),
         ({"grid": "ab"}, [], "grid"),
         ({"grid": [[0.7]]}, [], "grid"),
+        ({"grid": [[1.5, 0.2]]}, [], "grid"),
+        ({"grid": [[0.7, 0.3], [0.2, 0.5]]}, [], "grid"),
+        ({"life_guard_tau": 2.0}, [], "life_guard_tau"),
+        ({"life_guard_tau": -0.5}, [], "life_guard_tau"),
+        (None, ["--counts", '{"Cardiac": 10.5}'], "cohort.counts"),
+        (None, ["--seed", "-1"], "seed"),
+        ({"cohort": {"sample_target": -1}}, [], "cohort.sample_target"),
     ])
     def test_config_value_of_wrong_type_exits_2_and_names_it(self, tmp_path, capsys, config,
                                                              flags, key):
@@ -390,12 +419,21 @@ class TestErrorPaths:
         ("train-specialist", {"specialist": {"lora_rank": 100}}, "specialist.lora_rank"),
         ("train-specialist", {"specialist": {"lora_rank": -1}}, "specialist.lora_rank"),
         ("train-specialist", {"specialist": {"scope_cap": -5}}, "specialist.scope_cap"),
+        ("featurize", {"svd_rank": 0}, "svd_rank"),
+        ("featurize", {"svd_rank": -3}, "svd_rank"),
+        ("train-specialist", {"specialist": {"epochs": 0}}, "specialist.epochs"),
+        ("train-specialist", {"specialist": {"batch_size": 0}}, "specialist.batch_size"),
+        ("train-specialist", {"specialist": {"d_model": 0}}, "specialist.d_model"),
+        ("train-specialist", {"specialist": {"layers": -1}}, "specialist.layers"),
     ])
     def test_invalid_config_value_exits_2_and_names_it(self, tmp_path, capsys, stage,
                                                        override, key):
+        # earlier stages are built under a valid config: a bad value is refused
+        # by every stage, since each loads the whole config
+        if stage != "synth":
+            base = write_config(tmp_path / "base.json")
+            assert run_pipeline(tmp_path, base, upto="tokenize") == [EXIT_OK] * 2
         cfg_path = write_config(tmp_path / "config.json", **override)
-        if stage == "train-specialist":
-            assert run_pipeline(tmp_path, cfg_path, upto="tokenize") == [EXIT_OK] * 2
         argv = [stage, "--config", str(cfg_path), "--out", str(tmp_path)]
         if stage == "train-specialist":
             argv += ["--domain", "Cardiac"]
@@ -512,6 +550,12 @@ class TestEntryPoints:
         assert run(["synth", "--mixture", "0.2,0.2,0.2,0.2,0.2", "--total", "30",
                     "--out", str(tmp_path)]) == EXIT_OK
         assert DEFAULT_CONFIG == before
+
+    def test_counts_flag_replaces_the_file_counts(self, tmp_path):
+        cfg_path = write_config(tmp_path / "config.json")
+        assert run(["synth", "--config", str(cfg_path), "--counts", '{"Gastro": 12}',
+                    "--out", str(tmp_path)]) == EXIT_OK
+        assert len((tmp_path / "cohort.jsonl").read_text().splitlines()) == 12
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         proc = subprocess.run(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -15,7 +16,6 @@ from panelroute.policy import (
     TOP1_LIFE,
     TOP2,
     AuditLog,
-    AuditRecord,
     PolicyError,
     Thresholds,
     arbitrate,
@@ -57,11 +57,12 @@ class TestRoute:
 
     def test_unrestricted_top1_picks_global_argmax(self):
         # with the restriction flag off, tau_hi still gates on the life max
-        dec = route([0.72, 0.10, 0.90, 0.05, 0.05], THR, restrict_top1_to_life=False)
+        thr = dataclasses.replace(THR, restrict_top1_to_life=False)
+        dec = route([0.72, 0.10, 0.90, 0.05, 0.05], thr)
         assert dec.branch == TOP1_LIFE and dec.route == (G,)
 
     def test_life_guard_adds_life_domains_to_top2(self):
-        dec = route([0.35, 0.10, 0.50, 0.40, 0.05], THR, life_guard_tau=0.30)
+        dec = route([0.35, 0.10, 0.50, 0.40, 0.05], dataclasses.replace(THR, life_guard_tau=0.30))
         assert dec.branch == TOP2
         assert set(dec.route) == {C, P, G, M}
 
@@ -73,6 +74,11 @@ class TestRoute:
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(PolicyError):
             Thresholds(0.30, 0.70)
+
+    @pytest.mark.parametrize("guard", [-0.1, 1.1])
+    def test_life_guard_outside_unit_interval_rejected(self, guard):
+        with pytest.raises(PolicyError, match="life_guard_tau"):
+            Thresholds(0.70, 0.30, life_guard_tau=guard)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
@@ -107,7 +113,7 @@ class TestRoute:
 
 
 def oracle_route(p, tau_hi, tau_lo, danger, restrict_top1_to_life, life_guard_tau):
-    """The routing rules restated from the prose, both keyword options included."""
+    """The routing rules restated from the prose, both policy options included."""
     if danger or max(p) < FAIL_OPEN_FLOOR:
         return frozenset(range(5)), FAIL_OPEN
     life_max = max(p[0], p[1])
@@ -146,13 +152,13 @@ class TestRouteBatch:
     @given(routing_cases())
     def test_rows_match_route_and_oracle(self, case):
         probs, thr, danger, restrict, guard = case
-        kw = {"restrict_top1_to_life": restrict, "life_guard_tau": guard}
-        mask, branch = route_batch(probs, thr, danger, **kw)
+        thr = dataclasses.replace(thr, restrict_top1_to_life=restrict, life_guard_tau=guard)
+        mask, branch = route_batch(probs, thr, danger)
         assert mask.shape == probs.shape and mask.dtype == bool
         assert branch.shape == (len(probs),)
         for i, p in enumerate(probs):
             got = (frozenset(np.flatnonzero(mask[i]).tolist()), BRANCHES[branch[i]])
-            dec = route(p, thr, danger_flag=bool(danger[i]), **kw)
+            dec = route(p, thr, danger_flag=bool(danger[i]))
             assert got == (frozenset(DOMAINS.index(d) for d in dec.route), dec.branch)
             assert got == oracle_route(p.tolist(), thr.tau_hi, thr.tau_lo, danger[i],
                                        restrict, guard)
@@ -333,10 +339,8 @@ class TestAuditLog:
         log = AuditLog(tmp_path / "audit.jsonl")
         for i in range(7):
             dec = route([0.8, 0.05, 0.05, 0.05, 0.05], THR)
-            log.append(AuditRecord(
-                episode_id=f"e{i}", ell=1, raw_scores=(0.0,) * 5, probs=dec.probs,
-                tau_hi=THR.tau_hi, tau_lo=THR.tau_lo, branch=dec.branch, route=dec.route,
-            ))
+            log.append({**dataclasses.asdict(dec), "episode_id": f"e{i}", "ell": 1,
+                        "raw_scores": [0.0] * 5})
         lines = (tmp_path / "audit.jsonl").read_text().strip().split("\n")
         assert len(lines) == 7 == log.count
         rec = json.loads(lines[0])
