@@ -3,7 +3,9 @@
 Subcommands: synth, tokenize, featurize, train-router, tune, train-specialist,
 eval, route, report. One config file plus flag overrides (flags win). Stages
 stamp the artifacts later stages read back with the config hash and refuse one
-built under another config; cohort.jsonl and vocab.tsv carry no stamp yet.
+built under another config. Only tokenize reads cohort.jsonl: it writes the
+episodes' token ids to tokens.bin, stamped with the SHA-256 of the cohort.jsonl
+and vocab.tsv they were encoded from, and later stages read the ids back.
 
 Exit codes: 0 ok, 2 config error, 3 data error (missing, truncated or corrupt
 artifact), 4 tuner constraint unmet (fallback point selected, outputs still
@@ -14,6 +16,7 @@ import argparse
 import copy
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import time
@@ -35,10 +38,14 @@ from .cohort import (
 from .events import (
     DOMAINS,
     DomainLabel,
+    Episode,
     SchemaError,
     Vocabulary,
+    build_vocabulary,
+    encode_tokens,
     episode_from_dict,
     read_episodes_jsonl,
+    render_episode_tokens,
     tokenize_episode,
     write_episodes_jsonl,
 )
@@ -121,11 +128,15 @@ _VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), li
                 dict: (dict,)}
 _NULL_DEFAULT_TYPES = {"cohort.counts": dict, "cohort.signal_strength": float,
                        "cohort.grammar_file": str, "life_guard_tau": float, "grid": list}
-# Least value of each size key (and of the seed, which numpy needs >= 0).
-_LOWER_BOUNDS = {"seed": 0, "k": 1, "svd_rank": 1, "specialist.layers": 1,
-                 "specialist.d_model": 1, "specialist.heads": 1, "specialist.epochs": 1,
-                 "specialist.batch_size": 1, "specialist.scope_cap": 0,
-                 "specialist.lora_rank": 0, "cohort.sample_target": 0}
+# (least, greatest) value of each bounded key; None leaves that end open. The
+# seed is bounded because numpy needs it >= 0.
+_BOUNDS = {"seed": (0, None), "k": (1, None), "svd_rank": (1, None), "constraint": (0, 1),
+           "cohort.multi_label_rate": (0, 1), "cohort.danger_rate": (0, 1),
+           "cohort.sample_target": (0, None), "latency.l_router": (0, None),
+           "latency.l_expert": (0, None), "specialist.scope_cap": (0, None),
+           "specialist.lora_rank": (0, None),
+           **{f"specialist.{k}": (1, None)
+              for k in ("layers", "d_model", "heads", "epochs", "batch_size")}}
 # Routing-policy keys, checked by the rule `Thresholds` states for them.
 _POLICY_RULES = {"grid": lambda v: [Thresholds(hi, lo) for hi, lo in v],
                  "life_guard_tau": lambda v: Thresholds(1.0, 0.0, life_guard_tau=v)}
@@ -162,8 +173,10 @@ def _merge(base: dict, override, prefix: str = "") -> dict:
                 _POLICY_RULES[key](v)
             except PolicyError as e:
                 raise ConfigError(f"{key}: {e}") from None
-        if key in _LOWER_BOUNDS and v < _LOWER_BOUNDS[key]:
-            raise ConfigError(f"{key} must be >= {_LOWER_BOUNDS[key]}, got {v!r}")
+        low, high = _BOUNDS.get(key, (None, None))
+        if (low is not None and v < low) or (high is not None and v > high):
+            rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ConfigError(f"{key} must be {rule}, got {v!r}")
         out[k] = _merge(base[k], v, f"{key}.") if want is dict and not nullable else v
     return out
 
@@ -288,13 +301,67 @@ def _router_config(cfg: dict) -> RouterTrainConfig:
     )
 
 
-def _load_tokenized(out: Path, cfg: dict):
-    cohort_path = _require(out, "cohort.jsonl", "synth")
-    vocab_path = _require(out, "vocab.tsv", "tokenize")
-    episodes = read_episodes_jsonl(cohort_path)
-    vocab = Vocabulary.load(vocab_path)
-    for ep in episodes:
-        tokenize_episode(ep, vocab)
+def _token_inputs(out: Path) -> dict:
+    """tokens.bin's stamp: the SHA-256 of each file it is encoded from."""
+    return {"cohort.jsonl": sha256_file(_require(out, "cohort.jsonl", "synth")),
+            "vocab.tsv": sha256_file(_require(out, "vocab.tsv", "tokenize"))}
+
+
+def _offsets(lengths) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(np.fromiter(lengths, np.int64))])
+
+
+def _save_tokens(out: Path, episodes, token_lists, vocab: Vocabulary) -> None:
+    """Write tokens.bin: each episode's encoded sequence, label bits, danger
+    flag and time features, as ragged arrays with offsets."""
+    seqs = [encode_tokens(texts, vocab) for texts in token_lists]
+    meta = {"kind": "tokens", "inputs": _token_inputs(out),
+            "episode_ids": [ep.episode_id for ep in episodes]}
+    save_bundle(out / "tokens.bin", meta, {
+        "ids": np.fromiter(itertools.chain.from_iterable(seqs),
+                           np.min_scalar_type(len(vocab) - 1)),
+        "offsets": _offsets(map(len, seqs)),
+        "labels": np.array([ep.label_bits() for ep in episodes],
+                           dtype=np.uint8).reshape(-1, len(DOMAINS)),
+        "danger": np.array([ep.danger for ep in episodes], dtype=np.uint8),
+        "time_feats": np.fromiter(itertools.chain.from_iterable(ep.time_feats for ep in episodes),
+                                  np.float64),
+        "time_offsets": _offsets(len(ep.time_feats) for ep in episodes),
+    })
+
+
+def _is_offsets(off: np.ndarray, n: int, total: int) -> bool:
+    return (off.shape == (n + 1,) and off[0] == 0 and off[-1] == total
+            and bool(np.all(off[1:] >= off[:-1])))
+
+
+def _load_tokenized(out: Path):
+    """(episodes, vocab) from tokens.bin. The episodes carry id, token ids,
+    labels, danger flag and time features, but no events."""
+    path = _require(out, "tokens.bin", "tokenize")
+    inputs = _token_inputs(out)
+    vocab = Vocabulary.load(out / "vocab.tsv")
+    try:
+        meta, arrays = load_bundle(path, "tokens")
+        if meta.get("inputs") != inputs:
+            raise DataError(f"{path}: built from another cohort.jsonl or vocab.tsv")
+        eids, n = meta["episode_ids"], len(meta["episode_ids"])
+        ids, off, labels, danger, feats, toff = (arrays[k] for k in (
+            "ids", "offsets", "labels", "danger", "time_feats", "time_offsets"))
+        if not (_is_offsets(off, n, ids.size) and _is_offsets(toff, n, feats.size)
+                and labels.shape == (n, len(DOMAINS)) and danger.shape == (n,)
+                and (ids.size == 0 or 0 <= ids.min() <= ids.max() < len(vocab))):
+            raise DataError(f"{path}: offsets, shapes or token ids do not fit vocab.tsv")
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed token bundle ({e!r}); "
+                        "re-run `panelroute tokenize`") from None
+    except (BundleError, DataError) as e:
+        raise DataError(f"{e}; re-run `panelroute tokenize`") from None
+    tokens, feats, off, toff = ids.tolist(), feats.tolist(), off.tolist(), toff.tolist()
+    episodes = [Episode(eid, tokens=tokens[off[i]:off[i + 1]],
+                        time_feats=feats[toff[i]:toff[i + 1]],
+                        labels=tuple(d for d, b in zip(DOMAINS, bits) if b), danger=bool(flag))
+                for i, (eid, bits, flag) in enumerate(zip(eids, labels.tolist(), danger.tolist()))]
     return episodes, vocab
 
 
@@ -342,18 +409,17 @@ def cmd_synth(args, cfg: dict, out: Path) -> int:
 def cmd_tokenize(args, cfg: dict, out: Path) -> int:
     cohort_path = _require(out, "cohort.jsonl", "synth")
     episodes = read_episodes_jsonl(cohort_path)
-    from .events import build_vocabulary, render_episode_tokens
-
     token_lists = [render_episode_tokens(ep.events, ep.gold_diag_code) for ep in episodes]
     vocab = build_vocabulary(token_lists, min_count=cfg["min_count"])
     vocab.save(out / "vocab.tsv")
-    _update_manifest(out, cfg, {"vocab.tsv": None})
+    _save_tokens(out, episodes, token_lists, vocab)
+    _update_manifest(out, cfg, {"vocab.tsv": None, "tokens.bin": None})
     print(f"vocabulary of {len(vocab)} tokens written to {out / 'vocab.tsv'}")
     return EXIT_OK
 
 
 def cmd_featurize(args, cfg: dict, out: Path) -> int:
-    episodes, vocab = _load_tokenized(out, cfg)
+    episodes, vocab = _load_tokenized(out)
     rc = _router_config(cfg)
     ds = prepare_router_datasets(episodes, vocab, rc)
     save_feature_models(out / "feature_models.bin", ds.tfidf, ds.svd,
@@ -452,7 +518,7 @@ def _load_thresholds(out: Path, cfg: dict) -> Thresholds:
 
 
 def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
-    episodes, vocab = _load_tokenized(out, cfg)
+    episodes, vocab = _load_tokenized(out)
     sc = cfg["specialist"]
     try:
         shape = SpecialistConfig(vocab_size=len(vocab), layers=sc["layers"],
@@ -493,16 +559,15 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
     elif args.policy == "fixed-life":
         report["policy"] = {"policy": "fixed-life",
                             **report["baselines"]["fixed_cardiac_pulmonary"]}
-    specialists = {}
-    for domain in DOMAINS:
-        spec_model = _load_specialist(out, cfg, domain)
-        if spec_model is not None:
-            _, _, test_eps = _specialist_split(_load_tokenized(out, cfg)[0], cfg, domain)
-            specialists[domain.value] = {
+    spec_models = {d: m for d in DOMAINS if (m := _load_specialist(out, cfg, d)) is not None}
+    if spec_models:
+        episodes = _load_tokenized(out)[0]
+        report["specialists"] = {}
+        for domain, spec_model in spec_models.items():
+            _, _, test_eps = _specialist_split(episodes, cfg, domain)
+            report["specialists"][domain.value] = {
                 "test_ppl": perplexity(spec_model, [e.tokens for e in test_eps])
             }
-    if specialists:
-        report["specialists"] = specialists
     report["config_hash"] = config_hash(cfg)
     write_json(out / "report.json", report)
     with open(out / "report.csv", "w", encoding="utf-8") as fh:

@@ -230,11 +230,15 @@ def build_sequence(
     max_len: int = MAX_SEQ_LEN,
     gap_thresholds=DEFAULT_GAP_THRESHOLDS,
 ):
-    """[BOS] + encoded content + [EOS]; truncation keeps the most recent
+    """The encoded sequence (see `encode_tokens`) of the rendered events."""
+    return encode_tokens(render_episode_tokens(events, gold_diag_code, gap_thresholds), vocab,
+                         max_len)
+
+
+def encode_tokens(texts, vocab: Vocabulary, max_len: int = MAX_SEQ_LEN) -> list:
+    """[BOS] + encoded token texts + [EOS]; truncation keeps the most recent
     (max_len - 2) tokens."""
-    texts = render_episode_tokens(events, gold_diag_code, gap_thresholds)
-    ids = [vocab.encode(t) for t in texts][-(max_len - 2):]
-    return [BOS_ID] + ids + [EOS_ID]
+    return [BOS_ID, *map(vocab.encode, texts[-(max_len - 2):]), EOS_ID]
 
 
 @dataclass

@@ -162,12 +162,6 @@ def ndcg_at_k(ranked, relevant, k: int) -> float:
     return float(dcg / ideal)
 
 
-def topk_recall(ranked, target, k: int) -> float:
-    if k < 1:
-        raise MetricError("k must be >= 1")
-    return 1.0 if target in ranked[:k] else 0.0
-
-
 def anytime(metric_fn, rows, ell_of, k: int) -> dict:
     """Evaluate metric_fn per prefix-length stratum; undefined strata are
     None, not zero."""

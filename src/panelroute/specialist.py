@@ -36,11 +36,6 @@ class SpecialistConfig:
             raise SpecialistError("heads must be positive and divide d_model")
 
 
-# Paper-scale configuration kept as a named preset; desk-scale is the default.
-def paper_scale_config(vocab_size: int) -> SpecialistConfig:
-    return SpecialistConfig(vocab_size=vocab_size, layers=6, d_model=256, heads=4)
-
-
 @dataclass
 class TrainConfig:
     peak_lr: float = 1e-3
@@ -549,7 +544,7 @@ def clip_global_norm(grad_arrays, max_norm: float) -> float:
 
 def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConfig,
           adapters_only: bool = False):
-    """Train with AdamW + warmup/cosine schedule; returns (curve, best_params).
+    """Train with AdamW + warmup/cosine schedule; returns the per-epoch curve.
 
     The model is left holding the best-dev-loss parameters. With
     `adapters_only`, base weights stay frozen and only LoRA tensors move.

@@ -1,14 +1,20 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import panelroute
 from panelroute.cli import (
@@ -21,7 +27,7 @@ from panelroute.cli import (
     run,
 )
 from panelroute.cohort import default_grammars, save_grammars
-from panelroute.serial import load_bundle, sha256_file
+from panelroute.serial import load_bundle, save_bundle, sha256_file
 
 
 def write_config(path, **overrides):
@@ -248,6 +254,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("corrupt", ["truncated", "bad_kind", "missing_key"])
     def test_malformed_cohort_line_exits_3_naming_the_line(self, tmp_path, capsys, corrupt):
+        """tokenize, the one stage that parses cohort.jsonl, names the bad line;
+        featurize refuses the tokens.bin built from the cohort before the change."""
         cfg_path = write_config(tmp_path / "config.json")
         assert run_pipeline(tmp_path, cfg_path, upto="tokenize") == [EXIT_OK] * 2
         cohort = tmp_path / "cohort.jsonl"
@@ -268,6 +276,10 @@ class TestErrorPaths:
             lineno = 5
         capsys.readouterr()
         assert run(["featurize", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "tokens.bin" in err and "tokenize" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert run(["tokenize", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and f"cohort.jsonl, line {lineno}:" in err
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -347,6 +359,13 @@ class TestErrorPaths:
         (None, ["--counts", '{"Cardiac": 10.5}'], "cohort.counts"),
         (None, ["--seed", "-1"], "seed"),
         ({"cohort": {"sample_target": -1}}, [], "cohort.sample_target"),
+        ({"cohort": {"danger_rate": 1.5}}, [], "cohort.danger_rate"),
+        ({"cohort": {"multi_label_rate": -0.5}}, [], "cohort.multi_label_rate"),
+        (None, ["--multi-label-rate", "1.01"], "cohort.multi_label_rate"),
+        ({"constraint": 3.0}, [], "constraint"),
+        ({"constraint": -0.1}, [], "constraint"),
+        ({"latency": {"l_router": -1.0}}, [], "latency.l_router"),
+        ({"latency": {"l_expert": -50}}, [], "latency.l_expert"),
     ])
     def test_config_value_of_wrong_type_exits_2_and_names_it(self, tmp_path, capsys, config,
                                                              flags, key):
@@ -517,7 +536,7 @@ class TestSpecialistScope:
             warnings.simplefilter("ignore")
             assert run(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
 
-        episodes, _ = cli._load_tokenized(tmp_path, {})
+        episodes, _ = cli._load_tokenized(tmp_path)
         pool = [ep for ep in episodes if cli.DomainLabel.CARDIAC in ep.labels]
         assert len(pool) == 30
         rng = np.random.default_rng(np.random.SeedSequence([7, 0x5C0]))
@@ -529,6 +548,147 @@ class TestSpecialistScope:
         model = SpecialistModel.load(tmp_path / "specialist_Cardiac.bin")
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["specialists"]["Cardiac"]["test_ppl"] == perplexity(model, test_seqs)
+
+
+@pytest.fixture(scope="module")
+def specialist_dir(tmp_path_factory):
+    """Every stage, synth through report, with a specialist per domain, and the
+    number of times read_episodes_jsonl ran while they did."""
+    from panelroute import cli, events
+
+    out = tmp_path_factory.mktemp("specialists")
+    cfg_path = write_config(out / "config.json", specialist={"epochs": 1})
+    calls = []
+
+    def counting_read(path):
+        calls.append(path)
+        return events.read_episodes_jsonl(path)
+
+    stages = ["synth", "tokenize", "featurize", "train-router", "tune", "train-specialist",
+              "eval", "report"]
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(cli, "read_episodes_jsonl", counting_read)
+        codes = [run([stage, "--config", str(cfg_path), "--out", str(out)]) for stage in stages]
+    assert codes == [EXIT_OK] * len(stages)
+    return out, cfg_path, calls
+
+
+class TestTokenBundle:
+    def test_the_cohort_is_parsed_once_per_build(self, specialist_dir):
+        out, _, calls = specialist_dir
+        assert calls == [out / "cohort.jsonl"]
+        assert set(json.loads((out / "report.json").read_text())["specialists"]) == {
+            "Cardiac", "Pulmonary", "Gastro", "Musculoskeletal", "Psychogenic"}
+
+    def test_ids_are_narrow_and_stamped_with_their_inputs(self, specialist_dir):
+        out, _, _ = specialist_dir
+        meta, arrays = load_bundle(out / "tokens.bin", "tokens")
+        assert arrays["ids"].dtype == np.uint8
+        assert meta["inputs"] == {"cohort.jsonl": sha256_file(out / "cohort.jsonl"),
+                                  "vocab.tsv": sha256_file(out / "vocab.tsv")}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"]["tokens.bin"] == sha256_file(out / "tokens.bin")
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "wrong_kind", "last_offset",
+                                         "id_past_vocab", "no_time_offsets"])
+    def test_bad_tokens_bin_exits_3_naming_it(self, specialist_dir, tmp_path, capsys, corrupt):
+        out, cfg_path, _ = specialist_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        path = run_dir / "tokens.bin"
+        if corrupt == "truncated":
+            path.write_bytes(path.read_bytes()[:-100])
+        elif corrupt == "wrong_kind":
+            shutil.copy(run_dir / "features.bin", path)
+        else:
+            meta, arrays = load_bundle(path)
+            arrays = {k: v.copy() for k, v in arrays.items()}
+            if corrupt == "no_time_offsets":
+                del arrays["time_offsets"]
+            elif corrupt == "last_offset":
+                arrays["offsets"][-1] -= 1
+            else:
+                arrays["ids"][5] = 250
+            save_bundle(path, meta, arrays)
+        capsys.readouterr()
+        code = run(["train-specialist", "--domain", "Gastro", "--config", str(cfg_path),
+                    "--out", str(run_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and "tokens.bin" in err and "tokenize" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_vocab_rewritten_after_tokenize_makes_eval_exit_3(self, specialist_dir, tmp_path,
+                                                              capsys):
+        out, cfg_path, _ = specialist_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        vocab = run_dir / "vocab.tsv"
+        lines = vocab.read_text().splitlines()
+        sid, tok, cnt = lines[-1].split("\t")
+        vocab.write_text("\n".join([*lines[:-1], f"{sid}\t{tok}\t{int(cnt) + 1}"]) + "\n")
+        capsys.readouterr()
+        code = run(["eval", "--config", str(cfg_path), "--out", str(run_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and "tokens.bin" in err and "tokenize" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_eval_without_specialists_reads_no_tokens(self, pipeline_dir, tmp_path):
+        out, cfg_path = pipeline_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        (run_dir / "tokens.bin").unlink()
+        (run_dir / "cohort.jsonl").unlink()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["eval", "--config", str(cfg_path), "--out", str(run_dir)]) == EXIT_OK
+        assert "specialists" not in json.loads((run_dir / "report.json").read_text())
+
+    @settings(max_examples=25, deadline=None)
+    @given(cohort=st.lists(st.tuples(
+        st.lists(st.tuples(st.sampled_from(["DIAG", "LAB", "ORDER"]),
+                           st.sampled_from(["A", "B", "410.71"]), st.integers(0, 900)),
+                 max_size=10),
+        st.sampled_from([0, 0, 520]),  # extra orders: past 510 the oldest tokens are cut
+        st.sampled_from(["", "A", "410.71"]),
+        st.sets(st.sampled_from(["Cardiac", "Gastro", "Psychogenic"])),
+        st.booleans(),
+        st.sampled_from([[], [5.0, 61.5]])), min_size=1, max_size=5),
+        min_count=st.integers(1, 3))
+    def test_token_ids_are_the_tokenizers(self, cohort, min_count):
+        from panelroute import cli
+        from panelroute.events import (Vocabulary, episode_from_dict, read_episodes_jsonl,
+                                       tokenize_episode)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            with open(out / "cohort.jsonl", "w", encoding="utf-8") as fh:
+                for i, (evs, extra, gold, labels, danger, feats) in enumerate(cohort):
+                    events = [{"kind": k, "code": c, "t_min": t, **({"bin": "HIGH"} if k == "LAB"
+                                                                   else {})}
+                              for k, c, t in evs]
+                    events += [{"kind": "ORDER", "code": f"O{j % 7}", "t_min": 1000 + j}
+                               for j in range(extra)]
+                    fh.write(json.dumps({"episode_id": f"e{i}", "events": events,
+                                         "labels": sorted(labels), "gold": gold,
+                                         "danger": danger, "time_feats": feats}) + "\n")
+            (out / "config.json").write_text(json.dumps({"min_count": min_count}))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["tokenize", "--config", str(out / "config.json"),
+                            "--out", tmp]) == EXIT_OK
+            meta, arrays = load_bundle(out / "tokens.bin", "tokens")
+            vocab = Vocabulary.load(out / "vocab.tsv")
+            expected = [tokenize_episode(ep, vocab) for ep in read_episodes_jsonl(
+                out / "cohort.jsonl")]
+            off = arrays["offsets"]
+            assert [arrays["ids"][a:b].tolist() for a, b in zip(off, off[1:])] == [
+                ep.tokens for ep in expected]
+            got, _ = cli._load_tokenized(out)
+            assert [(g.episode_id, g.tokens, set(g.labels), g.danger, g.time_feats)
+                    for g in got] == [(e.episode_id, e.tokens, set(e.labels), e.danger,
+                                       e.time_feats) for e in expected]
 
 
 class TestReproducibility:

@@ -17,7 +17,6 @@ from panelroute.metrics import (
     pr_auc,
     roc_auc,
     routing_recalls,
-    topk_recall,
 )
 
 C, P, G, M, S = DOMAINS
@@ -259,12 +258,6 @@ class TestRanking:
         got = ndcg_at_k(["a", "x", "b"], {"a", "b"}, 3)
         expected = (1.0 + 1 / np.log2(4)) / (1.0 + 1 / np.log2(3))
         assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_topk_miss(self):
-        assert topk_recall(["a", "b", "c"], "z", 3) == 0.0
-
-    def test_topk_hit(self):
-        assert topk_recall(["a", "b", "c"], "b", 2) == 1.0
 
 
 class TestAnytime:

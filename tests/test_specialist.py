@@ -22,7 +22,6 @@ from panelroute.specialist import (
     iter_batches,
     lr_schedule,
     pad_batch,
-    paper_scale_config,
     perplexity_from_loss,
     train,
     unigram_entropy,
@@ -130,10 +129,6 @@ class TestForward:
     def test_invalid_head_split_rejected(self):
         with pytest.raises(SpecialistError):
             SpecialistConfig(vocab_size=10, d_model=10, heads=3)
-
-    def test_paper_scale_preset_shape(self):
-        cfg = paper_scale_config(100)
-        assert (cfg.layers, cfg.d_model, cfg.heads) == (6, 256, 4)
 
 
 @st.composite
