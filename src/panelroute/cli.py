@@ -37,6 +37,7 @@ from .cohort import (
 )
 from .events import (
     DOMAINS,
+    SENTINELS,
     DomainLabel,
     Episode,
     SchemaError,
@@ -137,6 +138,9 @@ _BOUNDS = {"seed": (0, None), "k": (1, None), "svd_rank": (1, None), "constraint
            "specialist.lora_rank": (0, None),
            **{f"specialist.{k}": (1, None)
               for k in ("layers", "d_model", "heads", "epochs", "batch_size")}}
+# Keys that must be above 0: a learning rate of 0 trains nothing, and a
+# negative one ascends the loss.
+_POSITIVE = {"specialist.peak_lr"}
 # Routing-policy keys, checked by the rule `Thresholds` states for them.
 _POLICY_RULES = {"grid": lambda v: [Thresholds(hi, lo) for hi, lo in v],
                  "life_guard_tau": lambda v: Thresholds(1.0, 0.0, life_guard_tau=v)}
@@ -177,6 +181,8 @@ def _merge(base: dict, override, prefix: str = "") -> dict:
         if (low is not None and v < low) or (high is not None and v > high):
             rule = f">= {low}" if high is None else f"in [{low}, {high}]"
             raise ConfigError(f"{key} must be {rule}, got {v!r}")
+        if key in _POSITIVE and not v > 0:
+            raise ConfigError(f"{key} must be > 0, got {v!r}")
         out[k] = _merge(base[k], v, f"{key}.") if want is dict and not nullable else v
     return out
 
@@ -411,6 +417,10 @@ def cmd_tokenize(args, cfg: dict, out: Path) -> int:
     episodes = read_episodes_jsonl(cohort_path)
     token_lists = [render_episode_tokens(ep.events, ep.gold_diag_code) for ep in episodes]
     vocab = build_vocabulary(token_lists, min_count=cfg["min_count"])
+    # A cohort with no content tokens at all is no fault of min_count.
+    if len(vocab) == len(SENTINELS) and any(set(toks) - set(SENTINELS) for toks in token_lists):
+        raise ConfigError(f"min_count = {cfg['min_count']}: no token occurs that often in "
+                          f"{cohort_path.name}, so the vocabulary would hold only the sentinels")
     vocab.save(out / "vocab.tsv")
     _save_tokens(out, episodes, token_lists, vocab)
     _update_manifest(out, cfg, {"vocab.tsv": None, "tokens.bin": None})

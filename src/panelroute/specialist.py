@@ -4,6 +4,14 @@ Pure numpy implementation with analytic backprop: pre-attention layer norm,
 learned absolute positions, tied input/output embeddings, AdamW with linear
 warmup then cosine decay to 10% of peak, global-norm gradient clipping, and
 optional low-rank adapters on attention and feed-forward weights.
+
+`forward` and `backward` compute in the dtype of the weights they are given.
+`train` keeps float64 master weights, float64 AdamW moments and float64
+gradient clipping; each step's forward and backward passes run in float32 on
+copies of the weights and adapters, and the gradients are cast back to float64
+before they are clipped and applied. Everything else is float64: `eval_loss`
+and `perplexity` (the dev curve and reported perplexities), `suggest`, and the
+checkpoints, which `save` refuses to write from any other dtype.
 """
 
 import math
@@ -86,12 +94,15 @@ def _horner(x, coefs):
 
 
 def erf(x) -> np.ndarray:
-    """Elementwise erf of a float64 array, within 1 ulp of scipy.special.erf.
+    """Elementwise erf, within 1 ulp of scipy.special.erf in float64.
 
-    |x| is clipped to 6, where 1 - erfc already rounds to 1; this also keeps
-    both rationals finite for huge and infinite x. The erfc rational runs only
-    on the |x| > 1 elements."""
-    x = np.asarray(x, dtype=np.float64)
+    A float32 array is computed in float32, within 2e-7 of the float64 result;
+    any other input is computed in float64. |x| is clipped to 6, where
+    1 - erfc already rounds to 1; this also keeps both rationals finite for
+    huge and infinite x. The erfc rational runs only on the |x| > 1 elements."""
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     a = np.minimum(np.abs(x), 6.0).ravel()
     z = a * a
     y = a * _horner(z, _ERF_T)
@@ -110,6 +121,14 @@ def _gelu(x, e):
 
 def _gelu_grad(x, e):
     return 0.5 * (1.0 + e) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _dropped(x, keep, scale):
+    """x with the elements outside the boolean `keep` mask zeroed, and the rest
+    scaled by `scale` = 1 / (1 - p)."""
+    y = x * keep
+    y *= scale
+    return y
 
 
 def _layer_norm(x, g, b):
@@ -234,17 +253,18 @@ class SpecialistModel:
             raise SpecialistError("token id outside vocabulary")
         p = self.params
         drop_p = c.dropout if train else 0.0
+        drop_scale = 1.0 / (1.0 - drop_p)
         if drop_p > 0 and rng is None:
             rng = np.random.default_rng(0)
 
         def dropout(x):
             if drop_p <= 0:
                 return x, None
-            mask = (rng.random(x.shape) >= drop_p) / (1.0 - drop_p)
-            return x * mask, mask
+            keep = rng.random(x.shape) >= drop_p
+            return _dropped(x, keep, drop_scale), keep
 
         x = p["tok_emb"][ids] + p["pos_emb"][:t]
-        mask = np.triu(np.full((t, t), -1e9), k=1)
+        mask = np.triu(np.full((t, t), -1e9, dtype=x.dtype), k=1)
         h = c.heads
         dh = c.d_model // h
         scale = 1.0 / math.sqrt(dh)
@@ -269,10 +289,10 @@ class SpecialistModel:
             scores -= scores.max(-1, keepdims=True)
             ex = np.exp(scores)
             attn = ex / ex.sum(-1, keepdims=True)
-            attn_d, attn_mask = dropout(attn)
+            attn_d, attn_keep = dropout(attn)
             ctx = (attn_d @ vh).transpose(0, 2, 1, 3).reshape(bsz, tq, c.d_model)
             attn_out = ctx @ wo + p[pre + "bo"]
-            attn_out_d, res1_mask = dropout(attn_out)
+            attn_out_d, res1_keep = dropout(attn_out)
             x1 = x + attn_out_d
 
             h2, ln2c = _layer_norm(x1, p[pre + "ln2_g"], p[pre + "ln2_b"])
@@ -281,19 +301,20 @@ class SpecialistModel:
             erf_term = erf(pre_act / math.sqrt(2.0))
             act = _gelu(pre_act, erf_term)
             mlp = act @ w2 + p[pre + "b2"]
-            mlp_d, res2_mask = dropout(mlp)
+            mlp_d, res2_keep = dropout(mlp)
             x = x1 + mlp_d
 
             layer_caches.append(
                 dict(hn=hn, ln1c=ln1c, qh=qh, kh=kh, vh=vh, attn=attn, attn_d=attn_d,
-                     attn_mask=attn_mask, ctx=ctx, res1_mask=res1_mask, x1=x1, h2=h2,
-                     ln2c=ln2c, pre_act=pre_act, erf_term=erf_term, res2_mask=res2_mask)
+                     attn_keep=attn_keep, ctx=ctx, res1_keep=res1_keep, x1=x1, h2=h2,
+                     ln2c=ln2c, pre_act=pre_act, erf_term=erf_term, res2_keep=res2_keep)
             )
         xf, lnfc = _layer_norm(x, p["lnf_g"], p["lnf_b"])
         logits = xf @ p["tok_emb"].T
         if last_only:
             return logits, None
-        cache = dict(ids=ids, xf=xf, lnfc=lnfc, layers=layer_caches, t=t, bsz=bsz)
+        cache = dict(ids=ids, xf=xf, lnfc=lnfc, layers=layer_caches, t=t, bsz=bsz,
+                     drop_scale=drop_scale)
         return logits, cache
 
     def backward(self, cache, dlogits):
@@ -302,6 +323,7 @@ class SpecialistModel:
         c = self.config
         ids, xf = cache["ids"], cache["xf"]
         bsz, t = cache["bsz"], cache["t"]
+        drop_scale = cache["drop_scale"]
         h, dh = c.heads, c.d_model // c.heads
         scale = 1.0 / math.sqrt(dh)
         grads = {k: np.zeros_like(v) for k, v in p.items()}
@@ -328,7 +350,7 @@ class SpecialistModel:
             pre = f"l{i}."
             lc = cache["layers"][i]
             # MLP branch
-            dmlp = dx if lc["res2_mask"] is None else dx * lc["res2_mask"]
+            dmlp = dx if lc["res2_keep"] is None else _dropped(dx, lc["res2_keep"], drop_scale)
             pre_act, erf_term = lc["pre_act"], lc["erf_term"]
             # The activation is recomputed, not cached, and freed after this product.
             act2d = _gelu(pre_act, erf_term).reshape(-1, c.mlp_mult * c.d_model)
@@ -347,7 +369,8 @@ class SpecialistModel:
             dx1 = dx1 + dx  # residual
 
             # attention branch
-            dattn_out = dx1 if lc["res1_mask"] is None else dx1 * lc["res1_mask"]
+            dattn_out = (dx1 if lc["res1_keep"] is None
+                         else _dropped(dx1, lc["res1_keep"], drop_scale))
             ctx2d = lc["ctx"].reshape(-1, c.d_model)
             add_weight_grad(pre + "wo", ctx2d.T @ dattn_out.reshape(-1, c.d_model))
             grads[pre + "bo"] += dattn_out.sum((0, 1))
@@ -355,7 +378,8 @@ class SpecialistModel:
             dctx = dctx.reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
             dattn_d = dctx @ lc["vh"].transpose(0, 1, 3, 2)
             dvh = lc["attn_d"].transpose(0, 1, 3, 2) @ dctx
-            dattn = dattn_d if lc["attn_mask"] is None else dattn_d * lc["attn_mask"]
+            dattn = (dattn_d if lc["attn_keep"] is None
+                     else _dropped(dattn_d, lc["attn_keep"], drop_scale))
             a = lc["attn"]
             dscores = a * (dattn - (dattn * a).sum(-1, keepdims=True))
             dqh = dscores @ lc["kh"] * scale
@@ -431,6 +455,9 @@ class SpecialistModel:
         for key, (a, b) in self.adapters.items():
             arrays[f"lora.{key}.A"] = a
             arrays[f"lora.{key}.B"] = b
+        for name, arr in sorted(arrays.items()):
+            if arr.dtype != np.float64:
+                raise SpecialistError(f"checkpoint array {name} is {arr.dtype}, not float64")
         save_bundle(path, meta, arrays)
 
     @classmethod
@@ -542,12 +569,25 @@ def clip_global_norm(grad_arrays, max_norm: float) -> float:
     return total
 
 
+def _float32_copy(model: SpecialistModel) -> SpecialistModel:
+    """The model with float32 copies of its weights and adapters, on which a
+    training step's forward and backward passes run."""
+    step = SpecialistModel(model.config,
+                           params={k: v.astype(np.float32) for k, v in model.params.items()})
+    step.lora_rank, step.lora_alpha = model.lora_rank, model.lora_alpha
+    step.adapters = {k: (a.astype(np.float32), b.astype(np.float32))
+                     for k, (a, b) in model.adapters.items()}
+    return step
+
+
 def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConfig,
           adapters_only: bool = False):
     """Train with AdamW + warmup/cosine schedule; returns the per-epoch curve.
 
-    The model is left holding the best-dev-loss parameters. With
-    `adapters_only`, base weights stay frozen and only LoRA tensors move.
+    Each step's forward and backward passes run on a float32 copy of the
+    model; clipping, AdamW and the dev losses are float64. The model is left
+    holding the best-dev-loss parameters. With `adapters_only`, base weights
+    stay frozen and only LoRA tensors move.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7417]))
     n = len(train_sequences)
@@ -568,15 +608,16 @@ def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConf
         order = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for ids, targets in iter_batches(train_sequences, cfg.batch_size, order):
-            loss, grads, a_grads = model.loss_and_grads(ids, targets, train=True, rng=rng)
+            loss, grads, a_grads = _float32_copy(model).loss_and_grads(
+                ids, targets, train=True, rng=rng)
             if not math.isfinite(loss):
                 raise SpecialistError(f"divergence: non-finite loss at step {step}")
             lr = lr_schedule(step, total_steps, cfg.peak_lr, cfg.warmup_frac, cfg.lr_floor_frac)
             if adapters_only:
                 flat = {}
                 for key, (da, db) in a_grads.items():
-                    flat[f"{key}.A"] = da
-                    flat[f"{key}.B"] = db
+                    flat[f"{key}.A"] = da.astype(np.float64)
+                    flat[f"{key}.B"] = db.astype(np.float64)
                 clip_global_norm(list(flat.values()), cfg.grad_clip)
                 tensors = {}
                 for key, (a, b) in model.adapters.items():
@@ -587,6 +628,7 @@ def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConf
                     key: (tensors[f"{key}.A"], tensors[f"{key}.B"]) for key in model.adapters
                 }
             else:
+                grads = {k: g.astype(np.float64) for k, g in grads.items()}
                 clip_global_norm(list(grads.values()), cfg.grad_clip)
                 opt.step(model.params, grads, lr, decay_keys)
             epoch_loss += loss

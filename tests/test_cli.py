@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import hashlib
@@ -366,6 +367,8 @@ class TestErrorPaths:
         ({"constraint": -0.1}, [], "constraint"),
         ({"latency": {"l_router": -1.0}}, [], "latency.l_router"),
         ({"latency": {"l_expert": -50}}, [], "latency.l_expert"),
+        ({"specialist": {"peak_lr": -0.01}}, [], "specialist.peak_lr"),
+        ({"specialist": {"peak_lr": 0}}, [], "specialist.peak_lr"),
     ])
     def test_config_value_of_wrong_type_exits_2_and_names_it(self, tmp_path, capsys, config,
                                                              flags, key):
@@ -444,6 +447,7 @@ class TestErrorPaths:
         ("train-specialist", {"specialist": {"batch_size": 0}}, "specialist.batch_size"),
         ("train-specialist", {"specialist": {"d_model": 0}}, "specialist.d_model"),
         ("train-specialist", {"specialist": {"layers": -1}}, "specialist.layers"),
+        ("train-specialist", {"specialist": {"peak_lr": -0.01}}, "specialist.peak_lr"),
     ])
     def test_invalid_config_value_exits_2_and_names_it(self, tmp_path, capsys, stage,
                                                        override, key):
@@ -463,6 +467,18 @@ class TestErrorPaths:
         assert err.startswith("config error: ") and key in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not list(tmp_path.glob("specialist_*.bin"))
+
+    def test_min_count_above_every_token_count_exits_2_and_names_it(self, tmp_path, capsys):
+        base = write_config(tmp_path / "base.json")
+        assert run_pipeline(tmp_path, base, upto="synth") == [EXIT_OK]
+        cfg_path = write_config(tmp_path / "config.json", min_count=100000)
+        capsys.readouterr()
+        code = run(["tokenize", "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and "min_count" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "vocab.tsv").exists() and not (tmp_path / "tokens.bin").exists()
 
     def test_stale_specialist_is_refused_by_route_and_eval(self, pipeline_dir, tmp_path, capsys):
         out, cfg_path = pipeline_dir
@@ -659,7 +675,8 @@ class TestTokenBundle:
         min_count=st.integers(1, 3))
     def test_token_ids_are_the_tokenizers(self, cohort, min_count):
         from panelroute import cli
-        from panelroute.events import (Vocabulary, episode_from_dict, read_episodes_jsonl,
+        from panelroute.events import (SENTINELS, Vocabulary, episode_from_dict,
+                                       read_episodes_jsonl, render_episode_tokens,
                                        tokenize_episode)
 
         with tempfile.TemporaryDirectory() as tmp:
@@ -675,9 +692,18 @@ class TestTokenBundle:
                                          "labels": sorted(labels), "gold": gold,
                                          "danger": danger, "time_feats": feats}) + "\n")
             (out / "config.json").write_text(json.dumps({"min_count": min_count}))
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert run(["tokenize", "--config", str(out / "config.json"),
-                            "--out", tmp]) == EXIT_OK
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run(["tokenize", "--config", str(out / "config.json"), "--out", tmp])
+            counts = collections.Counter(
+                tok for ep in read_episodes_jsonl(out / "cohort.jsonl")
+                for tok in render_episode_tokens(ep.events, ep.gold_diag_code)
+                if tok not in SENTINELS)
+            if counts and max(counts.values()) < min_count:
+                # no token reaches min_count: refused, not a vocabulary of sentinels
+                assert code == EXIT_CONFIG and not (out / "vocab.tsv").exists()
+                return
+            assert code == EXIT_OK
             meta, arrays = load_bundle(out / "tokens.bin", "tokens")
             vocab = Vocabulary.load(out / "vocab.tsv")
             expected = [tokenize_episode(ep, vocab) for ep in read_episodes_jsonl(

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import erf as scipy_erf
 
+from panelroute import specialist
 from panelroute.events import PAD_ID
+from panelroute.serial import load_bundle
 from panelroute.specialist import (
+    _float32_copy,
     _gelu,
     _gelu_grad,
     AdamW,
@@ -208,6 +211,25 @@ class TestErf:
         x = np.linspace(-6.5, 6.5, 130001)
         assert_within_one_ulp(erf(x), scipy_erf(x))
 
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float32, st.integers(1, 40),
+                      elements=st.floats(-60, 60, width=32)))
+    def test_float32_stays_float32_within_2e7_of_float64(self, x):
+        x = np.concatenate([x, np.array([0.0, -0.0, 0.5, -1.0, 1.0, 6.0, -8.0, np.inf, -np.inf],
+                                        dtype=np.float32)])
+        got = erf(x)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, erf(x.astype(np.float64)), rtol=0, atol=2e-7)
+
+    def test_dense_float32_grid_within_2e7(self):
+        x = np.linspace(-8.0, 8.0, 400001, dtype=np.float32)
+        np.testing.assert_allclose(erf(x), erf(x.astype(np.float64)), rtol=0, atol=2e-7)
+
+    def test_ints_and_float64_are_float64(self):
+        assert erf(np.arange(-3, 4)).dtype == np.float64
+        assert erf(np.linspace(-1.0, 1.0, 5)).dtype == np.float64
+        assert erf(0.5).dtype == np.float64
+
     def test_keeps_shape(self):
         x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
         assert erf(x).shape == (2, 3, 4)
@@ -405,7 +427,90 @@ class TestTraining:
         assert len(lines) == 2
 
 
+class TestFloat32Step:
+    def test_step_gradients_match_float64_on_criterion_8_model(self):
+        cfg = SpecialistConfig(vocab_size=12, layers=1, d_model=8, heads=2, dropout=0.0,
+                               max_positions=8)
+        model = SpecialistModel(cfg, seed=8)
+        ids = np.array([[2, 4, 5, 6], [2, 7, 8, 0]])
+        targets = np.array([[4, 5, 6, 3], [7, 8, 3, 0]])
+        loss64, grads64, _ = model.loss_and_grads(ids, targets)
+        loss32, grads32, _ = _float32_copy(model).loss_and_grads(ids, targets)
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        assert set(grads32) == set(grads64)
+        for key, g in grads64.items():
+            assert grads32[key].dtype == np.float32, key
+            # the finite-difference check's measure, with its 1e-8 floor
+            denom = np.maximum(np.maximum(np.abs(g), np.abs(grads32[key])), 1e-8)
+            assert (np.abs(grads32[key] - g) / denom).max() <= 1e-3, key
+
+    def test_copy_is_float32_and_leaves_the_model_alone(self):
+        model = tiny_model(seed=2)
+        model.attach_lora(rank=2, alpha=4.0)
+        before = {k: v.copy() for k, v in model.params.items()}
+        step = _float32_copy(model)
+        assert all(v.dtype == np.float32 for v in step.params.values())
+        assert all(a.dtype == b.dtype == np.float32 for a, b in step.adapters.values())
+        assert (step.lora_rank, step.lora_alpha) == (model.lora_rank, model.lora_alpha)
+        for k, v in model.params.items():
+            assert v.dtype == np.float64 and np.array_equal(v, before[k])
+
+    @pytest.mark.parametrize("adapters_only", [False, True])
+    def test_master_weights_optimizer_state_and_checkpoint_stay_float64(
+            self, tmp_path, monkeypatch, adapters_only):
+        optimizers = []
+
+        class RecordingAdamW(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(specialist, "AdamW", RecordingAdamW)
+        seqs = TestTraining().make_corpus(n=30, seed=5)
+        model = tiny_model(vocab=12, layers=2, d=16, heads=2, dropout=0.1)
+        if adapters_only:
+            model.attach_lora(rank=2, alpha=8.0)
+        train(model, seqs[:24], seqs[24:], TrainConfig(epochs=2, batch_size=8),
+              adapters_only=adapters_only)
+        assert all(v.dtype == np.float64 for v in model.params.values())
+        assert all(a.dtype == b.dtype == np.float64 for a, b in model.adapters.values())
+        (opt,) = optimizers
+        assert opt.t > 0 and opt.m
+        assert all(m.dtype == np.float64 for m in opt.m.values())
+        assert all(v.dtype == np.float64 for v in opt.v.values())
+        model.save(tmp_path / "m.bin")
+        _, arrays = load_bundle(tmp_path / "m.bin", "specialist")
+        assert any(k.startswith("lora.") for k in arrays) == adapters_only
+        assert all(a.dtype == np.float64 for a in arrays.values())
+
+    def test_float64_dropout_keeps_the_draws_and_the_pattern(self):
+        model = tiny_model(layers=2, d=8, dropout=0.5)
+        ids = np.array([[2, 4, 5, 6, 7], [2, 8, 9, 3, 0]])
+        _, cache = model.forward(ids, train=True, rng=np.random.default_rng(11))
+        draws = np.random.default_rng(11)
+        for lc in cache["layers"]:
+            for key in ("attn_keep", "res1_keep", "res2_keep"):
+                assert lc[key].dtype == np.bool_
+                assert np.array_equal(lc[key], draws.random(lc[key].shape) >= 0.5)
+            np.testing.assert_array_equal(lc["attn_d"], lc["attn"] * lc["attn_keep"] * 2.0)
+
+
 class TestPersistence:
+    @pytest.mark.parametrize("where", ["params", "adapters"])
+    def test_save_refuses_non_float64_arrays(self, tmp_path, where):
+        model = tiny_model(seed=3)
+        model.attach_lora(rank=2)
+        if where == "params":
+            model.params["l0.wq"] = model.params["l0.wq"].astype(np.float32)
+        else:
+            a, b = model.adapters["l0.w1"]
+            model.adapters["l0.w1"] = (a, b.astype(np.float32))
+        with pytest.raises(SpecialistError, match="float32"):
+            model.save(tmp_path / "m.bin")
+        assert not (tmp_path / "m.bin").exists()
+        with pytest.raises(SpecialistError):
+            _float32_copy(model).save(tmp_path / "m.bin")
+
     def test_save_load_round_trip_with_adapters(self, tmp_path):
         model = tiny_model(seed=6)
         model.attach_lora(rank=2, alpha=4.0, seed=1)
