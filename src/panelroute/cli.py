@@ -417,8 +417,10 @@ def cmd_tokenize(args, cfg: dict, out: Path) -> int:
     episodes = read_episodes_jsonl(cohort_path)
     token_lists = [render_episode_tokens(ep.events, ep.gold_diag_code) for ep in episodes]
     vocab = build_vocabulary(token_lists, min_count=cfg["min_count"])
-    # A cohort with no content tokens at all is no fault of min_count.
-    if len(vocab) == len(SENTINELS) and any(set(toks) - set(SENTINELS) for toks in token_lists):
+    if not any(set(toks) - set(SENTINELS) for toks in token_lists):
+        raise DataError(f"{cohort_path}: no episode has a content token, so the vocabulary "
+                        "would hold only the sentinels")
+    if len(vocab) == len(SENTINELS):
         raise ConfigError(f"min_count = {cfg['min_count']}: no token occurs that often in "
                           f"{cohort_path.name}, so the vocabulary would hold only the sentinels")
     vocab.save(out / "vocab.tsv")
@@ -546,8 +548,12 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
                 raise ConfigError(f"specialist.lora_rank = {sc['lora_rank']}: {e}") from None
         tc = TrainConfig(peak_lr=sc["peak_lr"], batch_size=sc["batch_size"],
                          epochs=sc["epochs"], seed=cfg["seed"])
-        curve = train(model, [e.tokens for e in train_eps], [e.tokens for e in dev_eps],
-                      tc, adapters_only=bool(sc["lora_rank"]))
+        try:
+            curve = train(model, [e.tokens for e in train_eps], [e.tokens for e in dev_eps],
+                          tc, adapters_only=bool(sc["lora_rank"]))
+        except SpecialistError as e:
+            raise ConfigError(f"specialist.peak_lr = {sc['peak_lr']}: training the "
+                              f"{domain.value} specialist failed ({e}); lower it") from None
         name = f"specialist_{domain.value}.bin"
         model.save(out / name, {"config_hash": config_hash(cfg)})
         write_curve_csv(out / f"curve_{domain.value}.csv", curve)

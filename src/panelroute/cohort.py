@@ -4,10 +4,20 @@ the ingestion merge and proportional-sampling procedures.
 Every episode draws from its own RNG stream `default_rng(SeedSequence([seed,
 episode_index]))`, so cohorts are reproducible across platforms and
 generation order.
+
+A weighted draw consumes the same stream as `Generator.choice(n, p=p)`: one
+`rng.random()` searched in the cdf that `choice` would build, here built once
+per `generate_cohort` call (`_draw_table`). A uniform pick is
+`rng.integers(0, n)`, as `Generator.choice(n)` draws it. So cohorts are
+byte-identical to those drawn through `choice`; the pinned cohort digests in
+`tests/test_cohort.py` guard this.
 """
 
+import bisect
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +51,24 @@ class DomainGrammar:
 
     def validate(self, k: int) -> None:
         if not (0.0 <= self.signal_strength <= 1.0):
-            raise CohortConfigError(f"{self.domain}: signal_strength out of [0,1]")
+            raise CohortConfigError(f"{self.domain.value}: signal_strength out of [0,1]")
         if self.length_range[0] < k:
             raise CohortConfigError(
                 f"k = {k} exceeds {self.domain.value}'s minimum length {self.length_range[0]}"
             )
-        for pool in (self.initial_codes, self.order_pool, self.gold_codes):
-            if not pool or any(w <= 0 for _, w in pool):
-                raise CohortConfigError(f"{self.domain}: pools need positive weights")
+        self.check_weights()
+
+    def check_weights(self) -> None:
+        """Refuse an empty pool or bin dict, and any weight that is not a
+        positive finite number: the draw tables are built without `choice`'s
+        own checks."""
+        pools = [(key, getattr(self, key))
+                 for key in ("initial_codes", "order_pool", "gold_codes")]
+        pools += [(f"lab_pool {test}", list(bins.items())) for test, bins in self.lab_pool]
+        for name, pool in pools:
+            if not pool or not all(math.isfinite(w) and w > 0 for _, w in pool):
+                raise CohortConfigError(f"{self.domain.value}: {name} needs positive finite "
+                                        "weights")
 
     def to_dict(self) -> dict:
         return {
@@ -119,16 +139,25 @@ def largest_remainder_quotas(prevalences, total: int) -> list:
     return floors
 
 
-def _weighted_choice(rng, pool):
-    items = [x for x, _ in pool]
-    w = np.asarray([float(wt) for _, wt in pool])
-    return items[int(rng.choice(len(items), p=w / w.sum()))]
+def _draw_table(pool) -> tuple:
+    """(items, cdf) of [(item, weight)], with the arithmetic of
+    `Generator.choice(n, p=w / w.sum())`."""
+    w = np.asarray([wt for _, wt in pool], dtype=float)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return [x for x, _ in pool], cdf.tolist()
 
 
-def _weighted_bin(rng, bin_weights: dict) -> str:
-    bins = sorted(bin_weights)
-    w = np.asarray([bin_weights[b] for b in bins], dtype=float)
-    return bins[int(rng.choice(len(bins), p=w / w.sum()))]
+def _bin_table(bin_weights: dict) -> tuple:
+    """The draw table of a lab's {bin: weight}, bins in sorted order."""
+    return _draw_table(sorted(bin_weights.items()))
+
+
+def _weighted_choice(rng, table):
+    """One item of a `_draw_table`; consumes one `rng.random()`, as
+    `Generator.choice(n, p=...)` does."""
+    items, cdf = table
+    return items[bisect.bisect_right(cdf, rng.random())]
 
 
 # Shared (domain-nonspecific) pools used with probability 1 - signal_strength.
@@ -219,6 +248,11 @@ def load_grammars(path) -> dict:
         raise CohortConfigError(f"grammar file {path}: missing key {e}") from None
     except (OSError, ValueError, TypeError) as e:
         raise CohortConfigError(f"grammar file {path}: {e}") from None
+    for g in grammars:
+        try:
+            g.check_weights()
+        except CohortConfigError as e:
+            raise CohortConfigError(f"grammar file {path}: {e}") from None
     by_domain = {g.domain: g for g in grammars}
     missing = [d.value for d in DOMAINS if d not in by_domain]
     if missing:
@@ -230,46 +264,63 @@ def save_grammars(path, grammars: dict) -> None:
     write_json(path, {"grammars": [grammars[d].to_dict() for d in DOMAINS if d in grammars]})
 
 
-def _emit_event(rng, grammar, t: int, events: list) -> int:
+class _Pools(NamedTuple):
+    """One grammar's draw tables, built once per `generate_cohort` call and
+    passed down, so no state outlives the call."""
+    initial: tuple  # draw table of initial_codes
+    orders: list  # order names, picked uniformly
+    labs: list  # [(test, draw table of its bins)]
+    gold: tuple  # draw table of gold_codes
+    signal_strength: float
+    length_range: tuple
+
+    @classmethod
+    def of(cls, g: DomainGrammar) -> "_Pools":
+        return cls(_draw_table(g.initial_codes), [order for order, _ in g.order_pool],
+                   [(test, _bin_table(bins)) for test, bins in g.lab_pool],
+                   _draw_table(g.gold_codes), g.signal_strength, g.length_range)
+
+
+def _emit_event(rng, pools: _Pools, t: int, events: list) -> int:
     """Append one or two events (order->lab pairs share provenance)."""
     roll = rng.random()
     if roll < 0.2:
-        events.append(ClinicalEvent(EventKind.DIAG, _weighted_choice(rng, grammar.initial_codes), timestamp=t))
+        events.append(ClinicalEvent(EventKind.DIAG, _weighted_choice(rng, pools.initial), timestamp=t))
     elif roll < 0.75:
-        idx = int(rng.choice(len(grammar.order_pool)))
-        order, _ = grammar.order_pool[idx]
-        events.append(ClinicalEvent(EventKind.ORDER, order, timestamp=t))
+        idx = int(rng.integers(0, len(pools.orders)))
+        events.append(ClinicalEvent(EventKind.ORDER, pools.orders[idx], timestamp=t))
         # paired lab result shortly after the order (bigram structure)
-        if rng.random() < 0.9 and grammar.lab_pool:
-            test, bins = grammar.lab_pool[idx % len(grammar.lab_pool)]
+        if rng.random() < 0.9 and pools.labs:
+            test, bins = pools.labs[idx % len(pools.labs)]
             t += int(rng.integers(2, 10))
             events.append(
-                ClinicalEvent(EventKind.LAB, test, _weighted_bin(rng, bins), timestamp=t)
+                ClinicalEvent(EventKind.LAB, test, _weighted_choice(rng, bins), timestamp=t)
             )
     else:
-        if grammar.lab_pool:
-            test, bins = grammar.lab_pool[int(rng.choice(len(grammar.lab_pool)))]
+        if pools.labs:
+            test, bins = pools.labs[int(rng.integers(0, len(pools.labs)))]
             events.append(
-                ClinicalEvent(EventKind.LAB, test, _weighted_bin(rng, bins), timestamp=t)
+                ClinicalEvent(EventKind.LAB, test, _weighted_choice(rng, bins), timestamp=t)
             )
     return t
 
 
-def _generate_episode(index: int, domain: DomainLabel, grammars: dict, cfg: CohortConfig) -> Episode:
+def _generate_episode(index: int, domain: DomainLabel, pools: dict, noise: _Pools,
+                      cfg: CohortConfig) -> Episode:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
-    g = grammars[domain]
+    g = pools[domain]
     labels = [domain]
     secondary = None
     if cfg.multi_label_rate > 0 and rng.random() < cfg.multi_label_rate:
         others = [d for d in DOMAINS if d != domain]
-        secondary = others[int(rng.choice(len(others)))]
+        secondary = others[int(rng.integers(0, len(others)))]
         labels.append(secondary)
 
     n_content = int(rng.integers(g.length_range[0], g.length_range[1] + 1))
     # the presenting complaint leaks the domain, so it obeys signal_strength too
-    init_src = g if rng.random() < g.signal_strength else _NOISE
+    init_src = g if rng.random() < g.signal_strength else noise
     events = [
-        ClinicalEvent(EventKind.DIAG, _weighted_choice(rng, init_src.initial_codes), timestamp=0)
+        ClinicalEvent(EventKind.DIAG, _weighted_choice(rng, init_src.initial), timestamp=0)
     ]
     t = 0
     while len(events) < n_content:
@@ -278,13 +329,13 @@ def _generate_episode(index: int, domain: DomainLabel, grammars: dict, cfg: Coho
             t += int(rng.integers(60, 480))
         src = g
         if secondary is not None and rng.random() < 0.4:
-            src = grammars[secondary]
+            src = pools[secondary]
         if rng.random() >= src.signal_strength:
-            src = _NOISE
+            src = noise
         t = _emit_event(rng, src, t, events)
     events = events[:n_content]
 
-    gold = _weighted_choice(rng, g.gold_codes)
+    gold = _weighted_choice(rng, g.gold)
     time_feats = compute_time_feats(events)
     t += int(rng.integers(5, 60))
     events.append(ClinicalEvent(EventKind.DIAG, gold, timestamp=t))
@@ -307,11 +358,13 @@ def generate_cohort(cfg: CohortConfig, grammars: dict | None = None) -> list:
     for g in grammars.values():
         g.validate(cfg.k)
     counts = cfg.domain_counts()
+    pools = {d: _Pools.of(g) for d, g in grammars.items()}
+    noise = _Pools.of(_NOISE)
     episodes = []
     index = 0
     for domain in DOMAINS:
         for _ in range(counts.get(domain, 0)):
-            episodes.append(_generate_episode(index, domain, grammars, cfg))
+            episodes.append(_generate_episode(index, domain, pools, noise, cfg))
             index += 1
     return episodes
 

@@ -266,14 +266,15 @@ def tokenize_episode(ep: Episode, vocab: Vocabulary, max_len: int = MAX_SEQ_LEN,
 
 
 def compute_time_feats(events) -> list:
-    """[minutes-to-first-order, max inter-event gap]; empty when no events."""
+    """[minutes-to-first-order, max inter-event gap]; empty when no events.
+    Both read timestamps only, so they are those of `order_events(events)`
+    without rendering a token."""
     if not events:
         return []
-    ordered = order_events(events)
-    first_order = next((e.timestamp for e in ordered if e.kind == EventKind.ORDER), None)
-    ts = [e.timestamp for e in ordered]
+    ts = sorted(e.timestamp for e in events)
+    first_order = min((e.timestamp for e in events if e.kind == EventKind.ORDER), default=ts[-1])
     max_gap = max((b - a for a, b in zip(ts, ts[1:])), default=0)
-    return [float(first_order if first_order is not None else ts[-1]), float(max_gap)]
+    return [float(first_order), float(max_gap)]
 
 
 # --- JSONL episode files ---------------------------------------------------

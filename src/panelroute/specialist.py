@@ -646,6 +646,9 @@ def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConf
         if best is None or dev_loss < best[0]:
             best = (dev_loss, {k: v.copy() for k, v in model.params.items()},
                     {k: (a.copy(), b.copy()) for k, (a, b) in model.adapters.items()})
+    if not math.isfinite(min(r["ppl"] for r in curve)):
+        raise SpecialistError(f"divergence: best dev loss {best[0]:.4g} has no finite "
+                              "perplexity")
     model.params = best[1]
     model.adapters = best[2]
     return curve

@@ -339,6 +339,28 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "cohort.jsonl").exists()
 
+    @pytest.mark.parametrize("case", ["negative_bin_weight", "nan_pool_weight", "empty_bins"])
+    def test_bad_grammar_weight_exits_2_naming_file_and_domain(self, tmp_path, capsys, case):
+        grammar_path = tmp_path / "grammar.json"
+        save_grammars(grammar_path, default_grammars())
+        data = json.loads(grammar_path.read_text())
+        gastro = data["grammars"][2]
+        if case == "negative_bin_weight":
+            gastro["lab_pool"][0][1]["HIGH"] = -1
+        elif case == "nan_pool_weight":
+            gastro["gold_codes"][1][1] = float("nan")
+        else:
+            gastro["lab_pool"][1][1] = {}
+        grammar_path.write_text(json.dumps(data))
+        cfg_path = write_config(tmp_path / "config.json",
+                                cohort={"grammar_file": str(grammar_path)})
+        capsys.readouterr()
+        assert run(["synth", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(grammar_path) in err and "Gastro" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "cohort.jsonl").exists()
+
     @pytest.mark.parametrize("config, flags, key", [
         ([1], [], "JSON object"),
         ({"cohort": 5}, [], "cohort"),
@@ -479,6 +501,37 @@ class TestErrorPaths:
         assert err.startswith("config error: ") and "min_count" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "vocab.tsv").exists() and not (tmp_path / "tokens.bin").exists()
+
+    def test_cohort_without_content_tokens_exits_3_naming_it(self, tmp_path, capsys):
+        (tmp_path / "cohort.jsonl").write_text(json.dumps(
+            {"episode_id": "e0", "events": [], "labels": ["Gastro"], "gold": "530.81"}) + "\n")
+        cfg_path = write_config(tmp_path / "config.json")
+        capsys.readouterr()
+        code = run(["tokenize", "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and "cohort.jsonl" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "vocab.tsv").exists() and not (tmp_path / "tokens.bin").exists()
+
+    @pytest.mark.parametrize("peak_lr", [1e6, 1e300])
+    def test_exploding_specialist_exits_2_naming_peak_lr(self, tmp_path, capsys, peak_lr):
+        # 1e6 ends with a finite dev loss whose perplexity overflows; 1e300
+        # makes a training loss non-finite
+        base = write_config(tmp_path / "base.json", cohort={"counts": None, "total": 95})
+        assert run_pipeline(tmp_path, base, upto="tokenize") == [EXIT_OK] * 2
+        cfg_path = write_config(tmp_path / "config.json", cohort={"counts": None, "total": 95},
+                                specialist={"epochs": 1, "peak_lr": peak_lr})
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run(["train-specialist", "--domain", "Gastro", "--config", str(cfg_path),
+                        "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and "specialist.peak_lr" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.glob("specialist_*.bin"))
 
     def test_stale_specialist_is_refused_by_route_and_eval(self, pipeline_dir, tmp_path, capsys):
         out, cfg_path = pipeline_dir
@@ -699,7 +752,11 @@ class TestTokenBundle:
                 tok for ep in read_episodes_jsonl(out / "cohort.jsonl")
                 for tok in render_episode_tokens(ep.events, ep.gold_diag_code)
                 if tok not in SENTINELS)
-            if counts and max(counts.values()) < min_count:
+            if not counts:
+                # no content token at all: the cohort is at fault
+                assert code == EXIT_DATA and not (out / "vocab.tsv").exists()
+                return
+            if max(counts.values()) < min_count:
                 # no token reaches min_count: refused, not a vocabulary of sentinels
                 assert code == EXIT_CONFIG and not (out / "vocab.tsv").exists()
                 return

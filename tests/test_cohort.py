@@ -1,7 +1,10 @@
 import gc
+import hashlib
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,9 @@ from hypothesis import strategies as st
 from panelroute.cohort import (
     DEFAULT_MIXTURE,
     CohortConfig,
+    _bin_table,
+    _draw_table,
+    _weighted_choice,
     CohortConfigError,
     default_grammars,
     generate_cohort,
@@ -107,6 +113,72 @@ class TestGenerateCohort:
             load_grammars(tmp_path / "g.json")
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def cohort_digest(tmp_path, cfg, grammars):
+    write_episodes_jsonl(tmp_path / "cohort.jsonl", generate_cohort(cfg, grammars))
+    return hashlib.sha256((tmp_path / "cohort.jsonl").read_bytes()).hexdigest()
+
+
+class TestRandomStream:
+    """The cached draw tables consume the stream `Generator.choice` does."""
+
+    weights = st.lists(st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=8)
+
+    @given(weights=weights, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_choice_is_generator_choice(self, weights, seed):
+        items = [f"x{i}" for i in range(len(weights))]
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        w = np.asarray(weights)
+        expected = items[int(b.choice(len(w), p=w / w.sum()))]
+        assert _weighted_choice(a, _draw_table(list(zip(items, weights)))) == expected
+        assert a.random() == b.random()
+
+    @given(weights=weights, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_bin_is_generator_choice(self, weights, seed):
+        bins = dict(zip(["NORMAL", "HIGH", "LOW", "POS", "NEG", "CRITICAL", "B7", "B8"],
+                        weights))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        names = sorted(bins)
+        w = np.asarray([bins[n] for n in names])
+        expected = names[int(b.choice(len(w), p=w / w.sum()))]
+        assert _weighted_choice(a, _bin_table(bins)) == expected
+        assert a.random() == b.random()
+
+    def test_pinned_cohort_digest_with_second_labels_and_danger(self, tmp_path):
+        cfg = CohortConfig(seed=7, total=300, multi_label_rate=0.3, danger_rate=0.3)
+        assert cohort_digest(tmp_path, cfg, default_grammars()) == (
+            "fbc06b7bafdd6cde65f92a88050bbd8f9115a1c7b1ceb62dbb910bca0ec58f3a")
+
+    def test_pinned_cohort_digest_of_long_episodes(self, tmp_path):
+        grammars = default_grammars()
+        for g in grammars.values():
+            g.length_range = (100, 160)
+        cfg = CohortConfig(seed=3, total=40, mixture=(0.2,) * 5)
+        assert cohort_digest(tmp_path, cfg, grammars) == (
+            "e6c1aedf9ffb1631ab1761fb0df6e87687451ba4a5fbe9c933d195517bf61464")
+
+    @pytest.mark.parametrize("pool", ["initial_codes", "order_pool", "gold_codes", "lab_pool"])
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+    def test_weight_that_is_not_positive_and_finite_is_refused(self, pool, weight):
+        grammars = default_grammars()
+        g = grammars[P]
+        if pool == "lab_pool":
+            test, bins = g.lab_pool[1]
+            g.lab_pool[1] = (test, {**bins, "LOW": weight})
+        else:
+            getattr(g, pool)[0] = (getattr(g, pool)[0][0], weight)
+        with pytest.raises(CohortConfigError, match=f"Pulmonary: {pool}"):
+            generate_cohort(CohortConfig(seed=0, counts=small_counts(2)), grammars)
+
+    def test_empty_bin_dict_is_refused(self):
+        grammars = default_grammars()
+        grammars[P].lab_pool[0] = ("DDIMER", {})
+        with pytest.raises(CohortConfigError, match="Pulmonary: lab_pool DDIMER"):
+            generate_cohort(CohortConfig(seed=0, counts=small_counts(2)), grammars)
 
 
 class TestLargestRemainderQuotas:
