@@ -22,11 +22,13 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, metrics, policy
 from .cohort import (
+    DEFAULT_MIXTURE,
     CohortConfig,
     CohortConfigError,
     default_grammars,
@@ -86,104 +88,104 @@ class DataError(Exception):
     pass
 
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "k": 5,
-    "cohort": {
-        "total": 2000,
-        "counts": None,
-        "mixture": [0.082, 0.228, 0.326, 0.038, 0.326],
-        "multi_label_rate": 0.0,
-        "danger_rate": 0.0,
-        "signal_strength": None,
-        "grammar_file": None,
-        "sample_target": 0,
-    },
-    "min_count": 1,
-    "use_time": False,
-    "use_prefix_weights": True,
-    "calibrate": True,
-    "restrict_top1_to_life": True,
-    "life_guard_tau": None,
-    "svd_rank": 256,
-    "grid": None,
-    "constraint": 0.98,
-    "latency": {"l_router": 10.0, "l_expert": 50.0},
-    "specialist": {
-        "layers": 2,
-        "d_model": 64,
-        "heads": 2,
-        "epochs": 5,
-        "batch_size": 16,
-        "peak_lr": 1e-3,
-        "scope_cap": 0,
-        "lora_rank": 0,
-        "lora_alpha": 8.0,
-    },
+class _Key(NamedTuple):
+    """A config key: its default, least and greatest value (None leaves that end
+    open), the type of a non-null value if the default is null, and a raising rule."""
+    default: object
+    low: float | None = None
+    high: float | None = None
+    kind: type | None = None
+    rule: Callable = lambda v: None
+
+
+def _grid_rule(grid) -> None:
+    for pair in grid:
+        if not isinstance(pair, list) or len(pair) != 2 or {type(v) for v in pair} - {int, float}:
+            raise ValueError(f"must be a list of [tau_hi, tau_lo] number pairs, got {grid!r}")
+        Thresholds(*pair)
+
+
+def _positive(v) -> None:
+    if not v > 0:  # a learning rate of 0 trains nothing, and a negative one ascends the loss
+        raise ValueError(f"must be > 0, got {v!r}")
+
+
+# Every config key, by dotted path. The checks that CohortConfig, SpecialistConfig
+# and Thresholds make (counts, mixture, heads dividing d_model, LoRA rank) stay there.
+_SCHEMA = {
+    "seed": _Key(0, 0),  # numpy needs a seed >= 0
+    "k": _Key(5, 1),
+    "cohort.total": _Key(2000),
+    "cohort.counts": _Key(None, kind=dict),
+    "cohort.mixture": _Key(list(DEFAULT_MIXTURE)),
+    "cohort.multi_label_rate": _Key(0.0, 0, 1),
+    "cohort.danger_rate": _Key(0.0, 0, 1),
+    "cohort.signal_strength": _Key(None, 0, 1, kind=float),
+    "cohort.grammar_file": _Key(None, kind=str),
+    "cohort.sample_target": _Key(0, 0),
+    "min_count": _Key(1),
+    "use_time": _Key(False),
+    "use_prefix_weights": _Key(True),
+    "calibrate": _Key(True),
+    "restrict_top1_to_life": _Key(True),
+    "life_guard_tau": _Key(None, kind=float, rule=lambda v: Thresholds(1, 0, life_guard_tau=v)),
+    "svd_rank": _Key(256, 1),
+    "grid": _Key(None, kind=list, rule=_grid_rule),
+    "constraint": _Key(0.98, 0, 1),
+    "latency.l_router": _Key(10.0, 0),
+    "latency.l_expert": _Key(50.0, 0),
+    "specialist.layers": _Key(2, 1),
+    "specialist.d_model": _Key(64, 1),
+    "specialist.heads": _Key(2, 1),
+    "specialist.epochs": _Key(5, 1),
+    "specialist.batch_size": _Key(16, 1),
+    "specialist.peak_lr": _Key(1e-3, rule=_positive),
+    "specialist.scope_cap": _Key(0, 0),
+    "specialist.lora_rank": _Key(0, 0),
+    "specialist.lora_alpha": _Key(8.0),
 }
 
 
-# JSON types a value may take, by the type of its default; a key whose default
-# is None takes null or a value of the type it is declared with here.
-_VALUE_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,),
-                dict: (dict,)}
-_NULL_DEFAULT_TYPES = {"cohort.counts": dict, "cohort.signal_strength": float,
-                       "cohort.grammar_file": str, "life_guard_tau": float, "grid": list}
-# (least, greatest) value of each bounded key; None leaves that end open. The
-# seed is bounded because numpy needs it >= 0.
-_BOUNDS = {"seed": (0, None), "k": (1, None), "svd_rank": (1, None), "constraint": (0, 1),
-           "cohort.multi_label_rate": (0, 1), "cohort.danger_rate": (0, 1),
-           "cohort.sample_target": (0, None), "latency.l_router": (0, None),
-           "latency.l_expert": (0, None), "specialist.scope_cap": (0, None),
-           "specialist.lora_rank": (0, None),
-           **{f"specialist.{k}": (1, None)
-              for k in ("layers", "d_model", "heads", "epochs", "batch_size")}}
-# Keys that must be above 0: a learning rate of 0 trains nothing, and a
-# negative one ascends the loss.
-_POSITIVE = {"specialist.peak_lr"}
-# Routing-policy keys, checked by the rule `Thresholds` states for them.
-_POLICY_RULES = {"grid": lambda v: [Thresholds(hi, lo) for hi, lo in v],
-                 "life_guard_tau": lambda v: Thresholds(1.0, 0.0, life_guard_tau=v)}
+def _defaults() -> dict:
+    cfg = {}
+    for key, row in _SCHEMA.items():
+        section, _, leaf = key.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[leaf] = row.default
+    return cfg
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+DEFAULT_CONFIG = _defaults()
 
 
 def _merge(base: dict, override, prefix: str = "") -> dict:
-    """Merge override into base, rejecting keys the defaults do not have,
-    values whose type does not fit the key's, and values out of range."""
+    """Merge override into base, checking each value against its key's _SCHEMA
+    row: an unknown key, then null, then the type, the bounds and the rule."""
     if not isinstance(override, dict):
-        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, "
-                          f"got {override!r}")
+        raise ConfigError(f"{prefix[:-1] or 'config'} must be a JSON object, got {override!r}")
     out = dict(base)
     for k, v in override.items():
         key = f"{prefix}{k}"
-        if k not in base:
-            raise ConfigError(f"unknown config key: {key}")
-        nullable = key in _NULL_DEFAULT_TYPES
-        want = _NULL_DEFAULT_TYPES[key] if nullable else type(base[k])
-        if v is None and nullable:
-            out[k] = v
+        row = _SCHEMA.get(key)
+        if row is None and isinstance(base.get(k), dict):  # a section, such as cohort
+            out[k] = _merge(base[k], v, f"{key}.")
             continue
-        if not isinstance(v, _VALUE_TYPES[want]) or isinstance(v, bool) != (want is bool):
-            null = " or null" if nullable else ""
+        if row is None:
+            raise ConfigError(f"unknown config key: {key}")
+        out[k] = v
+        if v is None and row.default is None:
+            continue
+        want = row.kind or type(row.default)
+        if (not isinstance(v, (int, float) if want is float else want)
+                or isinstance(v, bool) != (want is bool)):
+            null = " or null" if row.default is None else ""
             raise ConfigError(f"{key} must be of type {want.__name__}{null}, got {v!r}")
-        if key == "grid" and not all(isinstance(p, list) and len(p) == 2
-                                     and all(map(_is_number, p)) for p in v):
-            raise ConfigError(f"grid must be a list of [tau_hi, tau_lo] number pairs, got {v!r}")
-        if key in _POLICY_RULES:
-            try:
-                _POLICY_RULES[key](v)
-            except PolicyError as e:
-                raise ConfigError(f"{key}: {e}") from None
-        low, high = _BOUNDS.get(key, (None, None))
-        if (low is not None and v < low) or (high is not None and v > high):
-            rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+        if (row.low is not None and v < row.low) or (row.high is not None and v > row.high):
+            rule = f">= {row.low}" if row.high is None else f"in [{row.low}, {row.high}]"
             raise ConfigError(f"{key} must be {rule}, got {v!r}")
-        if key in _POSITIVE and not v > 0:
-            raise ConfigError(f"{key} must be > 0, got {v!r}")
-        out[k] = _merge(base[k], v, f"{key}.") if want is dict and not nullable else v
+        try:
+            row.rule(v)
+        except (PolicyError, ValueError) as e:
+            raise ConfigError(f"{key}: {e}") from None
     return out
 
 
@@ -238,14 +240,14 @@ def _read_json(path: Path) -> dict:
     return data
 
 
-def _update_manifest(out: Path, cfg: dict, artifacts: dict) -> None:
+def _update_manifest(out: Path, cfg: dict, *names: str) -> None:
     path = out / "manifest.json"
     manifest = {"config_hash": config_hash(cfg), "tool_version": __version__, "artifacts": {}}
     if path.exists():
         prev = _read_json(path)
         if prev.get("config_hash") == manifest["config_hash"]:
             manifest["artifacts"] = prev.get("artifacts", {})
-    for name in artifacts:
+    for name in names:
         manifest["artifacts"][name] = sha256_file(out / name)
     write_json(path, manifest)
 
@@ -403,11 +405,11 @@ def cmd_synth(args, cfg: dict, out: Path) -> int:
     except CohortConfigError as e:
         raise ConfigError(str(e)) from None
     episodes = ingest(episodes)
-    target = cfg["cohort"].get("sample_target", 0)
+    target = cfg["cohort"]["sample_target"]
     if target:
         episodes = proportional_sample(episodes, target, seed=cfg["seed"])
     write_episodes_jsonl(out / "cohort.jsonl", episodes)
-    _update_manifest(out, cfg, {"cohort.jsonl": None})
+    _update_manifest(out, cfg, "cohort.jsonl")
     print(f"wrote {len(episodes)} episodes to {out / 'cohort.jsonl'}")
     return EXIT_OK
 
@@ -425,7 +427,7 @@ def cmd_tokenize(args, cfg: dict, out: Path) -> int:
                           f"{cohort_path.name}, so the vocabulary would hold only the sentinels")
     vocab.save(out / "vocab.tsv")
     _save_tokens(out, episodes, token_lists, vocab)
-    _update_manifest(out, cfg, {"vocab.tsv": None, "tokens.bin": None})
+    _update_manifest(out, cfg, "vocab.tsv", "tokens.bin")
     print(f"vocabulary of {len(vocab)} tokens written to {out / 'vocab.tsv'}")
     return EXIT_OK
 
@@ -449,7 +451,7 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
         meta["splits"][name] = len(ds.ids[name])
         meta["ids"][name] = ds.ids[name]
     save_bundle(out / "features.bin", meta, arrays)
-    _update_manifest(out, cfg, {"feature_models.bin": None, "features.bin": None})
+    _update_manifest(out, cfg, "feature_models.bin", "features.bin")
     print(f"feature table: {meta['splits']} rows, dim {meta['dim']}")
     return EXIT_OK
 
@@ -480,7 +482,7 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
     rc = _router_config(cfg)
     model = train_router(ds, rc)
     model.save(out / "router.bin", {"config_hash": config_hash(cfg)})
-    _update_manifest(out, cfg, {"router.bin": None})
+    _update_manifest(out, cfg, "router.bin")
     print(f"router checkpoint written to {out / 'router.bin'}")
     return EXIT_OK
 
@@ -509,7 +511,7 @@ def cmd_tune(args, cfg: dict, out: Path) -> int:
         "constraint_met": result.constraint_met,
     })
     write_frontier_csv(out / "frontier.csv", result.table)
-    _update_manifest(out, cfg, {"thresholds.json": None, "frontier.csv": None})
+    _update_manifest(out, cfg, "thresholds.json", "frontier.csv")
     print(f"selected (tau_hi, tau_lo) = ({result.tau_hi}, {result.tau_lo}); "
           f"dev life recall {result.life_recall:.3f}, E[|R|] {result.expected_experts:.3f}")
     if not result.constraint_met:
@@ -557,7 +559,7 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
         name = f"specialist_{domain.value}.bin"
         model.save(out / name, {"config_hash": config_hash(cfg)})
         write_curve_csv(out / f"curve_{domain.value}.csv", curve)
-        _update_manifest(out, cfg, {name: None, f"curve_{domain.value}.csv": None})
+        _update_manifest(out, cfg, name, f"curve_{domain.value}.csv")
         best = min(r["dev_loss"] for r in curve)
         print(f"{domain.value}: best dev loss {best:.4f} (ppl {np.exp(best):.2f})")
     return EXIT_OK
@@ -590,7 +592,7 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
         fh.write("domain,roc_auc,pr_auc,brier,ece\n")
         for dom, row in report["router"]["per_domain"].items():
             fh.write(f"{dom},{row['roc_auc']!r},{row['pr_auc']!r},{row['brier']!r},{row['ece']!r}\n")
-    _update_manifest(out, cfg, {"report.json": None, "report.csv": None})
+    _update_manifest(out, cfg, "report.json", "report.csv")
     print(json.dumps(report["policy"], sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -644,7 +646,7 @@ def cmd_report(args, cfg: dict, out: Path) -> int:
             for ell in sorted(curve, key=int):
                 v = curve[ell]
                 fh.write(f"{ell},{metric_name},{'' if v is None else repr(v)}\n")
-    _update_manifest(out, cfg, {"anytime.csv": None})
+    _update_manifest(out, cfg, "anytime.csv")
     print(f"anytime curves written to {out / 'anytime.csv'}")
     return EXIT_OK
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .events import (
     DOMAINS,
+    LAB_BINS,
     ClinicalEvent,
     DomainLabel,
     Episode,
@@ -50,18 +51,27 @@ class DomainGrammar:
     length_range: tuple = (6, 24)
 
     def validate(self, k: int) -> None:
+        self.check()
+        if self.length_range[0] < k:
+            raise CohortConfigError(f"k = {k} exceeds {self.domain.value}'s length_range low "
+                                    f"end {self.length_range[0]}")
+
+    def check(self) -> None:
+        """Refuse a signal_strength outside [0, 1], a length_range that is not
+        two integers low <= high, a lab bin outside `LAB_BINS`, an empty pool or
+        bin dict, and any weight that is not a positive finite number: the draw
+        tables are built without `choice`'s own checks."""
         if not (0.0 <= self.signal_strength <= 1.0):
             raise CohortConfigError(f"{self.domain.value}: signal_strength out of [0,1]")
-        if self.length_range[0] < k:
-            raise CohortConfigError(
-                f"k = {k} exceeds {self.domain.value}'s minimum length {self.length_range[0]}"
-            )
-        self.check_weights()
-
-    def check_weights(self) -> None:
-        """Refuse an empty pool or bin dict, and any weight that is not a
-        positive finite number: the draw tables are built without `choice`'s
-        own checks."""
+        low_high = self.length_range
+        if not (len(low_high) == 2 and all(type(n) is int for n in low_high)
+                and low_high[0] <= low_high[1]):
+            raise CohortConfigError(f"{self.domain.value}: length_range {list(low_high)} must "
+                                    "be two integers, low <= high")
+        for test, bins in self.lab_pool:
+            if unknown := sorted(set(bins) - set(LAB_BINS)):
+                raise CohortConfigError(f"{self.domain.value}: lab_pool {test} bins {unknown} "
+                                        f"are not among {list(LAB_BINS)}")
         pools = [(key, getattr(self, key))
                  for key in ("initial_codes", "order_pool", "gold_codes")]
         pools += [(f"lab_pool {test}", list(bins.items())) for test, bins in self.lab_pool]
@@ -83,8 +93,11 @@ class DomainGrammar:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainGrammar":
+        domain = DomainLabel(d["domain"])
+        if not all(isinstance(bins, dict) for _, bins in d["lab_pool"]):
+            raise CohortConfigError(f"{domain.value}: lab_pool bins must be {{bin: weight}}")
         return cls(
-            domain=DomainLabel(d["domain"]),
+            domain=domain,
             initial_codes=[(c, float(w)) for c, w in d["initial_codes"]],
             order_pool=[(c, float(w)) for c, w in d["order_pool"]],
             lab_pool=[(t, {k: float(v) for k, v in b.items()}) for t, b in d["lab_pool"]],
@@ -244,15 +257,12 @@ def load_grammars(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             grammars = [DomainGrammar.from_dict(d) for d in json.load(fh)["grammars"]]
+        for g in grammars:
+            g.check()
     except KeyError as e:
         raise CohortConfigError(f"grammar file {path}: missing key {e}") from None
-    except (OSError, ValueError, TypeError) as e:
+    except (OSError, ValueError, TypeError, CohortConfigError) as e:
         raise CohortConfigError(f"grammar file {path}: {e}") from None
-    for g in grammars:
-        try:
-            g.check_weights()
-        except CohortConfigError as e:
-            raise CohortConfigError(f"grammar file {path}: {e}") from None
     by_domain = {g.domain: g for g in grammars}
     missing = [d.value for d in DOMAINS if d not in by_domain]
     if missing:

@@ -200,9 +200,7 @@ class AuditLog:
 
     def __init__(self, path):
         self.path = path
-        self.count = 0
 
     def append(self, record: dict) -> None:
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self.count += 1

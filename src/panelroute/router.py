@@ -160,22 +160,13 @@ def _fit_sigmoid_ab(scores, labels):
     return float(res.x[0]), float(res.x[1])
 
 
-def platt_fit(scores, labels, folds: int = 3) -> PlattCalibrator:
-    """Sigmoid calibration: per-fold fits validate stability, final (a, b)
-    refit on the pooled (score, label) pairs."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+def platt_fit(scores, labels) -> PlattCalibrator:
+    """Sigmoid calibration: (a, b) fitted once on all the (score, label) pairs;
+    single-class data gets the identity."""
     if len(np.unique(labels)) < 2:
         warnings.warn("single-class calibration data; using identity calibration")
         return PlattCalibrator(1.0, 0.0)
-    fold_ids = np.arange(len(scores)) % folds
-    for f in range(folds):
-        mask = fold_ids != f
-        if len(np.unique(labels[mask])) < 2:
-            continue
-        _fit_sigmoid_ab(scores[mask], labels[mask])
-    a, b = _fit_sigmoid_ab(scores, labels)
-    return PlattCalibrator(a, b)
+    return PlattCalibrator(*_fit_sigmoid_ab(scores, labels))
 
 
 def temperature_fit(logits, labels, bracket=(0.05, 20.0)) -> float:

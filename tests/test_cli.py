@@ -19,12 +19,15 @@ from hypothesis import strategies as st
 
 import panelroute
 from panelroute.cli import (
+    _SCHEMA,
     DEFAULT_CONFIG,
     EXIT_CONFIG,
     EXIT_CONSTRAINT,
     EXIT_DATA,
     EXIT_OK,
+    _Key,
     build_parser,
+    config_hash,
     run,
 )
 from panelroute.cohort import default_grammars, save_grammars
@@ -339,7 +342,8 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "cohort.jsonl").exists()
 
-    @pytest.mark.parametrize("case", ["negative_bin_weight", "nan_pool_weight", "empty_bins"])
+    @pytest.mark.parametrize("case", ["negative_bin_weight", "nan_pool_weight", "empty_bins",
+                                      "inverted_length_range", "bins_as_list", "unknown_bin"])
     def test_bad_grammar_weight_exits_2_naming_file_and_domain(self, tmp_path, capsys, case):
         grammar_path = tmp_path / "grammar.json"
         save_grammars(grammar_path, default_grammars())
@@ -349,6 +353,12 @@ class TestErrorPaths:
             gastro["lab_pool"][0][1]["HIGH"] = -1
         elif case == "nan_pool_weight":
             gastro["gold_codes"][1][1] = float("nan")
+        elif case == "inverted_length_range":
+            gastro["length_range"] = [30, 10]
+        elif case == "bins_as_list":
+            gastro["lab_pool"][0][1] = ["NORMAL", "HIGH"]
+        elif case == "unknown_bin":
+            gastro["lab_pool"][0][1]["MED"] = 0.2
         else:
             gastro["lab_pool"][1][1] = {}
         grammar_path.write_text(json.dumps(data))
@@ -391,6 +401,7 @@ class TestErrorPaths:
         ({"latency": {"l_expert": -50}}, [], "latency.l_expert"),
         ({"specialist": {"peak_lr": -0.01}}, [], "specialist.peak_lr"),
         ({"specialist": {"peak_lr": 0}}, [], "specialist.peak_lr"),
+        ({"cohort": {"signal_strength": 2.0}}, [], "cohort.signal_strength"),
     ])
     def test_config_value_of_wrong_type_exits_2_and_names_it(self, tmp_path, capsys, config,
                                                              flags, key):
@@ -784,6 +795,56 @@ class TestReproducibility:
             run_pipeline(out, cfg_path)
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
+
+
+def nested(key, value):
+    """A config override setting one dotted key."""
+    section, _, leaf = key.rpartition(".")
+    return {section: {leaf: value}} if section else {leaf: value}
+
+
+def values_out_of_bounds():
+    """(key, value) for a value just below each least and just above each
+    greatest value in the schema."""
+    for key, row in _SCHEMA.items():
+        step = 1 if (row.kind or type(row.default)) is int else 1e-3
+        if row.low is not None:
+            yield key, row.low - step
+        if row.high is not None:
+            yield key, row.high + step
+
+
+class TestConfigSchema:
+    def test_default_config_hash_is_unchanged(self):
+        # every artifact's stamp is this hash under the default config
+        assert config_hash(DEFAULT_CONFIG) == (
+            "28b128499bc06a03c6dec5dfa060258e96d2261a98a5b03c13bbc7a305df88f9")
+
+    @pytest.mark.parametrize("key, value", list(values_out_of_bounds()))
+    def test_value_out_of_bounds_exits_2_and_names_it(self, tmp_path, capsys, key, value):
+        (tmp_path / "config.json").write_text(json.dumps(nested(key, value)))
+        capsys.readouterr()
+        assert run(["synth", "--total", "20", "--config", str(tmp_path / "config.json"),
+                    "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "cohort.jsonl").exists()
+
+    @pytest.mark.parametrize("key", [k for k, row in _SCHEMA.items() if row.default is None])
+    def test_null_default_key_accepts_null(self, tmp_path, key):
+        (tmp_path / "config.json").write_text(json.dumps(nested(key, None)))
+        assert run(["synth", "--total", "20", "--config", str(tmp_path / "config.json"),
+                    "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_readme_names_every_bounded_or_ruled_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("Config is a single JSON file"):]
+        paragraph = paragraph[:paragraph.index("\n\n")]
+        checked = [key for key, row in _SCHEMA.items()
+                   if (row.low, row.high) != (None, None) or row.rule is not _Key(0).rule]
+        assert {"seed", "grid", "specialist.peak_lr"} <= set(checked)
+        assert [key for key in checked if f"`{key}`" not in paragraph] == []
 
 
 class TestEntryPoints:

@@ -114,6 +114,25 @@ class TestGenerateCohort:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("length_range", [30, 10], "length_range"),
+        ("length_range", [6.0, 24], "length_range"),
+        ("length_range", [6, 12, 24], "length_range"),
+        ("signal_strength", 1.5, "signal_strength"),
+        ("lab_pool", [["TROP", ["HIGH", "NORMAL"]]], "lab_pool bins"),
+        ("lab_pool", [["TROP", {"HIGH": 0.5, "MED": 0.5}]], "'MED'"),
+    ])
+    def test_bad_grammar_field_is_named_with_file_and_domain(self, tmp_path, field, value,
+                                                             named):
+        save_grammars(tmp_path / "g.json", default_grammars())
+        data = json.loads((tmp_path / "g.json").read_text())
+        data["grammars"][0][field] = value
+        (tmp_path / "g.json").write_text(json.dumps(data))
+        with pytest.raises(CohortConfigError) as err:
+            load_grammars(tmp_path / "g.json")
+        assert str(tmp_path / "g.json") in str(err.value)
+        assert "Cardiac" in str(err.value) and named in str(err.value)
+
 
 def cohort_digest(tmp_path, cfg, grammars):
     write_episodes_jsonl(tmp_path / "cohort.jsonl", generate_cohort(cfg, grammars))

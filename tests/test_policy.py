@@ -342,6 +342,6 @@ class TestAuditLog:
             log.append({**dataclasses.asdict(dec), "episode_id": f"e{i}", "ell": 1,
                         "raw_scores": [0.0] * 5})
         lines = (tmp_path / "audit.jsonl").read_text().strip().split("\n")
-        assert len(lines) == 7 == log.count
+        assert len(lines) == 7
         rec = json.loads(lines[0])
         assert rec["branch"] == TOP1_LIFE and rec["route"] == ["Cardiac"]
