@@ -95,23 +95,22 @@ class _Key(NamedTuple):
     low: float | None = None
     high: float | None = None
     kind: type | None = None
-    rule: Callable = lambda v: None
+    rule: Callable | None = None
 
 
 def _grid_rule(grid) -> None:
     for pair in grid:
         if not isinstance(pair, list) or len(pair) != 2 or {type(v) for v in pair} - {int, float}:
-            raise ValueError(f"must be a list of [tau_hi, tau_lo] number pairs, got {grid!r}")
+            raise ConfigError(f"grid must be a list of [tau_hi, tau_lo] number pairs, got {grid!r}")
         Thresholds(*pair)
 
 
-def _positive(v) -> None:
+def _peak_lr_rule(v) -> None:
     if not v > 0:  # a learning rate of 0 trains nothing, and a negative one ascends the loss
-        raise ValueError(f"must be > 0, got {v!r}")
+        raise ConfigError(f"specialist.peak_lr must be > 0, got {v!r}")
 
 
-# Every config key, by dotted path. The checks that CohortConfig, SpecialistConfig
-# and Thresholds make (counts, mixture, heads dividing d_model, LoRA rank) stay there.
+# Every config key by dotted path; CohortConfig, SpecialistConfig and Thresholds keep their own.
 _SCHEMA = {
     "seed": _Key(0, 0),  # numpy needs a seed >= 0
     "k": _Key(5, 1),
@@ -139,7 +138,7 @@ _SCHEMA = {
     "specialist.heads": _Key(2, 1),
     "specialist.epochs": _Key(5, 1),
     "specialist.batch_size": _Key(16, 1),
-    "specialist.peak_lr": _Key(1e-3, rule=_positive),
+    "specialist.peak_lr": _Key(1e-3, rule=_peak_lr_rule),
     "specialist.scope_cap": _Key(0, 0),
     "specialist.lora_rank": _Key(0, 0),
     "specialist.lora_alpha": _Key(8.0),
@@ -165,12 +164,12 @@ def _merge(base: dict, override, prefix: str = "") -> dict:
     out = dict(base)
     for k, v in override.items():
         key = f"{prefix}{k}"
+        if k not in base:
+            raise ConfigError(f"unknown config key: {key}")
         row = _SCHEMA.get(key)
-        if row is None and isinstance(base.get(k), dict):  # a section, such as cohort
+        if row is None:  # a section, such as cohort
             out[k] = _merge(base[k], v, f"{key}.")
             continue
-        if row is None:
-            raise ConfigError(f"unknown config key: {key}")
         out[k] = v
         if v is None and row.default is None:
             continue
@@ -183,8 +182,9 @@ def _merge(base: dict, override, prefix: str = "") -> dict:
             rule = f">= {row.low}" if row.high is None else f"in [{row.low}, {row.high}]"
             raise ConfigError(f"{key} must be {rule}, got {v!r}")
         try:
-            row.rule(v)
-        except (PolicyError, ValueError) as e:
+            if row.rule:
+                row.rule(v)
+        except PolicyError as e:
             raise ConfigError(f"{key}: {e}") from None
     return out
 

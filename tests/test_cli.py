@@ -25,7 +25,6 @@ from panelroute.cli import (
     EXIT_CONSTRAINT,
     EXIT_DATA,
     EXIT_OK,
-    _Key,
     build_parser,
     config_hash,
     run,
@@ -191,6 +190,7 @@ class TestErrorPaths:
         ({"svd_rnak": 32}, "svd_rnak"),
         ({"specialist": {"epoch": 3}}, "specialist.epoch"),
         ({"cohort": {"total": 50, "dangr_rate": 0.1}}, "cohort.dangr_rate"),
+        ({"specialist.epochs": 3}, "specialist.epochs"),
     ])
     def test_unknown_config_key_exits_2_and_names_it(self, tmp_path, capsys, cfg, key):
         path = tmp_path / "cfg.json"
@@ -402,6 +402,10 @@ class TestErrorPaths:
         ({"specialist": {"peak_lr": -0.01}}, [], "specialist.peak_lr"),
         ({"specialist": {"peak_lr": 0}}, [], "specialist.peak_lr"),
         ({"cohort": {"signal_strength": 2.0}}, [], "cohort.signal_strength"),
+        ({"grid": [[0.7, "x"]]}, [], "grid must be a list of [tau_hi, tau_lo] number pairs"),
+        ({"grid": [[0.9, -0.1]]}, [], "grid: need 0 <= tau_lo <= tau_hi <= 1"),
+        ({"life_guard_tau": 1.01}, [], "life_guard_tau: need 0 <= life_guard_tau <= 1"),
+        ({"specialist": {"peak_lr": -1e-9}}, [], "specialist.peak_lr must be > 0"),
     ])
     def test_config_value_of_wrong_type_exits_2_and_names_it(self, tmp_path, capsys, config,
                                                              flags, key):
@@ -842,7 +846,7 @@ class TestConfigSchema:
         paragraph = readme[readme.index("Config is a single JSON file"):]
         paragraph = paragraph[:paragraph.index("\n\n")]
         checked = [key for key, row in _SCHEMA.items()
-                   if (row.low, row.high) != (None, None) or row.rule is not _Key(0).rule]
+                   if (row.low, row.high) != (None, None) or row.rule is not None]
         assert {"seed", "grid", "specialist.peak_lr"} <= set(checked)
         assert [key for key in checked if f"`{key}`" not in paragraph] == []
 

@@ -115,12 +115,9 @@ class TestGenerateCohort:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     @pytest.mark.parametrize("field, value, named", [
-        ("length_range", [30, 10], "length_range"),
         ("length_range", [6.0, 24], "length_range"),
         ("length_range", [6, 12, 24], "length_range"),
         ("signal_strength", 1.5, "signal_strength"),
-        ("lab_pool", [["TROP", ["HIGH", "NORMAL"]]], "lab_pool bins"),
-        ("lab_pool", [["TROP", {"HIGH": 0.5, "MED": 0.5}]], "'MED'"),
     ])
     def test_bad_grammar_field_is_named_with_file_and_domain(self, tmp_path, field, value,
                                                              named):
