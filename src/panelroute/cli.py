@@ -13,6 +13,7 @@ written).
 """
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -44,11 +45,8 @@ from .events import (
     Episode,
     SchemaError,
     Vocabulary,
-    build_vocabulary,
-    encode_tokens,
     episode_from_dict,
     read_episodes_jsonl,
-    render_episode_tokens,
     tokenize_episode,
     write_episodes_jsonl,
 )
@@ -60,9 +58,10 @@ from .pipeline import (
     evaluate,
     train_router,
     prob_rows_for,
+    tokenize_cohort,
 )
 from .policy import AuditLog, PolicyError, Thresholds, arbitrate, tune_thresholds, write_frontier_csv
-from .router import RouterModel, SplitSpec, split
+from .router import RouterError, RouterModel, SplitSpec, split
 from .serial import BundleError, load_bundle, save_bundle, sha256_file, sha256_obj, write_json
 from .specialist import (
     SpecialistConfig,
@@ -122,7 +121,7 @@ _SCHEMA = {
     "cohort.signal_strength": _Key(None, 0, 1, kind=float),
     "cohort.grammar_file": _Key(None, kind=str),
     "cohort.sample_target": _Key(0, 0),
-    "min_count": _Key(1),
+    "min_count": _Key(1, 1),
     "use_time": _Key(False),
     "use_prefix_weights": _Key(True),
     "calibrate": _Key(True),
@@ -291,11 +290,32 @@ def _cohort_config(cfg: dict) -> CohortConfig:
 
 def _grammars(cfg: dict):
     c = cfg["cohort"]
-    grammars = load_grammars(c["grammar_file"]) if c["grammar_file"] else default_grammars()
+    path = c["grammar_file"]
+    grammars = load_grammars(path) if path else default_grammars()
     if c["signal_strength"] is not None:
         for g in grammars.values():
             g.signal_strength = float(c["signal_strength"])
+    if path:  # generate_cohort checks k too, but cannot name the file
+        for g in grammars.values():
+            try:
+                g.validate(cfg["k"])
+            except CohortConfigError as e:
+                raise CohortConfigError(f"grammar file {path}: {e}") from None
     return grammars
+
+
+@contextlib.contextmanager
+def _cohort_sized(cfg: dict, *errors):
+    """Report `errors` as a config error naming the keys that sized the cohort:
+    too few episodes to split, or a split lacking a class, cannot be fitted."""
+    try:
+        yield
+    except errors as e:
+        c = cfg["cohort"]
+        keys = ["counts" if c["counts"] is not None else "total"]
+        keys += ["sample_target"] if c["sample_target"] else []
+        sized = ", ".join(f"cohort.{key} = {json.dumps(c[key])}" for key in keys)
+        raise ConfigError(f"{sized}: {e}") from None
 
 
 def _router_config(cfg: dict) -> RouterTrainConfig:
@@ -319,10 +339,10 @@ def _offsets(lengths) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.fromiter(lengths, np.int64))])
 
 
-def _save_tokens(out: Path, episodes, token_lists, vocab: Vocabulary) -> None:
-    """Write tokens.bin: each episode's encoded sequence, label bits, danger
-    flag and time features, as ragged arrays with offsets."""
-    seqs = [encode_tokens(texts, vocab) for texts in token_lists]
+def _save_tokens(out: Path, episodes, vocab: Vocabulary) -> None:
+    """Write tokens.bin: each episode's token ids, label bits, danger flag and
+    time features, as ragged arrays with offsets."""
+    seqs = [ep.tokens for ep in episodes]
     meta = {"kind": "tokens", "inputs": _token_inputs(out),
             "episode_ids": [ep.episode_id for ep in episodes]}
     save_bundle(out / "tokens.bin", meta, {
@@ -416,17 +436,15 @@ def cmd_synth(args, cfg: dict, out: Path) -> int:
 
 def cmd_tokenize(args, cfg: dict, out: Path) -> int:
     cohort_path = _require(out, "cohort.jsonl", "synth")
-    episodes = read_episodes_jsonl(cohort_path)
-    token_lists = [render_episode_tokens(ep.events, ep.gold_diag_code) for ep in episodes]
-    vocab = build_vocabulary(token_lists, min_count=cfg["min_count"])
-    if not any(set(toks) - set(SENTINELS) for toks in token_lists):
+    episodes, vocab = tokenize_cohort(read_episodes_jsonl(cohort_path), cfg["min_count"])
+    if not any(ep.content_tokens for ep in episodes):
         raise DataError(f"{cohort_path}: no episode has a content token, so the vocabulary "
                         "would hold only the sentinels")
     if len(vocab) == len(SENTINELS):
         raise ConfigError(f"min_count = {cfg['min_count']}: no token occurs that often in "
                           f"{cohort_path.name}, so the vocabulary would hold only the sentinels")
     vocab.save(out / "vocab.tsv")
-    _save_tokens(out, episodes, token_lists, vocab)
+    _save_tokens(out, episodes, vocab)
     _update_manifest(out, cfg, "vocab.tsv", "tokens.bin")
     print(f"vocabulary of {len(vocab)} tokens written to {out / 'vocab.tsv'}")
     return EXIT_OK
@@ -434,8 +452,8 @@ def cmd_tokenize(args, cfg: dict, out: Path) -> int:
 
 def cmd_featurize(args, cfg: dict, out: Path) -> int:
     episodes, vocab = _load_tokenized(out)
-    rc = _router_config(cfg)
-    ds = prepare_router_datasets(episodes, vocab, rc)
+    with _cohort_sized(cfg, RouterError):
+        ds = prepare_router_datasets(episodes, vocab, _router_config(cfg))
     save_feature_models(out / "feature_models.bin", ds.tfidf, ds.svd,
                         {"config_hash": config_hash(cfg)})
     arrays = {}
@@ -479,8 +497,8 @@ def _load_datasets(out: Path, cfg: dict):
 
 def cmd_train_router(args, cfg: dict, out: Path) -> int:
     ds = _load_datasets(out, cfg)
-    rc = _router_config(cfg)
-    model = train_router(ds, rc)
+    with _cohort_sized(cfg, RouterError):
+        model = train_router(ds, _router_config(cfg))
     model.save(out / "router.bin", {"config_hash": config_hash(cfg)})
     _update_manifest(out, cfg, "router.bin")
     print(f"router checkpoint written to {out / 'router.bin'}")
@@ -498,9 +516,10 @@ def cmd_tune(args, cfg: dict, out: Path) -> int:
     model = _load_router(out, cfg)
     dev_rows = prob_rows_for(model, ds, "dev")
     grid = [tuple(p) for p in cfg["grid"]] if cfg["grid"] else None
-    result = tune_thresholds(dev_rows, grid=grid, constraint=cfg["constraint"],
-                             restrict_top1_to_life=cfg["restrict_top1_to_life"],
-                             life_guard_tau=cfg["life_guard_tau"])
+    with _cohort_sized(cfg, PolicyError):
+        result = tune_thresholds(dev_rows, grid=grid, constraint=cfg["constraint"],
+                                 restrict_top1_to_life=cfg["restrict_top1_to_life"],
+                                 life_guard_tau=cfg["life_guard_tau"])
     write_json(out / "thresholds.json", {
         "config_hash": config_hash(cfg),
         "tau_hi": result.tau_hi,
@@ -551,8 +570,7 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
         tc = TrainConfig(peak_lr=sc["peak_lr"], batch_size=sc["batch_size"],
                          epochs=sc["epochs"], seed=cfg["seed"])
         try:
-            curve = train(model, [e.tokens for e in train_eps], [e.tokens for e in dev_eps],
-                          tc, adapters_only=bool(sc["lora_rank"]))
+            curve = train(model, [e.tokens for e in train_eps], [e.tokens for e in dev_eps], tc)
         except SpecialistError as e:
             raise ConfigError(f"specialist.peak_lr = {sc['peak_lr']}: training the "
                               f"{domain.value} specialist failed ({e}); lower it") from None

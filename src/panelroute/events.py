@@ -25,14 +25,11 @@ class SchemaError(Exception):
 
 
 class EventKind(str, Enum):
+    """The kinds of clinical event. The sentinels are tokens, not events."""
     DIAG = "DIAG"
     LAB = "LAB"
     ORDER = "ORDER"
     GAP = "GAP"
-    BOS = "BOS"
-    EOS = "EOS"
-    PAD = "PAD"
-    UNK = "UNK"
 
 
 # Sort precedence within a timestamp; DIAG first.
@@ -77,9 +74,8 @@ class ClinicalEvent:
                 raise SchemaError(f"LAB event requires a value bin, got {self.value_bin!r}")
         elif self.value_bin is not None:
             raise SchemaError(f"{self.kind.value} event must not carry a value bin")
-        if self.kind in (EventKind.DIAG, EventKind.LAB, EventKind.ORDER, EventKind.GAP):
-            if not self.code:
-                raise SchemaError(f"empty code for {self.kind.value} event")
+        if not self.code:
+            raise SchemaError(f"empty code for {self.kind.value} event")
 
 
 def render_token(event: ClinicalEvent) -> str:
@@ -92,9 +88,7 @@ def render_token(event: ClinicalEvent) -> str:
         return f"[OBS]_LAB_{event.code}:{event.value_bin}"
     if k == EventKind.ORDER:
         return f"[ACTION]_ORD_{event.code}"
-    if k == EventKind.GAP:
-        return f"[GAP]_H{event.code}"
-    return f"[{k.value}]"
+    return f"[GAP]_H{event.code}"
 
 
 def _order_key(event: ClinicalEvent) -> tuple:
@@ -223,22 +217,15 @@ def render_episode_tokens(events, gold_diag_code=None, gap_thresholds=DEFAULT_GA
     return out
 
 
-def build_sequence(
-    events,
-    vocab: Vocabulary,
-    gold_diag_code=None,
-    max_len: int = MAX_SEQ_LEN,
-    gap_thresholds=DEFAULT_GAP_THRESHOLDS,
-):
+def build_sequence(events, vocab: Vocabulary, gold_diag_code=None):
     """The encoded sequence (see `encode_tokens`) of the rendered events."""
-    return encode_tokens(render_episode_tokens(events, gold_diag_code, gap_thresholds), vocab,
-                         max_len)
+    return encode_tokens(render_episode_tokens(events, gold_diag_code), vocab)
 
 
-def encode_tokens(texts, vocab: Vocabulary, max_len: int = MAX_SEQ_LEN) -> list:
+def encode_tokens(texts, vocab: Vocabulary) -> list:
     """[BOS] + encoded token texts + [EOS]; truncation keeps the most recent
-    (max_len - 2) tokens."""
-    return [BOS_ID, *map(vocab.encode, texts[-(max_len - 2):]), EOS_ID]
+    (MAX_SEQ_LEN - 2) tokens."""
+    return [BOS_ID, *map(vocab.encode, texts[-(MAX_SEQ_LEN - 2):]), EOS_ID]
 
 
 @dataclass
@@ -259,9 +246,8 @@ class Episode:
         return multi_hot(self.labels)
 
 
-def tokenize_episode(ep: Episode, vocab: Vocabulary, max_len: int = MAX_SEQ_LEN,
-                     gap_thresholds=DEFAULT_GAP_THRESHOLDS) -> Episode:
-    ep.tokens = build_sequence(ep.events, vocab, ep.gold_diag_code, max_len, gap_thresholds)
+def tokenize_episode(ep: Episode, vocab: Vocabulary) -> Episode:
+    ep.tokens = build_sequence(ep.events, vocab, ep.gold_diag_code)
     return ep
 
 

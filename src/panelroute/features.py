@@ -181,9 +181,11 @@ def _fix_signs(vt: np.ndarray) -> np.ndarray:
 
 
 _DENSE_CUTOFF = 512  # below this min-dimension a dense SVD is exact and cheap
+_OVERSAMPLE = 10  # extra sketch columns of the randomized range-finder
+_POWER_ITERS = 2
 
 
-def svd_fit(x, rank: int = 256, seed: int = 0, oversample: int = 10, power_iters: int = 2) -> SvdProjector:
+def svd_fit(x, rank: int = 256, seed: int = 0) -> SvdProjector:
     """Best rank-r' approximation with r' = min(rank, N, M).
 
     Small instances take the dense path (exact); larger ones use a seeded
@@ -198,17 +200,17 @@ def svd_fit(x, rank: int = 256, seed: int = 0, oversample: int = 10, power_iters
     if r < rank:
         warnings.warn(f"requested rank {rank} clamped to {r} for shape {x.shape}")
 
-    if min(n, m) <= max(_DENSE_CUTOFF, r + oversample):
+    if min(n, m) <= max(_DENSE_CUTOFF, r + _OVERSAMPLE):
         dense = x.toarray() if sparse.issparse(x) else np.asarray(x, dtype=np.float64)
         _, s, vt = np.linalg.svd(dense, full_matrices=False)
         return SvdProjector(_fix_signs(vt[:r]), s[:r], seed)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57D]))
-    sketch = min(r + oversample, min(n, m))
+    sketch = min(r + _OVERSAMPLE, min(n, m))
     omega = rng.standard_normal((m, sketch))
     y = x @ omega
     q, _ = np.linalg.qr(y)
-    for _ in range(power_iters):
+    for _ in range(_POWER_ITERS):
         z = x.T @ q
         qz, _ = np.linalg.qr(np.asarray(z))
         y = x @ qz

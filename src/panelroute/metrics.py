@@ -9,6 +9,8 @@ import numpy as np
 from .events import DOMAINS, LIFE_THREAT_DOMAINS
 
 LIFE_IDX = [DOMAINS.index(d) for d in LIFE_THREAT_DOMAINS]
+CALIBRATION_BINS = 10
+BOOTSTRAP_LEVEL = 0.95
 
 
 class MetricError(Exception):
@@ -124,11 +126,12 @@ def compute_savings(expected_experts: float) -> float:
     return 1.0 - expected_experts / 5.0
 
 
-def calibration_metrics(probs, labels, bins: int = 10):
-    """Brier score, reliability table, and expected calibration error."""
+def calibration_metrics(probs, labels):
+    """Brier score, reliability table over CALIBRATION_BINS bins, and ECE."""
     probs = np.asarray(probs, dtype=np.float64)
     outcomes = np.asarray(labels, dtype=np.float64)
     brier = float(np.mean((probs - outcomes) ** 2))
+    bins = CALIBRATION_BINS
     edges = np.linspace(0.0, 1.0, bins + 1)
     table = []
     ece = 0.0
@@ -178,9 +181,9 @@ def anytime(metric_fn, rows, ell_of, k: int) -> dict:
     return curve
 
 
-def bootstrap_ci(metric_fn, episodes, b: int = 1000, level: float = 0.95, seed: int = 0):
-    """Percentile interval over B episode-level resamples (all prefixes of an
-    episode move together because resampling happens at episode granularity)."""
+def bootstrap_ci(metric_fn, episodes, b: int = 1000, seed: int = 0):
+    """BOOTSTRAP_LEVEL percentile interval over B episode-level resamples (all
+    prefixes of an episode move together: resampling is at episode granularity)."""
     episodes = list(episodes)
     if len(episodes) < 10:
         raise MetricError("bootstrap needs at least 10 episodes")
@@ -190,5 +193,5 @@ def bootstrap_ci(metric_fn, episodes, b: int = 1000, level: float = 0.95, seed: 
     for i in range(b):
         idx = rng.integers(0, n, size=n)
         reps[i] = metric_fn([episodes[j] for j in idx])
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - BOOTSTRAP_LEVEL) / 2.0
     return float(np.quantile(reps, alpha)), float(np.quantile(reps, 1.0 - alpha))

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import features as feats
 from . import metrics, policy
-from .events import DOMAINS, LIFE_THREAT_DOMAINS, build_vocabulary, render_episode_tokens, tokenize_episode
+from .events import DOMAINS, LIFE_THREAT_DOMAINS, build_vocabulary, encode_tokens, render_episode_tokens
 from .router import PlattCalibrator, RouterModel, SplitSpec, fit_head, platt_fit, split
 
 
@@ -22,11 +22,12 @@ class RouterTrainConfig:
 
 
 def tokenize_cohort(episodes, min_count: int = 1, whitelist=None):
-    """Build the vocabulary over rendered sequences and encode every episode."""
+    """Render every episode once, build the vocabulary over the renderings and
+    encode them into `ep.tokens`, as `tokenize_episode` would."""
     token_lists = [render_episode_tokens(ep.events, ep.gold_diag_code) for ep in episodes]
     vocab = build_vocabulary(token_lists, min_count=min_count, whitelist=whitelist)
-    for ep in episodes:
-        tokenize_episode(ep, vocab)
+    for ep, texts in zip(episodes, token_lists):
+        ep.tokens = encode_tokens(texts, vocab)
     return episodes, vocab
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .events import DOMAINS
 from .metrics import LIFE_IDX as _LIFE_IDX, domain_mask, policy_metrics
 
-FAIL_OPEN_FLOOR = 0.25
+FAIL_OPEN_FLOOR = 0.25  # a row whose every probability is below it fails open
 
 TOP1_LIFE = "TOP1_LIFE"
 TOP2 = "TOP2"
@@ -23,10 +23,9 @@ class PolicyError(Exception):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """The whole routing policy: every parameter `route_batch` reads."""
+    """The routing policy: every parameter `route_batch` reads but FAIL_OPEN_FLOOR."""
     tau_hi: float
     tau_lo: float
-    fail_open_floor: float = FAIL_OPEN_FLOOR
     restrict_top1_to_life: bool = True
     life_guard_tau: float | None = None
 
@@ -72,7 +71,7 @@ def route_batch(probs, thr: Thresholds, danger):
     if danger.shape != (len(p),):
         raise PolicyError(f"expected {len(p)} danger flags, got shape {danger.shape}")
     p_max, life_max = p.max(axis=1), p[:, _LIFE_IDX].max(axis=1)
-    routable = ~danger & (p_max >= thr.fail_open_floor)
+    routable = ~danger & (p_max >= FAIL_OPEN_FLOOR)
     top1 = routable & (life_max >= thr.tau_hi)
     top2 = routable & ~top1 & (p_max >= thr.tau_lo)
     branch = np.where(top1, 0, np.where(top2, 1, 2))
@@ -144,7 +143,7 @@ def tune_thresholds(prob_rows, grid=None, constraint: float = 0.98, **options) -
     truth = domain_mask(t for _, t, _ in prob_rows)
     danger = np.array([d for _, _, d in prob_rows], dtype=bool)
     if not truth[:, _LIFE_IDX].any():
-        raise PolicyError("no life-threat episodes; safety constraint undefined")
+        raise PolicyError("no Cardiac or Pulmonary episode; safety constraint undefined")
 
     table = [_evaluate_point(Thresholds(hi, lo, **options), probs, truth, danger)
              for hi, lo in grid]

@@ -18,6 +18,8 @@ from .serial import load_bundle, save_bundle
 
 DEFAULT_C = 2.0
 DEFAULT_MAX_ITER = 3000
+SPLIT_FRACTIONS = (0.70, 0.10, 0.20)  # train, dev, test
+TEMPERATURE_BRACKET = (0.05, 20.0)
 
 
 class RouterError(Exception):
@@ -26,12 +28,7 @@ class RouterError(Exception):
 
 @dataclass
 class SplitSpec:
-    fractions: tuple = (0.70, 0.10, 0.20)
     seed: int = 0
-
-    def __post_init__(self):
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise RouterError("split fractions must sum to 1")
 
 
 def split(episodes, spec: SplitSpec):
@@ -53,7 +50,7 @@ def split(episodes, spec: SplitSpec):
         idx = [idx[int(j)] for j in rng.permutation(len(idx))]
         cum = 0.0
         taken = 0
-        for s, frac in enumerate(spec.fractions):
+        for s, frac in enumerate(SPLIT_FRACTIONS):
             cum += frac
             upto = round(cum * len(idx))
             out[s].extend(idx[taken:upto])
@@ -169,8 +166,8 @@ def platt_fit(scores, labels) -> PlattCalibrator:
     return PlattCalibrator(*_fit_sigmoid_ab(scores, labels))
 
 
-def temperature_fit(logits, labels, bracket=(0.05, 20.0)) -> float:
-    """Temperature T minimizing cross-entropy of sigmoid(s/T)."""
+def temperature_fit(logits, labels) -> float:
+    """Temperature T in TEMPERATURE_BRACKET minimizing cross-entropy of sigmoid(s/T)."""
     logits = np.asarray(logits, dtype=np.float64)
     sign = np.where(np.asarray(labels) > 0, 1.0, -1.0)
     if len(np.unique(sign)) < 2:
@@ -181,7 +178,7 @@ def temperature_fit(logits, labels, bracket=(0.05, 20.0)) -> float:
 
     from scipy import optimize
 
-    res = optimize.minimize_scalar(nll, bounds=bracket, method="bounded",
+    res = optimize.minimize_scalar(nll, bounds=TEMPERATURE_BRACKET, method="bounded",
                                    options={"xatol": 1e-6})
     return float(res.x)
 

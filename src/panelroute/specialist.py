@@ -23,6 +23,10 @@ from .events import PAD_ID
 from .serial import load_bundle, save_bundle
 
 _LN_EPS = 1e-5
+WARMUP_FRAC = 0.05  # of all steps, warmed up linearly
+LR_FLOOR_FRAC = 0.1  # of the peak rate, reached by cosine decay at the final step
+GRAD_CLIP = 1.0  # global gradient norm
+EVAL_BATCH_SIZE = 32
 
 
 class SpecialistError(Exception):
@@ -47,26 +51,21 @@ class SpecialistConfig:
 @dataclass
 class TrainConfig:
     peak_lr: float = 1e-3
-    weight_decay: float = 0.01
-    warmup_frac: float = 0.05
-    lr_floor_frac: float = 0.1
-    grad_clip: float = 1.0
     batch_size: int = 16
     epochs: int = 5
     seed: int = 0
 
 
-def lr_schedule(step: int, total_steps: int, peak_lr: float,
-                warmup_frac: float = 0.05, floor_frac: float = 0.1) -> float:
-    """Linear warmup over warmup_frac of steps, cosine decay to floor_frac of
-    the peak at the final step."""
-    warmup = max(1, round(warmup_frac * total_steps))
+def lr_schedule(step: int, total_steps: int, peak_lr: float) -> float:
+    """Linear warmup over WARMUP_FRAC of steps, cosine decay to LR_FLOOR_FRAC
+    of the peak at the final step."""
+    warmup = max(1, round(WARMUP_FRAC * total_steps))
     if step < warmup:
         return peak_lr * (step + 1) / warmup
     last = max(total_steps - 1, warmup)
     u = (step - warmup) / max(last - warmup, 1)
     u = min(u, 1.0)
-    return peak_lr * (floor_frac + (1.0 - floor_frac) * 0.5 * (1.0 + math.cos(math.pi * u)))
+    return peak_lr * (LR_FLOOR_FRAC + (1.0 - LR_FLOOR_FRAC) * 0.5 * (1.0 + math.cos(math.pi * u)))
 
 
 # erf after Cephes ndtr.c (S. L. Moshier, Methods and Programs for Mathematical
@@ -412,10 +411,10 @@ class SpecialistModel:
         grads, a_grads = self.backward(cache, dlogits)
         return loss, grads, a_grads
 
-    def eval_loss(self, sequences, batch_size: int = 32):
+    def eval_loss(self, sequences):
         """Token-weighted mean cross-entropy over a set of sequences."""
         total, count = 0.0, 0
-        for ids, targets in iter_batches(sequences, batch_size):
+        for ids, targets in iter_batches(sequences, EVAL_BATCH_SIZE):
             logits, _ = self.forward(ids)
             valid = targets != PAD_ID
             n = int(valid.sum())
@@ -534,10 +533,7 @@ def unigram_entropy(sequences) -> float:
 
 
 class AdamW:
-    def __init__(self, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
+    def __init__(self, weight_decay=0.01):
         self.weight_decay = weight_decay
         self.m: dict = {}
         self.v: dict = {}
@@ -545,7 +541,7 @@ class AdamW:
 
     def step(self, params: dict, grads: dict, lr: float, decay_keys: set) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         for key, g in grads.items():
             if key not in self.m:
                 self.m[key] = np.zeros_like(g)
@@ -554,7 +550,7 @@ class AdamW:
             self.v[key] = b2 * self.v[key] + (1 - b2) * g * g
             mhat = self.m[key] / (1 - b1 ** self.t)
             vhat = self.v[key] / (1 - b2 ** self.t)
-            update = mhat / (np.sqrt(vhat) + self.eps)
+            update = mhat / (np.sqrt(vhat) + 1e-8)
             if key in decay_keys:
                 update = update + self.weight_decay * params[key]
             params[key] = params[key] - lr * update
@@ -580,26 +576,29 @@ def _float32_copy(model: SpecialistModel) -> SpecialistModel:
     return step
 
 
-def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConfig,
-          adapters_only: bool = False):
+def _flat_adapters(pairs: dict) -> dict:
+    """{key.A: A, key.B: B} of {key: (A, B)}: adapters or their gradients as
+    one dict of tensors, in the order AdamW and clipping walk them."""
+    return {f"{key}.{part}": t for key, ab in pairs.items() for part, t in zip("AB", ab)}
+
+
+def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConfig):
     """Train with AdamW + warmup/cosine schedule; returns the per-epoch curve.
 
-    Each step's forward and backward passes run on a float32 copy of the
-    model; clipping, AdamW and the dev losses are float64. The model is left
-    holding the best-dev-loss parameters. With `adapters_only`, base weights
-    stay frozen and only LoRA tensors move.
+    Attached adapters train and the base weights stay frozen (LoRA);
+    without adapters the weights train. Each step's forward and backward
+    passes run on a float32 copy of the model; clipping, AdamW and the dev
+    losses are float64. The model is left holding the best-dev-loss tensors.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7417]))
     n = len(train_sequences)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
-    opt = AdamW(weight_decay=cfg.weight_decay)
-    decay_keys = {
+    opt = AdamW()
+    decay_keys = {  # no adapter is decayed: no `key.A` or `key.B` name is listed
         k for k, v in model.params.items()
         if v.ndim >= 2 and k not in ("tok_emb", "pos_emb")
     }
-    if adapters_only and not model.adapters:
-        raise SpecialistError("adapters_only training requires attached adapters")
 
     curve = []
     best = None
@@ -612,25 +611,16 @@ def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConf
                 ids, targets, train=True, rng=rng)
             if not math.isfinite(loss):
                 raise SpecialistError(f"divergence: non-finite loss at step {step}")
-            lr = lr_schedule(step, total_steps, cfg.peak_lr, cfg.warmup_frac, cfg.lr_floor_frac)
-            if adapters_only:
-                flat = {}
-                for key, (da, db) in a_grads.items():
-                    flat[f"{key}.A"] = da.astype(np.float64)
-                    flat[f"{key}.B"] = db.astype(np.float64)
-                clip_global_norm(list(flat.values()), cfg.grad_clip)
-                tensors = {}
-                for key, (a, b) in model.adapters.items():
-                    tensors[f"{key}.A"] = a
-                    tensors[f"{key}.B"] = b
-                opt.step(tensors, flat, lr, decay_keys=set())
-                model.adapters = {
-                    key: (tensors[f"{key}.A"], tensors[f"{key}.B"]) for key in model.adapters
-                }
+            if model.adapters:
+                tensors, grads = _flat_adapters(model.adapters), _flat_adapters(a_grads)
             else:
-                grads = {k: g.astype(np.float64) for k, g in grads.items()}
-                clip_global_norm(list(grads.values()), cfg.grad_clip)
-                opt.step(model.params, grads, lr, decay_keys)
+                tensors = model.params
+            grads = {k: g.astype(np.float64) for k, g in grads.items()}
+            clip_global_norm(list(grads.values()), GRAD_CLIP)
+            opt.step(tensors, grads, lr_schedule(step, total_steps, cfg.peak_lr), decay_keys)
+            if model.adapters:
+                model.adapters = {key: (tensors[f"{key}.A"], tensors[f"{key}.B"])
+                                  for key in model.adapters}
             epoch_loss += loss
             n_batches += 1
             step += 1

@@ -256,7 +256,7 @@ class TestErrorPaths:
         assert name in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("corrupt", ["truncated", "bad_kind", "missing_key"])
+    @pytest.mark.parametrize("corrupt", ["truncated", "bad_kind", "sentinel_kind", "missing_key"])
     def test_malformed_cohort_line_exits_3_naming_the_line(self, tmp_path, capsys, corrupt):
         """tokenize, the one stage that parses cohort.jsonl, names the bad line;
         featurize refuses the tokens.bin built from the cohort before the change."""
@@ -273,6 +273,8 @@ class TestErrorPaths:
             rec = json.loads(lines[4])
             if corrupt == "bad_kind":
                 rec["events"][0]["kind"] = "NOTE"
+            elif corrupt == "sentinel_kind":  # a token, not an event
+                rec["events"][0]["kind"] = "PAD"
             else:
                 del rec["episode_id"]
             lines[4] = json.dumps(rec)
@@ -343,7 +345,8 @@ class TestErrorPaths:
         assert not (tmp_path / "cohort.jsonl").exists()
 
     @pytest.mark.parametrize("case", ["negative_bin_weight", "nan_pool_weight", "empty_bins",
-                                      "inverted_length_range", "bins_as_list", "unknown_bin"])
+                                      "inverted_length_range", "bins_as_list", "unknown_bin",
+                                      "low_end_below_k"])
     def test_bad_grammar_weight_exits_2_naming_file_and_domain(self, tmp_path, capsys, case):
         grammar_path = tmp_path / "grammar.json"
         save_grammars(grammar_path, default_grammars())
@@ -355,6 +358,8 @@ class TestErrorPaths:
             gastro["gold_codes"][1][1] = float("nan")
         elif case == "inverted_length_range":
             gastro["length_range"] = [30, 10]
+        elif case == "low_end_below_k":  # k is 5
+            gastro["length_range"] = [3, 10]
         elif case == "bins_as_list":
             gastro["lab_pool"][0][1] = ["NORMAL", "HIGH"]
         elif case == "unknown_bin":
@@ -419,6 +424,51 @@ class TestErrorPaths:
         assert err.startswith("config error: ") and key in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "cohort.jsonl").exists()
+
+    @pytest.mark.parametrize("stage, cohort, key, domain", [
+        ("featurize", {"total": 8}, "cohort.total", None),
+        ("train-router", {"counts": {"Cardiac": 30}}, "cohort.counts", "Cardiac"),
+        ("tune", {"counts": {"Cardiac": 3, "Pulmonary": 3, "Gastro": 30,
+                             "Musculoskeletal": 30, "Psychogenic": 30}},
+         "cohort.counts", "Cardiac or Pulmonary"),
+    ])
+    def test_cohort_too_small_or_one_sided_exits_2_naming_its_size(
+            self, tmp_path, capsys, stage, cohort, key, domain):
+        # too few episodes to split, one class only, no life-threat episode in dev
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"cohort": cohort}))
+        stages = ["synth", "tokenize", "featurize", "train-router", "tune"]
+        before = stages[:stages.index(stage)]
+        assert run_pipeline(tmp_path, cfg_path, upto=before[-1]) == [EXIT_OK] * len(before)
+        listing = sorted(p.name for p in tmp_path.iterdir() if p.name != "timings.json")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run([stage, "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {key} = ") and (domain or "") in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name != "timings.json") == listing
+
+    def test_sentinel_event_kind_in_route_episode_exits_3(self, pipeline_dir, tmp_path,
+                                                          capsys):
+        out, cfg_path = pipeline_dir
+        probe = write_cardiac_probe(tmp_path / "ep.json")
+        episode = json.loads(probe.read_text())
+        episode["events"] += [{"kind": "PAD", "code": "x", "t_min": 90},
+                              {"kind": "BOS", "code": "x", "t_min": 95}]
+        probe.write_text(json.dumps(episode))
+        audit = (out / "audit.jsonl").read_bytes() if (out / "audit.jsonl").exists() else None
+        capsys.readouterr()
+        code = run(["route", "--config", str(cfg_path), "--out", str(out),
+                    "--episode", str(probe)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and str(probe) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert ((out / "audit.jsonl").read_bytes()
+                if (out / "audit.jsonl").exists() else None) == audit
 
     def test_malformed_vocab_exits_3(self, pipeline_dir, tmp_path, capsys):
         out, cfg_path = pipeline_dir

@@ -403,17 +403,10 @@ class TestTraining:
         model = tiny_model(vocab=12, layers=1, d=16, heads=2)
         model.attach_lora(rank=2, alpha=8.0)
         before = {k: v.copy() for k, v in model.params.items()}
-        train(model, seqs[:24], seqs[24:], TrainConfig(epochs=2, batch_size=8),
-              adapters_only=True)
+        train(model, seqs[:24], seqs[24:], TrainConfig(epochs=2, batch_size=8))
         for k in before:
             assert np.array_equal(model.params[k], before[k])
         assert any(np.any(b != 0) for _, b in model.adapters.values())
-
-    def test_adapters_only_without_adapters_rejected(self):
-        seqs = self.make_corpus(n=20, seed=4)
-        with pytest.raises(SpecialistError):
-            train(tiny_model(), seqs[:16], seqs[16:], TrainConfig(epochs=1),
-                  adapters_only=True)
 
     def test_perplexity_identity(self):
         assert perplexity_from_loss(0.0) == 1.0
@@ -470,8 +463,7 @@ class TestFloat32Step:
         model = tiny_model(vocab=12, layers=2, d=16, heads=2, dropout=0.1)
         if adapters_only:
             model.attach_lora(rank=2, alpha=8.0)
-        train(model, seqs[:24], seqs[24:], TrainConfig(epochs=2, batch_size=8),
-              adapters_only=adapters_only)
+        train(model, seqs[:24], seqs[24:], TrainConfig(epochs=2, batch_size=8))
         assert all(v.dtype == np.float64 for v in model.params.values())
         assert all(a.dtype == b.dtype == np.float64 for a, b in model.adapters.values())
         (opt,) = optimizers
