@@ -46,6 +46,7 @@ from .events import (
     SchemaError,
     Vocabulary,
     episode_from_dict,
+    from_multi_hot,
     read_episodes_jsonl,
     tokenize_episode,
     write_episodes_jsonl,
@@ -122,10 +123,6 @@ _SCHEMA = {
     "cohort.grammar_file": _Key(None, kind=str),
     "cohort.sample_target": _Key(0, 0),
     "min_count": _Key(1, 1),
-    "use_time": _Key(False),
-    "use_prefix_weights": _Key(True),
-    "calibrate": _Key(True),
-    "restrict_top1_to_life": _Key(True),
     "life_guard_tau": _Key(None, kind=float, rule=lambda v: Thresholds(1, 0, life_guard_tau=v)),
     "svd_rank": _Key(256, 1),
     "grid": _Key(None, kind=list, rule=_grid_rule),
@@ -195,9 +192,11 @@ def load_config(args) -> dict:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            override = json.loads(path.read_text())
+            override = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid config JSON: {e}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"config file {path} cannot be read: {e}") from None
         cfg = _merge(cfg, override)
     return _merge(cfg, _flag_overrides(args))
 
@@ -319,14 +318,7 @@ def _cohort_sized(cfg: dict, *errors):
 
 
 def _router_config(cfg: dict) -> RouterTrainConfig:
-    return RouterTrainConfig(
-        k=cfg["k"],
-        seed=cfg["seed"],
-        use_time=cfg["use_time"],
-        use_prefix_weights=cfg["use_prefix_weights"],
-        calibrate=cfg["calibrate"],
-        svd_rank=cfg["svd_rank"],
-    )
+    return RouterTrainConfig(k=cfg["k"], seed=cfg["seed"], svd_rank=cfg["svd_rank"])
 
 
 def _token_inputs(out: Path) -> dict:
@@ -335,37 +327,25 @@ def _token_inputs(out: Path) -> dict:
             "vocab.tsv": sha256_file(_require(out, "vocab.tsv", "tokenize"))}
 
 
-def _offsets(lengths) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(np.fromiter(lengths, np.int64))])
-
-
 def _save_tokens(out: Path, episodes, vocab: Vocabulary) -> None:
-    """Write tokens.bin: each episode's token ids, label bits, danger flag and
-    time features, as ragged arrays with offsets."""
+    """Write tokens.bin: every episode's token ids (one ragged array with
+    offsets), label bits and danger flag."""
     seqs = [ep.tokens for ep in episodes]
     meta = {"kind": "tokens", "inputs": _token_inputs(out),
             "episode_ids": [ep.episode_id for ep in episodes]}
     save_bundle(out / "tokens.bin", meta, {
         "ids": np.fromiter(itertools.chain.from_iterable(seqs),
                            np.min_scalar_type(len(vocab) - 1)),
-        "offsets": _offsets(map(len, seqs)),
+        "offsets": np.cumsum([0, *map(len, seqs)], dtype=np.int64),
         "labels": np.array([ep.label_bits() for ep in episodes],
                            dtype=np.uint8).reshape(-1, len(DOMAINS)),
         "danger": np.array([ep.danger for ep in episodes], dtype=np.uint8),
-        "time_feats": np.fromiter(itertools.chain.from_iterable(ep.time_feats for ep in episodes),
-                                  np.float64),
-        "time_offsets": _offsets(len(ep.time_feats) for ep in episodes),
     })
-
-
-def _is_offsets(off: np.ndarray, n: int, total: int) -> bool:
-    return (off.shape == (n + 1,) and off[0] == 0 and off[-1] == total
-            and bool(np.all(off[1:] >= off[:-1])))
 
 
 def _load_tokenized(out: Path):
     """(episodes, vocab) from tokens.bin. The episodes carry id, token ids,
-    labels, danger flag and time features, but no events."""
+    labels and danger flag, but no events."""
     path = _require(out, "tokens.bin", "tokenize")
     inputs = _token_inputs(out)
     vocab = Vocabulary.load(out / "vocab.tsv")
@@ -374,10 +354,10 @@ def _load_tokenized(out: Path):
         if meta.get("inputs") != inputs:
             raise DataError(f"{path}: built from another cohort.jsonl or vocab.tsv")
         eids, n = meta["episode_ids"], len(meta["episode_ids"])
-        ids, off, labels, danger, feats, toff = (arrays[k] for k in (
-            "ids", "offsets", "labels", "danger", "time_feats", "time_offsets"))
-        if not (_is_offsets(off, n, ids.size) and _is_offsets(toff, n, feats.size)
-                and labels.shape == (n, len(DOMAINS)) and danger.shape == (n,)
+        ids, off, labels, danger = (arrays[k] for k in ("ids", "offsets", "labels", "danger"))
+        if not (off.shape == (n + 1,) and off[0] == 0 and off[-1] == ids.size
+                and np.all(off[1:] >= off[:-1]) and labels.shape == (n, len(DOMAINS))
+                and danger.shape == (n,)
                 and (ids.size == 0 or 0 <= ids.min() <= ids.max() < len(vocab))):
             raise DataError(f"{path}: offsets, shapes or token ids do not fit vocab.tsv")
     except (KeyError, TypeError, ValueError) as e:
@@ -385,26 +365,30 @@ def _load_tokenized(out: Path):
                         "re-run `panelroute tokenize`") from None
     except (BundleError, DataError) as e:
         raise DataError(f"{e}; re-run `panelroute tokenize`") from None
-    tokens, feats, off, toff = ids.tolist(), feats.tolist(), off.tolist(), toff.tolist()
-    episodes = [Episode(eid, tokens=tokens[off[i]:off[i + 1]],
-                        time_feats=feats[toff[i]:toff[i + 1]],
-                        labels=tuple(d for d, b in zip(DOMAINS, bits) if b), danger=bool(flag))
+    tokens, off = ids.tolist(), off.tolist()
+    episodes = [Episode(eid, tokens=tokens[off[i]:off[i + 1]], labels=from_multi_hot(bits),
+                        danger=bool(flag))
                 for i, (eid, bits, flag) in enumerate(zip(eids, labels.tolist(), danger.tolist()))]
     return episodes, vocab
 
 
 def _specialist_split(episodes, cfg: dict, domain: DomainLabel):
     """(train, dev, test) episodes of `domain`'s specialist: the domain's
-    episodes, capped at `specialist.scope_cap`, then split as the router's."""
+    episodes, capped at `specialist.scope_cap`, then split as the router's.
+    A pool too small to split is a config error naming what sized it."""
     pool = [ep for ep in episodes if domain in ep.labels]
     cap = cfg["specialist"]["scope_cap"]
     if cap and len(pool) > cap:
+        if cap < 10:
+            raise ConfigError(f"specialist.scope_cap = {cap}: caps {domain.value}'s "
+                              f"{len(pool)} episodes below the 10 a specialist needs")
         rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x5C0]))
         idx = sorted(rng.choice(len(pool), size=cap, replace=False))
         pool = [pool[i] for i in idx]
-    if len(pool) < 10:
-        raise DataError(f"{domain.value}: only {len(pool)} episodes; cannot train")
-    return split(pool, SplitSpec(seed=cfg["seed"]))
+    with _cohort_sized(cfg, RouterError):
+        if len(pool) < 10:  # split's own floor, named with the domain
+            raise RouterError(f"{domain.value}: only {len(pool)} episodes; cannot train")
+        return split(pool, SplitSpec(seed=cfg["seed"]))
 
 
 def _load_specialist(out: Path, cfg: dict, domain: DomainLabel) -> SpecialistModel | None:
@@ -518,7 +502,6 @@ def cmd_tune(args, cfg: dict, out: Path) -> int:
     grid = [tuple(p) for p in cfg["grid"]] if cfg["grid"] else None
     with _cohort_sized(cfg, PolicyError):
         result = tune_thresholds(dev_rows, grid=grid, constraint=cfg["constraint"],
-                                 restrict_top1_to_life=cfg["restrict_top1_to_life"],
                                  life_guard_tau=cfg["life_guard_tau"])
     write_json(out / "thresholds.json", {
         "config_hash": config_hash(cfg),
@@ -541,13 +524,11 @@ def cmd_tune(args, cfg: dict, out: Path) -> int:
 
 
 def _load_thresholds(out: Path, cfg: dict) -> Thresholds:
-    """The routing policy: the tuned thresholds and the config's options."""
+    """The routing policy: the tuned thresholds and the config's life guard."""
     path = _require(out, "thresholds.json", "tune")
     data = _read_json(path)
     _check_hash(data.get("config_hash"), cfg, "thresholds.json")
-    return Thresholds(data["tau_hi"], data["tau_lo"],
-                      restrict_top1_to_life=cfg["restrict_top1_to_life"],
-                      life_guard_tau=cfg["life_guard_tau"])
+    return Thresholds(data["tau_hi"], data["tau_lo"], life_guard_tau=cfg["life_guard_tau"])
 
 
 def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
@@ -590,11 +571,6 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
     lm = metrics.LatencyModel(l_router=cfg["latency"]["l_router"],
                               l_expert_default=cfg["latency"]["l_expert"])
     report = evaluate(model, ds, thresholds, lm, k=cfg["k"])
-    if args.policy == "consult-all":
-        report["policy"] = {"policy": "consult-all", **report["baselines"]["consult_all"]}
-    elif args.policy == "fixed-life":
-        report["policy"] = {"policy": "fixed-life",
-                            **report["baselines"]["fixed_cardiac_pulmonary"]}
     spec_models = {d: m for d in DOMAINS if (m := _load_specialist(out, cfg, d)) is not None}
     if spec_models:
         episodes = _load_tokenized(out)[0]
@@ -630,7 +606,7 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     if not rows:
         raise DataError(f"episode {episode.episode_id} has no content tokens")
     row = rows[-1]  # longest available prefix, at most K events
-    x = featurize_rows([row], vocab, tfidf, svd, cfg["use_time"])
+    x = featurize_rows([row], vocab, tfidf, svd)
     raw = model.predict_raw(x)[0]
     probs = model.predict_proba(x)[0]
     decision = policy.route(probs, thresholds, danger_flag=episode.danger)
@@ -700,9 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
                            dest="multi_label_rate")
         if name == "train-specialist":
             p.add_argument("--domain", default=None, choices=[d.value for d in DOMAINS])
-        if name == "eval":
-            p.add_argument("--policy", default="learned",
-                           choices=["learned", "consult-all", "fixed-life"])
         if name == "route":
             p.add_argument("--episode", required=True, help="episode JSON file")
     return parser
@@ -713,7 +686,10 @@ def run(argv=None) -> int:
     try:
         cfg = load_config(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"--out {out} is not a usable artifact directory: {e}") from None
         t0 = time.time()
         code = COMMANDS[args.command](args, cfg, out)
         _log_timing(out, args.command, time.time() - t0)

@@ -28,7 +28,6 @@ from .events import (
     DomainLabel,
     Episode,
     EventKind,
-    compute_time_feats,
 )
 from .serial import write_json
 
@@ -346,7 +345,6 @@ def _generate_episode(index: int, domain: DomainLabel, pools: dict, noise: _Pool
     events = events[:n_content]
 
     gold = _weighted_choice(rng, g.gold)
-    time_feats = compute_time_feats(events)
     t += int(rng.integers(5, 60))
     events.append(ClinicalEvent(EventKind.DIAG, gold, timestamp=t))
 
@@ -355,7 +353,6 @@ def _generate_episode(index: int, domain: DomainLabel, pools: dict, noise: _Pool
     return Episode(
         episode_id=f"ep{index:06d}",
         events=events,
-        time_feats=time_feats,
         labels=tuple(labels),
         gold_diag_code=gold,
         danger=danger,
@@ -380,8 +377,8 @@ def generate_cohort(cfg: CohortConfig, grammars: dict | None = None) -> list:
 
 
 def merge_records(records) -> Episode:
-    """Merge episodes sharing an id: longest event/token list wins, non-empty
-    time_feats preferred, labels are the union."""
+    """Merge episodes sharing an id: longest event/token list wins, labels are
+    the union."""
     if not records:
         raise ValueError("merge_records needs at least one record")
     def length(ep):
@@ -393,14 +390,10 @@ def merge_records(records) -> Episode:
             if d not in labels:
                 labels.append(d)
     labels.sort(key=lambda d: DOMAINS.index(d))
-    time_feats = best.time_feats
-    if not time_feats:
-        time_feats = next((ep.time_feats for ep in records if ep.time_feats), [])
     return Episode(
         episode_id=best.episode_id,
         events=best.events,
         tokens=best.tokens,
-        time_feats=time_feats,
         labels=tuple(labels),
         gold_diag_code=best.gold_diag_code,
         danger=any(ep.danger for ep in records),

@@ -59,6 +59,11 @@ def multi_hot(labels) -> tuple:
     return tuple(1 if d in labs else 0 for d in DOMAINS)
 
 
+def from_multi_hot(bits) -> tuple:
+    """The DomainLabel tuple whose bits are set; the inverse of `multi_hot`."""
+    return tuple(d for d, b in zip(DOMAINS, bits) if b)
+
+
 @dataclass(frozen=True)
 class ClinicalEvent:
     kind: EventKind
@@ -233,7 +238,6 @@ class Episode:
     episode_id: str
     events: list = field(default_factory=list)
     tokens: list = field(default_factory=list)  # token ids incl BOS/EOS
-    time_feats: list = field(default_factory=list)
     labels: tuple = ()  # DomainLabel tuple
     gold_diag_code: str | None = None
     danger: bool = False
@@ -251,18 +255,6 @@ def tokenize_episode(ep: Episode, vocab: Vocabulary) -> Episode:
     return ep
 
 
-def compute_time_feats(events) -> list:
-    """[minutes-to-first-order, max inter-event gap]; empty when no events.
-    Both read timestamps only, so they are those of `order_events(events)`
-    without rendering a token."""
-    if not events:
-        return []
-    ts = sorted(e.timestamp for e in events)
-    first_order = min((e.timestamp for e in events if e.kind == EventKind.ORDER), default=ts[-1])
-    max_gap = max((b - a for a, b in zip(ts, ts[1:])), default=0)
-    return [float(first_order), float(max_gap)]
-
-
 # --- JSONL episode files ---------------------------------------------------
 
 def episode_to_dict(ep: Episode) -> dict:
@@ -275,7 +267,6 @@ def episode_to_dict(ep: Episode) -> dict:
     out = {
         "episode_id": ep.episode_id,
         "events": evs,
-        "time_feats": list(ep.time_feats),
         "labels": [d.value for d in ep.labels],
         "gold": ep.gold_diag_code or "",
     }
@@ -302,7 +293,6 @@ def episode_from_dict(d: dict) -> Episode:
     return Episode(
         episode_id=d["episode_id"],
         events=events,
-        time_feats=list(d.get("time_feats", [])),
         labels=tuple(DomainLabel(x) for x in d.get("labels", [])),
         gold_diag_code=d.get("gold") or None,
         danger=bool(d.get("danger", False)),

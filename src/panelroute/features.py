@@ -1,13 +1,13 @@
 """Prefix expansion for anytime supervision, TF-IDF -> truncated SVD
-featurization with optional time-feature concatenation, and the
-`feature_models` bundle that stores the fitted TF-IDF and SVD models.
+featurization, and the `feature_models` bundle that stores the fitted TF-IDF
+and SVD models.
 
 TF-IDF convention: raw term counts, smoothed idf ln((1+N)/(1+df)) + 1,
 L2 row normalization, 1-2 grams over rendered token text, min_df=2.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class PrefixRow:
     tokens: list  # first ell content token ids
     label_bits: tuple
     weight: float
-    time_feats: list = field(default_factory=list)
     danger: bool = False
 
 
@@ -44,7 +43,6 @@ def expand_prefixes(episode: Episode, k: int) -> list:
                 tokens=content[:ell],
                 label_bits=bits,
                 weight=ell / k,
-                time_feats=list(episode.time_feats),
                 danger=episode.danger,
             )
         )
@@ -238,17 +236,7 @@ def _project_csr(indptr, indices, data, components) -> np.ndarray:
     return z
 
 
-def featurize_rows(rows, vocab: Vocabulary, tfidf: TfidfModel, svd: SvdProjector,
-                   use_time: bool = False) -> np.ndarray:
-    """Dense feature matrix: SVD projection of each prefix document, with
-    time feats appended when use_time is set."""
+def featurize_rows(rows, vocab: Vocabulary, tfidf: TfidfModel, svd: SvdProjector) -> np.ndarray:
+    """Dense feature matrix: the SVD projection of each prefix document."""
     docs = [row_document(r, vocab) for r in rows]
-    z = _project_csr(*tfidf.csr(docs), svd.components)
-    if not use_time:
-        return z
-    n_tf = max((len(r.time_feats) for r in rows), default=0)
-    tf = np.zeros((len(rows), n_tf))
-    for i, r in enumerate(rows):
-        for j, v in enumerate(r.time_feats[:n_tf]):
-            tf[i, j] = v
-    return np.hstack([z, tf])
+    return _project_csr(*tfidf.csr(docs), svd.components)

@@ -7,17 +7,15 @@ import numpy as np
 
 from . import features as feats
 from . import metrics, policy
-from .events import DOMAINS, LIFE_THREAT_DOMAINS, build_vocabulary, encode_tokens, render_episode_tokens
-from .router import PlattCalibrator, RouterModel, SplitSpec, fit_head, platt_fit, split
+from .events import (DOMAINS, LIFE_THREAT_DOMAINS, build_vocabulary, encode_tokens,
+                     from_multi_hot, render_episode_tokens)
+from .router import RouterModel, SplitSpec, fit_head, platt_fit, split
 
 
 @dataclass
 class RouterTrainConfig:
     k: int = 5
     seed: int = 0
-    use_time: bool = False
-    use_prefix_weights: bool = True
-    calibrate: bool = True
     svd_rank: int = 256
 
 
@@ -45,7 +43,7 @@ class RouterDatasets:
 
 def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig) -> RouterDatasets:
     """Split episodes (before prefix expansion), expand, fit TF-IDF and SVD on
-    the training rows only, and featurize every split."""
+    the training rows only, and featurize every split; each row weighs ell/K."""
     parts = split(episodes, SplitSpec(seed=cfg.seed))
     rows = {name: feats.expand_cohort(eps, cfg.k)
             for name, eps in zip(("train", "dev", "test"), parts)}
@@ -54,10 +52,9 @@ def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig) -> RouterDa
     svd = feats.svd_fit(tfidf.transform(train_docs), rank=cfg.svd_rank, seed=cfg.seed)
     ds = RouterDatasets(tfidf, svd)
     for name, split_rows in rows.items():
-        ds.x[name] = feats.featurize_rows(split_rows, vocab, ds.tfidf, ds.svd, cfg.use_time)
+        ds.x[name] = feats.featurize_rows(split_rows, vocab, ds.tfidf, ds.svd)
         ds.y[name] = np.array([r.label_bits for r in split_rows], dtype=np.float64)
-        ds.w[name] = (np.array([r.weight for r in split_rows]) if cfg.use_prefix_weights
-                      else np.ones(len(split_rows)))
+        ds.w[name] = np.array([r.weight for r in split_rows])
         ds.danger[name] = np.array([r.danger for r in split_rows], dtype=bool)
         ds.ell[name] = np.array([r.ell for r in split_rows], dtype=np.int64)
         ds.ids[name] = [r.episode_id for r in split_rows]
@@ -65,22 +62,18 @@ def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig) -> RouterDa
 
 
 def train_router(ds: RouterDatasets, cfg: RouterTrainConfig) -> RouterModel:
+    """Fit a head per domain on train and Platt-calibrate each on dev."""
     heads = [fit_head(ds.x["train"], ds.y["train"][:, d], ds.w["train"], domain=domain)
              for d, domain in enumerate(DOMAINS)]
-    calibrators = []
-    for d, head in enumerate(heads):
-        if cfg.calibrate:
-            scores = head.raw_scores(ds.x["dev"])
-            calibrators.append(platt_fit(scores, ds.y["dev"][:, d]))
-        else:
-            calibrators.append(PlattCalibrator(1.0, 0.0))
+    calibrators = [platt_fit(head.raw_scores(ds.x["dev"]), ds.y["dev"][:, d])
+                   for d, head in enumerate(heads)]
     return RouterModel(heads, calibrators, asdict(cfg))
 
 
 def prob_rows_for(model: RouterModel, ds: RouterDatasets, split_name: str):
     """(probs, truth_domains, danger) triples for the tuner and evaluators."""
     probs = model.predict_proba(ds.x[split_name])
-    truths = [tuple(d for d, b in zip(DOMAINS, bits) if b) for bits in ds.y[split_name]]
+    truths = [from_multi_hot(bits) for bits in ds.y[split_name]]
     return list(zip(probs, truths, ds.danger[split_name].tolist()))
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import DOMAINS
+from .events import DOMAINS, from_multi_hot
 from .metrics import LIFE_IDX as _LIFE_IDX, domain_mask, policy_metrics
 
 FAIL_OPEN_FLOOR = 0.25  # a row whose every probability is below it fails open
@@ -26,7 +26,6 @@ class Thresholds:
     """The routing policy: every parameter `route_batch` reads but FAIL_OPEN_FLOOR."""
     tau_hi: float
     tau_lo: float
-    restrict_top1_to_life: bool = True
     life_guard_tau: float | None = None
 
     def __post_init__(self):
@@ -52,8 +51,8 @@ def route_batch(probs, thr: Thresholds, danger):
     """Apply the routing rules to each row of an (N, 5) probability matrix:
 
     (a) danger flag, or all probabilities below the fail-open floor -> all 5;
-    (b) a life-threat domain at or above tau_hi -> top-1 (restricted to
-        Cardiac/Pulmonary unless `thr.restrict_top1_to_life` is off);
+    (b) a life-threat domain at or above tau_hi -> the more probable of
+        Cardiac and Pulmonary alone;
     (c) any domain at or above tau_lo -> top-2 by probability, ties broken by
         priority; with `thr.life_guard_tau` set, Cardiac and Pulmonary are
         added whenever their max reaches that guard threshold;
@@ -78,10 +77,7 @@ def route_batch(probs, thr: Thresholds, danger):
 
     mask = np.zeros(p.shape, dtype=bool)
     mask[branch == 2] = True
-    if thr.restrict_top1_to_life:
-        pick = np.asarray(_LIFE_IDX)[np.argmax(p[:, _LIFE_IDX], axis=1)]
-    else:
-        pick = np.argmax(p, axis=1)
+    pick = np.asarray(_LIFE_IDX)[np.argmax(p[:, _LIFE_IDX], axis=1)]
     mask[top1, pick[top1]] = True
     pair = np.argsort(-p, axis=1, kind="stable")[:, :2]
     mask[np.flatnonzero(top2)[:, None], pair[top2]] = True
@@ -96,9 +92,8 @@ def route(probs, thr: Thresholds, danger_flag: bool = False) -> RouteDecision:
     if p.shape != (len(DOMAINS),):
         raise PolicyError(f"expected {len(DOMAINS)} probabilities, got shape {p.shape}")
     mask, branch = route_batch(p[None, :], thr, [danger_flag])
-    return RouteDecision(tuple(d for d, m in zip(DOMAINS, mask[0]) if m),
-                         BRANCHES[branch[0]], tuple(float(v) for v in p),
-                         thr.tau_hi, thr.tau_lo)
+    return RouteDecision(from_multi_hot(mask[0]), BRANCHES[branch[0]],
+                         tuple(float(v) for v in p), thr.tau_hi, thr.tau_lo)
 
 
 def default_grid():

@@ -137,18 +137,12 @@ class TestPipeline:
         assert run(["tokenize", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
         assert sha256_file(out / "vocab.tsv") == before
 
-    def test_consult_all_policy_reports_five_experts(self, pipeline_dir, capsys):
-        out, cfg_path = pipeline_dir
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = run(["eval", "--config", str(cfg_path), "--out", str(out),
-                        "--policy", "consult-all"])
-        assert code == EXIT_OK
-        report = json.loads((out / "report.json").read_text())
-        assert report["policy"]["expected_experts"] == 5.0
-        assert report["policy"]["recall_all"] == 1.0
-        # restore the learned-policy report for other tests
-        run_pipeline(out, cfg_path, upto="report")
+    def test_baselines_consult_all_and_the_fixed_life_pair(self, pipeline_dir):
+        out, _ = pipeline_dir
+        baselines = json.loads((out / "report.json").read_text())["baselines"]
+        assert baselines["consult_all"]["expected_experts"] == 5.0
+        assert baselines["consult_all"]["recall_all"] == 1.0
+        assert baselines["fixed_cardiac_pulmonary"]["expected_experts"] == 2.0
 
     def test_route_high_confidence_cardiac_episode(self, pipeline_dir, capsys, tmp_path):
         out, cfg_path = pipeline_dir
@@ -191,6 +185,10 @@ class TestErrorPaths:
         ({"specialist": {"epoch": 3}}, "specialist.epoch"),
         ({"cohort": {"total": 50, "dangr_rate": 0.1}}, "cohort.dangr_rate"),
         ({"specialist.epochs": 3}, "specialist.epochs"),
+        ({"use_time": True}, "use_time"),
+        ({"use_prefix_weights": False}, "use_prefix_weights"),
+        ({"calibrate": False}, "calibrate"),
+        ({"restrict_top1_to_life": False}, "restrict_top1_to_life"),
     ])
     def test_unknown_config_key_exits_2_and_names_it(self, tmp_path, capsys, cfg, key):
         path = tmp_path / "cfg.json"
@@ -198,6 +196,52 @@ class TestErrorPaths:
         assert run(["synth", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not (tmp_path / "cohort.jsonl").exists()
+
+    def test_eval_policy_flag_is_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--policy", "consult-all", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
+                                      "out_is_a_file"])
+    def test_unopenable_front_end_path_exits_2_naming_it(self, tmp_path, capsys, case):
+        cfg_path, out = write_config(tmp_path / "config.json"), tmp_path / "out"
+        if case == "config_is_a_directory":
+            cfg_path = tmp_path / "config.d"
+            cfg_path.mkdir()
+        elif case == "config_not_utf8":
+            cfg_path.write_bytes(b'{"seed": "\xff"}')
+        else:
+            out.write_text("not a directory")
+        capsys.readouterr()
+        code = run(["synth", "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ")
+        assert str(out if case == "out_is_a_file" else cfg_path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("override, named", [
+        ({"cohort": {"counts": {"Cardiac": 30, "Pulmonary": 30, "Gastro": 30,
+                                "Musculoskeletal": 5, "Psychogenic": 30}}},
+         ["cohort.counts", "Musculoskeletal: only 5 episodes"]),
+        ({"cohort": {"counts": None, "total": 40}},
+         ["cohort.total = 40", "Musculoskeletal: only 2 episodes"]),
+        ({"specialist": {"scope_cap": 5}}, ["specialist.scope_cap = 5", "Musculoskeletal"]),
+    ])
+    def test_specialist_pool_too_small_exits_2_naming_what_sized_it(self, tmp_path, capsys,
+                                                                    override, named):
+        cfg_path = write_config(tmp_path / "config.json", **override)
+        assert run_pipeline(tmp_path, cfg_path, upto="tokenize") == [EXIT_OK] * 2
+        capsys.readouterr()
+        code = run(["train-specialist", "--domain", "Musculoskeletal", "--config",
+                    str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and all(n in err for n in named)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.glob("specialist_*.bin"))
 
     def test_missing_artifact_exits_3(self, tmp_path):
         assert run(["tokenize", "--out", str(tmp_path)]) == EXIT_DATA
@@ -508,7 +552,6 @@ class TestErrorPaths:
             cohort={"counts": {"Cardiac": 15, "Pulmonary": 15, "Gastro": 60,
                                "Musculoskeletal": 10, "Psychogenic": 60},
                     "signal_strength": 0.0},
-            calibrate=False,
             grid=[[0.99, 0.01]],
         )
         codes = run_pipeline(tmp_path, cfg_path, upto="train-router")
@@ -725,7 +768,7 @@ class TestTokenBundle:
         assert manifest["artifacts"]["tokens.bin"] == sha256_file(out / "tokens.bin")
 
     @pytest.mark.parametrize("corrupt", ["truncated", "wrong_kind", "last_offset",
-                                         "id_past_vocab", "no_time_offsets"])
+                                         "id_past_vocab"])
     def test_bad_tokens_bin_exits_3_naming_it(self, specialist_dir, tmp_path, capsys, corrupt):
         out, cfg_path, _ = specialist_dir
         run_dir = tmp_path / "run"
@@ -738,9 +781,7 @@ class TestTokenBundle:
         else:
             meta, arrays = load_bundle(path)
             arrays = {k: v.copy() for k, v in arrays.items()}
-            if corrupt == "no_time_offsets":
-                del arrays["time_offsets"]
-            elif corrupt == "last_offset":
+            if corrupt == "last_offset":
                 arrays["offsets"][-1] -= 1
             else:
                 arrays["ids"][5] = 250
@@ -789,7 +830,7 @@ class TestTokenBundle:
         st.sampled_from(["", "A", "410.71"]),
         st.sets(st.sampled_from(["Cardiac", "Gastro", "Psychogenic"])),
         st.booleans(),
-        st.sampled_from([[], [5.0, 61.5]])), min_size=1, max_size=5),
+        st.sampled_from([None, [5.0, 61.5]])), min_size=1, max_size=5),
         min_count=st.integers(1, 3))
     def test_token_ids_are_the_tokenizers(self, cohort, min_count):
         from panelroute import cli
@@ -806,9 +847,11 @@ class TestTokenBundle:
                               for k, c, t in evs]
                     events += [{"kind": "ORDER", "code": f"O{j % 7}", "t_min": 1000 + j}
                                for j in range(extra)]
-                    fh.write(json.dumps({"episode_id": f"e{i}", "events": events,
-                                         "labels": sorted(labels), "gold": gold,
-                                         "danger": danger, "time_feats": feats}) + "\n")
+                    line = {"episode_id": f"e{i}", "events": events, "labels": sorted(labels),
+                            "gold": gold, "danger": danger}
+                    if feats:  # a key older cohorts carry; it is read and ignored
+                        line["time_feats"] = feats
+                    fh.write(json.dumps(line) + "\n")
             (out / "config.json").write_text(json.dumps({"min_count": min_count}))
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
@@ -834,9 +877,8 @@ class TestTokenBundle:
             assert [arrays["ids"][a:b].tolist() for a, b in zip(off, off[1:])] == [
                 ep.tokens for ep in expected]
             got, _ = cli._load_tokenized(out)
-            assert [(g.episode_id, g.tokens, set(g.labels), g.danger, g.time_feats)
-                    for g in got] == [(e.episode_id, e.tokens, set(e.labels), e.danger,
-                                       e.time_feats) for e in expected]
+            assert [(g.episode_id, g.tokens, set(g.labels), g.danger) for g in got] == [
+                (e.episode_id, e.tokens, set(e.labels), e.danger) for e in expected]
 
 
 class TestReproducibility:
@@ -872,7 +914,7 @@ class TestConfigSchema:
     def test_default_config_hash_is_unchanged(self):
         # every artifact's stamp is this hash under the default config
         assert config_hash(DEFAULT_CONFIG) == (
-            "28b128499bc06a03c6dec5dfa060258e96d2261a98a5b03c13bbc7a305df88f9")
+            "84203868aaff8213b9b3f9352d24ed155f37a84d83efd8bdbaf9c31a6c606ecd")
 
     @pytest.mark.parametrize("key, value", list(values_out_of_bounds()))
     def test_value_out_of_bounds_exits_2_and_names_it(self, tmp_path, capsys, key, value):
@@ -890,6 +932,22 @@ class TestConfigSchema:
         (tmp_path / "config.json").write_text(json.dumps(nested(key, None)))
         assert run(["synth", "--total", "20", "--config", str(tmp_path / "config.json"),
                     "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_every_key_is_read_by_a_stage(self):
+        # a key that no stage reads is a switch that changes nothing but the hash
+        import ast
+
+        from panelroute import cli
+
+        tree = ast.parse(Path(cli.__file__).read_text())
+        schema = next(node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                      and any(getattr(t, "id", None) == "_SCHEMA" for t in node.targets))
+        inside = {id(node) for node in ast.walk(schema)}
+        read = {node.slice.value for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and id(node) not in inside and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)}
+        assert [key for key in _SCHEMA if key.rpartition(".")[2] not in read] == []
 
     def test_readme_names_every_bounded_or_ruled_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -167,7 +167,7 @@ class TestRandomStream:
     def test_pinned_cohort_digest_with_second_labels_and_danger(self, tmp_path):
         cfg = CohortConfig(seed=7, total=300, multi_label_rate=0.3, danger_rate=0.3)
         assert cohort_digest(tmp_path, cfg, default_grammars()) == (
-            "fbc06b7bafdd6cde65f92a88050bbd8f9115a1c7b1ceb62dbb910bca0ec58f3a")
+            "02be35e327880de222ad8579c15323c110622f7f7c5df1bf591f742f28510ff5")
 
     def test_pinned_cohort_digest_of_long_episodes(self, tmp_path):
         grammars = default_grammars()
@@ -175,7 +175,7 @@ class TestRandomStream:
             g.length_range = (100, 160)
         cfg = CohortConfig(seed=3, total=40, mixture=(0.2,) * 5)
         assert cohort_digest(tmp_path, cfg, grammars) == (
-            "e6c1aedf9ffb1631ab1761fb0df6e87687451ba4a5fbe9c933d195517bf61464")
+            "6f5546b4dce4e24280e07d21fd465df3ce2c55a604a0506e5e80dbb0d547b62c")
 
     @pytest.mark.parametrize("pool", ["initial_codes", "order_pool", "gold_codes", "lab_pool"])
     @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])

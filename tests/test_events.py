@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from panelroute.events import (
     BOS_ID,
+    DOMAINS,
     EOS_ID,
     UNK_ID,
     ClinicalEvent,
@@ -14,9 +15,11 @@ from panelroute.events import (
     Vocabulary,
     build_sequence,
     build_vocabulary,
-    compute_time_feats,
     episode_from_dict,
+    episode_to_dict,
+    from_multi_hot,
     insert_gap_markers,
+    multi_hot,
     order_events,
     render_episode_tokens,
     render_token,
@@ -253,44 +256,6 @@ class TestRenderEpisodeTokens:
             render_episode_tokens([ev(O, "ECG", 0), bad, ev(D, "A", 90)])
 
 
-def order_events_time_feats(events) -> list:
-    """compute_time_feats as it read the fully ordered events."""
-    if not events:
-        return []
-    ordered = order_events(events)
-    first_order = next((e.timestamp for e in ordered if e.kind == O), None)
-    ts = [e.timestamp for e in ordered]
-    max_gap = max((b - a for a, b in zip(ts, ts[1:])), default=0)
-    return [float(first_order if first_order is not None else ts[-1]), float(max_gap)]
-
-
-@st.composite
-def mixed_events(draw):
-    """Events of every content kind and gap markers on few timestamps, so ties
-    are common; ORDER is left out of about half the lists."""
-    kinds = draw(st.sampled_from([[D, L, O, EventKind.GAP], [D, L, EventKind.GAP]]))
-    events = []
-    for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(kinds))
-        code = draw(st.sampled_from(["A", "B", "6"]))
-        bin = draw(st.sampled_from(["LOW", "HIGH"])) if kind == L else None
-        events.append(ClinicalEvent(kind, code, bin, draw(st.sampled_from([0, 3, 3, 60, 420]))))
-    return events
-
-
-class TestComputeTimeFeats:
-    @settings(max_examples=300, deadline=None)
-    @given(mixed_events())
-    def test_equals_order_events_reference(self, events):
-        assert compute_time_feats(events) == order_events_time_feats(events)
-
-    def test_first_order_and_largest_gap(self):
-        events = [ev(L, "TROP", 90, "HIGH"), ev(O, "ECG", 30), ev(D, "A", 0), ev(O, "CXR", 30)]
-        assert compute_time_feats(events) == [30.0, 60.0]
-        assert compute_time_feats([ev(D, "A", 5), ev(D, "B", 200)]) == [200.0, 195.0]
-        assert compute_time_feats([]) == []
-
-
 class TestEpisodeFromDict:
     def test_unknown_kind_raises_the_enum_error(self):
         d = {"episode_id": "x", "events": [{"kind": "VITAL", "code": "HR", "t_min": 0}]}
@@ -301,6 +266,17 @@ class TestEpisodeFromDict:
         d = {"episode_id": "x", "events": [{"kind": "LAB", "code": "T", "bin": "LOW", "t_min": 3},
                                            {"kind": "ORDER", "code": "ECG", "t_min": 4}]}
         assert [e.kind for e in episode_from_dict(d).events] == [L, O]
+
+    def test_time_feats_key_is_read_and_ignored(self):
+        d = {"episode_id": "x", "events": [{"kind": "ORDER", "code": "ECG", "t_min": 4}],
+             "time_feats": [4.0, 0.0], "labels": ["Gastro"], "gold": ""}
+        assert episode_to_dict(episode_from_dict(d)) == {
+            k: v for k, v in d.items() if k != "time_feats"}
+
+
+@given(st.lists(st.sampled_from(DOMAINS), unique=True))
+def test_from_multi_hot_inverts_multi_hot(labels):
+    assert from_multi_hot(multi_hot(labels)) == tuple(d for d in DOMAINS if d in labels)
 
 
 class TestVocabularyLoad:

@@ -168,9 +168,9 @@ class TestSvd:
 def toy_rows_and_models():
     vocab = make_vocab(["[ACTION]_ORD_A", "[ACTION]_ORD_B", "[OBS]_LAB_C:HIGH"])
     rows = [
-        PrefixRow("e0", 2, [4, 5], (1, 0, 0, 0, 0), 0.4, time_feats=[3.0, 7.0]),
-        PrefixRow("e1", 2, [5, 6], (0, 1, 0, 0, 0), 0.4, time_feats=[1.0, 2.0]),
-        PrefixRow("e2", 3, [4, 5, 6], (0, 0, 1, 0, 0), 0.6, time_feats=[0.0, 0.0]),
+        PrefixRow("e0", 2, [4, 5], (1, 0, 0, 0, 0), 0.4),
+        PrefixRow("e1", 2, [5, 6], (0, 1, 0, 0, 0), 0.4),
+        PrefixRow("e2", 3, [4, 5, 6], (0, 0, 1, 0, 0), 0.6),
     ]
     docs = [row_document(r, vocab) for r in rows]
     tfidf = tfidf_fit(docs, min_df=1)
@@ -179,16 +179,10 @@ def toy_rows_and_models():
 
 
 class TestFeaturizeRows:
-    def test_dim_without_time(self):
+    def test_dim_is_the_svd_rank(self):
         vocab, rows, tfidf, svd = toy_rows_and_models()
-        x = featurize_rows(rows, vocab, tfidf, svd, use_time=False)
+        x = featurize_rows(rows, vocab, tfidf, svd)
         assert x.shape == (3, svd.rank)
-
-    def test_dim_with_time(self):
-        vocab, rows, tfidf, svd = toy_rows_and_models()
-        x = featurize_rows(rows, vocab, tfidf, svd, use_time=True)
-        assert x.shape == (3, svd.rank + 2)
-        assert x[0, -2:].tolist() == [3.0, 7.0]
 
     def test_identical_rows_identical_vectors(self):
         vocab, rows, tfidf, svd = toy_rows_and_models()

@@ -55,12 +55,6 @@ class TestRoute:
         dec = route([0.10, 0.10, 0.95, 0.05, 0.05], THR)
         assert dec.branch == TOP2
 
-    def test_unrestricted_top1_picks_global_argmax(self):
-        # with the restriction flag off, tau_hi still gates on the life max
-        thr = dataclasses.replace(THR, restrict_top1_to_life=False)
-        dec = route([0.72, 0.10, 0.90, 0.05, 0.05], thr)
-        assert dec.branch == TOP1_LIFE and dec.route == (G,)
-
     def test_life_guard_adds_life_domains_to_top2(self):
         dec = route([0.35, 0.10, 0.50, 0.40, 0.05], dataclasses.replace(THR, life_guard_tau=0.30))
         assert dec.branch == TOP2
@@ -112,15 +106,14 @@ class TestRoute:
         assert all(b >= a - 1e-12 for a, b in zip(sizes, sizes[1:]))
 
 
-def oracle_route(p, tau_hi, tau_lo, danger, restrict_top1_to_life, life_guard_tau):
-    """The routing rules restated from the prose, both policy options included."""
+def oracle_route(p, tau_hi, tau_lo, danger, life_guard_tau):
+    """The routing rules restated from the prose, the life guard included."""
     if danger or max(p) < FAIL_OPEN_FLOOR:
         return frozenset(range(5)), FAIL_OPEN
     life_max = max(p[0], p[1])
     if life_max >= tau_hi:
-        candidates = (0, 1) if restrict_top1_to_life else range(5)
         best = None
-        for i in candidates:
+        for i in (0, 1):
             if best is None or p[i] > p[best]:
                 best = i
         return frozenset([best]), TOP1_LIFE
@@ -144,15 +137,15 @@ def routing_cases(draw):
     probs = draw(st.lists(st.lists(value, min_size=5, max_size=5), min_size=n, max_size=n))
     danger = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return (np.array(probs, dtype=np.float64).reshape(n, 5), Thresholds(max(a, b), min(a, b)),
-            np.array(danger, dtype=bool), draw(st.booleans()), guard)
+            np.array(danger, dtype=bool), guard)
 
 
 class TestRouteBatch:
     @settings(max_examples=300, deadline=None)
     @given(routing_cases())
     def test_rows_match_route_and_oracle(self, case):
-        probs, thr, danger, restrict, guard = case
-        thr = dataclasses.replace(thr, restrict_top1_to_life=restrict, life_guard_tau=guard)
+        probs, thr, danger, guard = case
+        thr = dataclasses.replace(thr, life_guard_tau=guard)
         mask, branch = route_batch(probs, thr, danger)
         assert mask.shape == probs.shape and mask.dtype == bool
         assert branch.shape == (len(probs),)
@@ -160,8 +153,7 @@ class TestRouteBatch:
             got = (frozenset(np.flatnonzero(mask[i]).tolist()), BRANCHES[branch[i]])
             dec = route(p, thr, danger_flag=bool(danger[i]))
             assert got == (frozenset(DOMAINS.index(d) for d in dec.route), dec.branch)
-            assert got == oracle_route(p.tolist(), thr.tau_hi, thr.tau_lo, danger[i],
-                                       restrict, guard)
+            assert got == oracle_route(p.tolist(), thr.tau_hi, thr.tau_lo, danger[i], guard)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(PolicyError):
