@@ -682,7 +682,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # --help (0), or a refused flag (2) after argparse's usage line
+        return e.code
     try:
         cfg = load_config(args)
         out = Path(args.out)

@@ -24,6 +24,16 @@ class SchemaError(Exception):
     pass
 
 
+def _text_lines(path):
+    """(line number, line) of a UTF-8 text file; bytes that are not UTF-8
+    raise SchemaError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, 1)
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 class EventKind(str, Enum):
     """The kinds of clinical event. The sentinels are tokens, not events."""
     DIAG = "DIAG"
@@ -162,14 +172,13 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         rows = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                try:
-                    sid, tok, cnt = line.rstrip("\n").split("\t")
-                    rows.append((int(sid), tok, int(cnt)))
-                except ValueError:
-                    raise SchemaError(f"{path}, line {lineno}: expected id, token and count "
-                                      f"separated by tabs, got {line.rstrip()!r}") from None
+        for lineno, line in _text_lines(path):
+            try:
+                sid, tok, cnt = line.rstrip("\n").split("\t")
+                rows.append((int(sid), tok, int(cnt)))
+            except ValueError:
+                raise SchemaError(f"{path}, line {lineno}: expected id, token and count "
+                                  f"separated by tabs, got {line.rstrip()!r}") from None
         rows.sort()
         return cls([(tok, cnt) for sid, tok, cnt in rows if tok not in SENTINELS])
 
@@ -308,12 +317,11 @@ def write_episodes_jsonl(path, episodes) -> None:
 def read_episodes_jsonl(path) -> list:
     """Episodes of a JSONL file; a malformed line raises SchemaError naming it."""
     episodes = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    episodes.append(episode_from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError, AttributeError, SchemaError) as e:
-                    raise SchemaError(f"{path}, line {lineno}: not an episode: {e!r}") from None
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if line:
+            try:
+                episodes.append(episode_from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError, SchemaError) as e:
+                raise SchemaError(f"{path}, line {lineno}: not an episode: {e!r}") from None
     return episodes

@@ -206,14 +206,18 @@ def svd_fit(x, rank: int = 256, seed: int = 0) -> SvdProjector:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57D]))
     sketch = min(r + _OVERSAMPLE, min(n, m))
     omega = rng.standard_normal((m, sketch))
-    y = x @ omega
-    q, _ = np.linalg.qr(y)
+    q, _ = np.linalg.qr(x @ omega)
+    del omega
+    # Each product's operand is dropped once the product exists, so no used
+    # basis is kept alive while the next one is computed.
     for _ in range(_POWER_ITERS):
         z = x.T @ q
+        del q
         qz, _ = np.linalg.qr(np.asarray(z))
-        y = x @ qz
-        q, _ = np.linalg.qr(np.asarray(y))
+        del z
+        q, _ = np.linalg.qr(np.asarray(x @ qz))
     b = np.asarray(q.T @ x)
+    del q
     _, s, vt = np.linalg.svd(b, full_matrices=False)
     return SvdProjector(_fix_signs(vt[:r]), s[:r], seed)
 

@@ -5,10 +5,12 @@ then raw array bytes in header order. No timestamps anywhere, so identical
 content always produces identical bytes.
 """
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -26,28 +28,45 @@ def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file object on a new sibling of `path`, renamed over `path`
+    when the block ends. On an error the sibling is removed and `path` keeps
+    its previous content, so no reader ever sees a partly written file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_bundle(path, meta: dict, arrays: dict | None = None) -> None:
-    """Write meta (JSON-able) plus named float/int arrays to a single file."""
-    arrays = arrays or {}
+    """Write meta (JSON-able) plus named float/int arrays to a single file.
+
+    Each array's bytes are written from its own buffer, in C order; only an
+    array that is not C-contiguous is copied first."""
+    arrays = {name: np.asarray(arrays[name]) for name in sorted(arrays or {})}
     specs = []
-    blobs = []
     offset = 0
-    for name in sorted(arrays):
-        arr = np.asarray(arrays[name])
-        blob = arr.tobytes()  # C order; 0-d arrays keep their empty shape
+    for name, arr in arrays.items():  # 0-d arrays keep their empty shape
         specs.append(
             {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape), "offset": offset}
         )
-        blobs.append(blob)
-        offset += len(blob)
+        offset += arr.nbytes
     header = _canonical_json({"version": FORMAT_VERSION, "meta": meta, "arrays": specs})
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays.values():
+            if not arr.flags.c_contiguous:
+                arr = arr.copy(order="C")
+            fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def load_bundle(path, kind: str | None = None):
@@ -105,6 +124,6 @@ def sha256_obj(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    """Write `obj` as indented JSON with sorted keys, replacing `path` whole."""
+    with _replacing(path) as fh:
+        fh.write((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))

@@ -92,24 +92,34 @@ def _horner(x, coefs):
     return y
 
 
+_ERF_BLOCK = 65536  # elements per pass, so that erf's temporaries stay small
+
+
 def erf(x) -> np.ndarray:
     """Elementwise erf, within 1 ulp of scipy.special.erf in float64.
 
     A float32 array is computed in float32, within 2e-7 of the float64 result;
     any other input is computed in float64. |x| is clipped to 6, where
     1 - erfc already rounds to 1; this also keeps both rationals finite for
-    huge and infinite x. The erfc rational runs only on the |x| > 1 elements."""
+    huge and infinite x. The erfc rational runs only on the |x| > 1 elements.
+    The input is computed `_ERF_BLOCK` elements at a time, each block straight
+    into the output."""
     x = np.asarray(x)
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
-    a = np.minimum(np.abs(x), 6.0).ravel()
-    z = a * a
-    y = a * _horner(z, _ERF_T)
-    y /= _horner(z, _ERF_U)
-    big = np.flatnonzero(a > 1.0)
-    ab = a[big]
-    y[big] = 1.0 - np.exp(-ab * ab) * _horner(ab, _ERFC_P) / _horner(ab, _ERFC_Q)
-    return np.copysign(y, x.ravel()).reshape(x.shape)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _ERF_BLOCK):
+        block = slice(start, start + _ERF_BLOCK)
+        a = np.minimum(np.abs(flat[block]), 6.0)
+        z = a * a
+        y = a * _horner(z, _ERF_T)
+        y /= _horner(z, _ERF_U)
+        big = np.flatnonzero(a > 1.0)
+        ab = a[big]
+        y[big] = 1.0 - np.exp(-ab * ab) * _horner(ab, _ERFC_P) / _horner(ab, _ERFC_Q)
+        np.copysign(y, flat[block], out=out[block])
+    return out.reshape(x.shape)
 
 
 # GELU and its derivative both take e = erf(x / sqrt 2), computed once in the
@@ -122,10 +132,10 @@ def _gelu_grad(x, e):
     return 0.5 * (1.0 + e) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _dropped(x, keep, scale):
+def _dropped(x, keep, scale, out=None):
     """x with the elements outside the boolean `keep` mask zeroed, and the rest
-    scaled by `scale` = 1 / (1 - p)."""
-    y = x * keep
+    scaled by `scale` = 1 / (1 - p); written into `out` when given."""
+    y = np.multiply(x, keep, out=out)
     y *= scale
     return y
 
@@ -233,16 +243,26 @@ class SpecialistModel:
 
     # --- forward / backward -----------------------------------------------
 
-    def forward(self, ids, train: bool = False, rng=None, last_only: bool = False):
+    KEEPS = ("cache", "logits", "last")
+
+    def forward(self, ids, train: bool = False, rng=None, keep: str = "cache"):
         """Return (logits, cache). ids: (B, T) int array.
 
-        With `last_only`, the last block computes keys and values at every
-        position but everything after them at the final position only:
-        logits are (B, 1, V), the next-event distribution after the whole
-        prefix, and the cache is None.
+        `keep` names what the caller reads:
+        - "cache": logits (B, T, V) and the per-layer activations that one
+          `backward` reads;
+        - "logits": the same logits, and no cache (None), so no layer's
+          activations outlive the layer;
+        - "last": logits (B, 1, V), the next-event distribution after the
+          whole prefix, and no cache. The last block computes keys and values
+          at every position but everything after them at the final position
+          only.
+        A training forward (dropout) keeps a cache.
         """
-        if train and last_only:
-            raise SpecialistError("last_only forward keeps no cache for backward")
+        if keep not in self.KEEPS:
+            raise SpecialistError(f"keep must be one of {self.KEEPS}, got {keep!r}")
+        if train and keep != "cache":
+            raise SpecialistError(f"a {keep!r} forward keeps no cache for backward")
         ids = np.atleast_2d(np.asarray(ids))
         bsz, t = ids.shape
         c = self.config
@@ -274,7 +294,7 @@ class SpecialistModel:
             wq, wk, wv, wo = (self._adapted(pre + nm) for nm in ("wq", "wk", "wv", "wo"))
             k = hn @ wk + p[pre + "bk"]
             v = hn @ wv + p[pre + "bv"]
-            if last_only and i == c.layers - 1:
+            if keep == "last" and i == c.layers - 1:
                 # Queries, and all that follows them, at the final position only.
                 x, hn = x[:, -1:], hn[:, -1:]
             tq = x.shape[1]
@@ -284,10 +304,11 @@ class SpecialistModel:
                 return z.reshape(bsz, z.shape[1], h, dh).transpose(0, 2, 1, 3)
 
             qh, kh, vh = split(q), split(k), split(v)
-            scores = qh @ kh.transpose(0, 1, 3, 2) * scale + mask[t - tq:]
-            scores -= scores.max(-1, keepdims=True)
-            ex = np.exp(scores)
-            attn = ex / ex.sum(-1, keepdims=True)
+            # Softmax in place: the scores, their exponentials and attn share one buffer.
+            attn = qh @ kh.transpose(0, 1, 3, 2) * scale + mask[t - tq:]
+            attn -= attn.max(-1, keepdims=True)
+            np.exp(attn, out=attn)
+            attn /= attn.sum(-1, keepdims=True)
             attn_d, attn_keep = dropout(attn)
             ctx = (attn_d @ vh).transpose(0, 2, 1, 3).reshape(bsz, tq, c.d_model)
             attn_out = ctx @ wo + p[pre + "bo"]
@@ -303,24 +324,35 @@ class SpecialistModel:
             mlp_d, res2_keep = dropout(mlp)
             x = x1 + mlp_d
 
-            layer_caches.append(
-                dict(hn=hn, ln1c=ln1c, qh=qh, kh=kh, vh=vh, attn=attn, attn_d=attn_d,
-                     attn_keep=attn_keep, ctx=ctx, res1_keep=res1_keep, x1=x1, h2=h2,
-                     ln2c=ln2c, pre_act=pre_act, erf_term=erf_term, res2_keep=res2_keep)
-            )
+            if keep == "cache":
+                layer_caches.append(
+                    dict(hn=hn, ln1c=ln1c, qh=qh, kh=kh, vh=vh, attn=attn, attn_d=attn_d,
+                         attn_keep=attn_keep, ctx=ctx, res1_keep=res1_keep, h2=h2,
+                         ln2c=ln2c, pre_act=pre_act, erf_term=erf_term, res2_keep=res2_keep)
+                )
+            # Unless the cache holds them, the largest activations are freed
+            # here, before the next layer computes its own.
+            del attn, attn_d, pre_act, erf_term, act
         xf, lnfc = _layer_norm(x, p["lnf_g"], p["lnf_b"])
         logits = xf @ p["tok_emb"].T
-        if last_only:
+        if keep != "cache":
             return logits, None
         cache = dict(ids=ids, xf=xf, lnfc=lnfc, layers=layer_caches, t=t, bsz=bsz,
                      drop_scale=drop_scale)
         return logits, cache
 
     def backward(self, cache, dlogits):
-        """Gradients of all parameters (and adapters, when attached)."""
+        """Gradients of all parameters (and adapters, when attached).
+
+        A cache serves one backward: each layer's activations are freed once
+        they are used, so a second backward on the same cache raises
+        SpecialistError."""
+        layers = cache.pop("layers", None)
+        if layers is None:
+            raise SpecialistError("this forward cache was already used by a backward pass")
         p = self.params
         c = self.config
-        ids, xf = cache["ids"], cache["xf"]
+        ids = cache["ids"]
         bsz, t = cache["bsz"], cache["t"]
         drop_scale = cache["drop_scale"]
         h, dh = c.heads, c.d_model // c.heads
@@ -339,33 +371,32 @@ class SpecialistModel:
                 a_grads[name] = (da, db)
             grads[name] += dw
 
-        grads["tok_emb"] += dlogits.reshape(-1, c.vocab_size).T @ xf.reshape(-1, c.d_model)
-        dxf = dlogits @ p["tok_emb"]
-        dx, dg, db = _layer_norm_backward(dxf, p["lnf_g"], cache["lnfc"])
-        grads["lnf_g"] += dg
-        grads["lnf_b"] += db
+        def merge(z):
+            return z.transpose(0, 2, 1, 3).reshape(bsz, t, c.d_model)
 
-        for i in reversed(range(c.layers)):
-            pre = f"l{i}."
-            lc = cache["layers"][i]
+        def layer_backward(pre, lc, dx):
+            """The gradient before layer `pre` from `dx`, the one after it. The
+            largest arrays are freed after their last use, the rest on return."""
             # MLP branch
             dmlp = dx if lc["res2_keep"] is None else _dropped(dx, lc["res2_keep"], drop_scale)
-            pre_act, erf_term = lc["pre_act"], lc["erf_term"]
+            pre_act, erf_term = lc.pop("pre_act"), lc.pop("erf_term")
             # The activation is recomputed, not cached, and freed after this product.
             act2d = _gelu(pre_act, erf_term).reshape(-1, c.mlp_mult * c.d_model)
             add_weight_grad(pre + "w2", act2d.T @ dmlp.reshape(-1, c.d_model))
             del act2d
             grads[pre + "b2"] += dmlp.sum((0, 1))
-            dact = dmlp @ self._adapted(pre + "w2").T
-            dpre = dact * _gelu_grad(pre_act, erf_term)
+            dpre = dmlp @ self._adapted(pre + "w2").T
+            dpre *= _gelu_grad(pre_act, erf_term)
+            del pre_act, erf_term
             h22d = lc["h2"].reshape(-1, c.d_model)
             add_weight_grad(pre + "w1", h22d.T @ dpre.reshape(-1, c.mlp_mult * c.d_model))
             grads[pre + "b1"] += dpre.sum((0, 1))
             dh2 = dpre @ self._adapted(pre + "w1").T
+            del dpre
             dx1, dg2, db2 = _layer_norm_backward(dh2, p[pre + "ln2_g"], lc["ln2c"])
             grads[pre + "ln2_g"] += dg2
             grads[pre + "ln2_b"] += db2
-            dx1 = dx1 + dx  # residual
+            dx1 += dx  # residual
 
             # attention branch
             dattn_out = (dx1 if lc["res1_keep"] is None
@@ -375,17 +406,18 @@ class SpecialistModel:
             grads[pre + "bo"] += dattn_out.sum((0, 1))
             dctx = (dattn_out @ self._adapted(pre + "wo").T)
             dctx = dctx.reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
-            dattn_d = dctx @ lc["vh"].transpose(0, 1, 3, 2)
-            dvh = lc["attn_d"].transpose(0, 1, 3, 2) @ dctx
-            dattn = (dattn_d if lc["attn_keep"] is None
-                     else _dropped(dattn_d, lc["attn_keep"], drop_scale))
-            a = lc["attn"]
-            dscores = a * (dattn - (dattn * a).sum(-1, keepdims=True))
-            dqh = dscores @ lc["kh"] * scale
-            dkh = dscores.transpose(0, 1, 3, 2) @ lc["qh"] * scale
-
-            def merge(z):
-                return z.transpose(0, 2, 1, 3).reshape(bsz, t, c.d_model)
+            dattn = dctx @ lc["vh"].transpose(0, 1, 3, 2)
+            dvh = lc.pop("attn_d").transpose(0, 1, 3, 2) @ dctx
+            if lc["attn_keep"] is not None:
+                _dropped(dattn, lc.pop("attn_keep"), drop_scale, out=dattn)
+            # dscores = attn * (dattn - rowsum(dattn * attn)), computed in dattn's buffer
+            a = lc.pop("attn")
+            dattn -= (dattn * a).sum(-1, keepdims=True)
+            dattn *= a
+            del a
+            dqh = dattn @ lc["kh"] * scale
+            dkh = dattn.transpose(0, 1, 3, 2) @ lc["qh"] * scale
+            del dattn
 
             dq, dk, dv = merge(dqh), merge(dkh), merge(dvh)
             hn2d = lc["hn"].reshape(-1, c.d_model)
@@ -397,7 +429,17 @@ class SpecialistModel:
             dxa, dg1, db1 = _layer_norm_backward(dhn, p[pre + "ln1_g"], lc["ln1c"])
             grads[pre + "ln1_g"] += dg1
             grads[pre + "ln1_b"] += db1
-            dx = dx1 + dxa
+            return dx1 + dxa
+
+        grads["tok_emb"] += (dlogits.reshape(-1, c.vocab_size).T
+                             @ cache.pop("xf").reshape(-1, c.d_model))
+        dxf = dlogits @ p["tok_emb"]
+        dx, dg, db = _layer_norm_backward(dxf, p["lnf_g"], cache.pop("lnfc"))
+        grads["lnf_g"] += dg
+        grads["lnf_b"] += db
+
+        for i in reversed(range(c.layers)):
+            dx = layer_backward(f"l{i}.", layers.pop(), dx)
 
         grads["pos_emb"][:t] += dx.sum(0)
         np.add.at(grads["tok_emb"], ids, dx)
@@ -408,6 +450,7 @@ class SpecialistModel:
     def loss_and_grads(self, ids, targets, train: bool = False, rng=None):
         logits, cache = self.forward(ids, train=train, rng=rng)
         loss, dlogits = cross_entropy(logits, targets)
+        del logits
         grads, a_grads = self.backward(cache, dlogits)
         return loss, grads, a_grads
 
@@ -415,7 +458,7 @@ class SpecialistModel:
         """Token-weighted mean cross-entropy over a set of sequences."""
         total, count = 0.0, 0
         for ids, targets in iter_batches(sequences, EVAL_BATCH_SIZE):
-            logits, _ = self.forward(ids)
+            logits, _ = self.forward(ids, keep="logits")
             valid = targets != PAD_ID
             n = int(valid.sum())
             loss, _ = cross_entropy(logits, targets)
@@ -430,7 +473,7 @@ class SpecialistModel:
         if k < 1:
             raise SpecialistError("k must be >= 1")
         k = min(k, self.config.vocab_size)
-        logits, _ = self.forward(np.asarray(prefix_ids)[None, :], last_only=True)
+        logits, _ = self.forward(np.asarray(prefix_ids)[None, :], keep="last")
         z = logits[0, -1] / self.temperature
         z = z - z.max()
         probs = np.exp(z) / np.exp(z).sum()

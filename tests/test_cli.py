@@ -198,10 +198,13 @@ class TestErrorPaths:
         assert not (tmp_path / "cohort.jsonl").exists()
 
     def test_eval_policy_flag_is_refused(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["eval", "--policy", "consult-all", "--out", str(tmp_path)])
-        assert exc.value.code == EXIT_CONFIG
-        assert "--policy" in capsys.readouterr().err
+        assert run(["eval", "--policy", "consult-all", "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: panelroute") and "--policy" in err
+
+    def test_help_returns_0(self, capsys):
+        assert run(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: panelroute")
 
     @pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
                                       "out_is_a_file"])
@@ -514,16 +517,33 @@ class TestErrorPaths:
         assert ((out / "audit.jsonl").read_bytes()
                 if (out / "audit.jsonl").exists() else None) == audit
 
-    def test_malformed_vocab_exits_3(self, pipeline_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("corrupt, named", [("garbage", "vocab.tsv, line 1"),
+                                                ("not_utf8", "vocab.tsv: not UTF-8")])
+    def test_malformed_vocab_exits_3(self, pipeline_dir, tmp_path, capsys, corrupt, named):
         out, cfg_path = pipeline_dir
         shutil.copytree(out, tmp_path / "run")
-        (tmp_path / "run" / "vocab.tsv").write_text("garbage\n")
+        vocab = tmp_path / "run" / "vocab.tsv"
+        if corrupt == "garbage":
+            vocab.write_text("garbage\n")
+        else:
+            vocab.write_bytes(vocab.read_bytes() + b"\xff\xfe")
         capsys.readouterr()
         code = run(["route", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
                     "--episode", str(write_cardiac_probe(tmp_path / "ep.json"))])
         err = capsys.readouterr().err
         assert code == EXIT_DATA
-        assert err.startswith("data error: ") and "vocab.tsv, line 1" in err
+        assert err.startswith("data error: ") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_cohort_not_utf8_exits_3_naming_it(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "config.json")
+        assert run_pipeline(tmp_path, cfg_path, upto="synth") == [EXIT_OK]
+        with open(tmp_path / "cohort.jsonl", "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        capsys.readouterr()
+        assert run(["tokenize", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "cohort.jsonl: not UTF-8" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_truncated_episode_exits_3(self, pipeline_dir, tmp_path, capsys):

@@ -1,10 +1,15 @@
+import builtins
+import errno
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from panelroute.serial import BundleError, load_bundle, save_bundle
+from panelroute import serial
+from panelroute.serial import BundleError, load_bundle, save_bundle, sha256_file, write_json
 
 DTYPES = [np.uint8, np.int64, np.float32, np.float64]
 
@@ -53,6 +58,75 @@ class TestRoundTrip:
         save_bundle(tmp_path / "b.bin", {}, {"x": np.array(2.5)})
         _, got = load_bundle(tmp_path / "b.bin")
         assert got["x"].shape == () and got["x"] == 2.5
+
+    def test_bytes_are_the_c_order_layout_whatever_the_memory_order(self, tmp_path):
+        """The digest of the file written from each array's `tobytes()`."""
+        arrays = {"zero_d": np.array(2.5), "empty": np.zeros((0, 3)),
+                  "fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+                  "strided": np.arange(20, dtype=np.int64)[::3],
+                  "plain": np.arange(6, dtype=np.float32).reshape(2, 3)}
+        save_bundle(tmp_path / "b.bin", {"kind": "test"}, arrays)
+        assert sha256_file(tmp_path / "b.bin") == (
+            "4d41db839cf51c9bfa87ff843aa8bb50adc88a3bb31734bbc55d7e5e26b0ea8d")
+        _, got = load_bundle(tmp_path / "b.bin")
+        for name, want in arrays.items():
+            assert got[name].shape == want.shape and np.array_equal(got[name], want), name
+
+
+class DiskFull:
+    """A file that stores its first 20 bytes and then fails the write."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.room = 20
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = bytes(memoryview(data).cast("B"))
+        self.fh.write(data[:self.room])
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return len(data)
+
+
+WRITERS = {
+    "save_bundle": lambda path: save_bundle(path, {"kind": "t"}, {"x": np.arange(100.0)}),
+    "write_json": lambda path: write_json(path, {"x": list(range(100))}),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("previous", [b"previous", None])
+    def test_failed_write_keeps_the_previous_file_and_no_temporary(
+            self, tmp_path, monkeypatch, writer, previous):
+        path = tmp_path / "artifact"
+        if previous is not None:
+            path.write_bytes(previous)
+        monkeypatch.setattr(serial, "open", lambda *a, **k: DiskFull(builtins.open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            WRITERS[writer](path)
+        assert [p.name for p in tmp_path.iterdir()] == (["artifact"] if previous else [])
+        if previous is not None:
+            assert path.read_bytes() == previous
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_write_replaces_the_file_and_leaves_no_temporary(self, tmp_path, writer):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous")
+        WRITERS[writer](path)
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+        if writer == "write_json":
+            assert json.loads(path.read_text()) == {"x": list(range(100))}
+        else:
+            assert np.array_equal(load_bundle(path)[1]["x"], np.arange(100.0))
 
 
 class TestCorruptBundles:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -158,14 +159,51 @@ class TestLastOnlyForward:
             for key, (a, b) in model.adapters.items():
                 model.adapters[key] = (a, rng.normal(0, 0.5, size=b.shape))
         full, _ = model.forward(ids)
-        last, cache = model.forward(ids, last_only=True)
+        last, cache = model.forward(ids, keep="last")
         assert cache is None
         assert last.shape == (ids.shape[0], 1, cfg.vocab_size)
         np.testing.assert_allclose(last, full[:, -1:], rtol=0, atol=1e-12)
 
-    def test_train_with_last_only_rejected(self):
+    @pytest.mark.parametrize("keep", ["last", "logits"])
+    def test_train_without_cache_rejected(self, keep):
         with pytest.raises(SpecialistError):
-            tiny_model(dropout=0.1).forward(np.array([[2, 4, 5]]), train=True, last_only=True)
+            tiny_model(dropout=0.1).forward(np.array([[2, 4, 5]]), train=True, keep=keep)
+
+
+class TestKeep:
+    def test_logits_equal_the_cached_forwards_bitwise(self):
+        model = tiny_model(layers=2, d=16, seed=2)
+        ids = np.random.default_rng(2).integers(0, 12, size=(3, 9))
+        cached, cache = model.forward(ids)
+        logits, none = model.forward(ids, keep="logits")
+        assert cache is not None and none is None
+        assert np.array_equal(logits, cached)
+
+    def test_unknown_keep_rejected(self):
+        with pytest.raises(SpecialistError, match="keep"):
+            tiny_model().forward(np.array([[2, 4]]), keep="all")
+
+    def test_eval_loss_equals_the_loss_of_cached_forwards(self):
+        model = tiny_model(vocab=30, layers=2, d=16, dropout=0.1, seed=5, max_positions=32)
+        rng = np.random.default_rng(5)
+        seqs = [list(rng.integers(4, 30, size=int(rng.integers(3, 30)))) for _ in range(45)]
+        total, count = 0.0, 0
+        for ids, targets in iter_batches(seqs, specialist.EVAL_BATCH_SIZE):
+            logits, cache = model.forward(ids)
+            assert cache is not None
+            n = int((targets != PAD_ID).sum())
+            total += cross_entropy(logits, targets)[0] * n
+            count += n
+        assert model.eval_loss(seqs) == total / count
+
+    def test_a_cache_serves_one_backward(self):
+        model = tiny_model(layers=2, d=16, dropout=0.1)
+        ids = np.array([[2, 4, 5, 6], [2, 7, 8, 3]])
+        logits, cache = model.forward(ids, train=True, rng=np.random.default_rng(1))
+        _, dlogits = cross_entropy(logits, ids)
+        model.backward(cache, dlogits)
+        with pytest.raises(SpecialistError, match="already used"):
+            model.backward(cache, dlogits)
 
 
 class TestGelu:
@@ -544,3 +582,132 @@ class TestPersistence:
         model.save(tmp_path / "a.bin")
         model.save(tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+ERF_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 6.0, -6.0]
+
+
+def erf_input(n, dtype):
+    """n seeded normal draws (sd 3), with the special values written at the
+    start and across each block boundary of `erf`."""
+    x = np.random.default_rng(n).normal(0.0, 3.0, n)
+    for at in range(0, n - len(ERF_SPECIALS) + 1, 65532):
+        x[at:at + len(ERF_SPECIALS)] = ERF_SPECIALS
+    return x.astype(dtype)
+
+
+def grads_case(lora):
+    """A seeded two-layer model, adapters with non-zero B when `lora`, and a
+    (16, 65) batch of ragged sequences. Its MLP input has 66,560 elements, so
+    `erf` runs in two blocks; d_model is 2 so that every matrix product stays
+    below OpenBLAS's threading threshold and the digests do not depend on the
+    thread count."""
+    model = SpecialistModel(SpecialistConfig(vocab_size=40, layers=2, d_model=2, heads=2,
+                                             mlp_mult=32, dropout=0.1, max_positions=80),
+                            seed=3)
+    if lora:
+        model.attach_lora(rank=2, alpha=8.0, seed=3)
+        rng = np.random.default_rng(4)
+        model.adapters = {k: (a, rng.normal(0, 0.1, size=b.shape))
+                          for k, (a, b) in model.adapters.items()}
+    rng = np.random.default_rng(9)
+    seqs = [list(rng.integers(4, 40, size=int(rng.integers(40, 71)))) for _ in range(16)]
+    return model, pad_batch(seqs)
+
+
+def traced_peak_mb(fn):
+    """Peak bytes tracemalloc sees allocated while `fn` runs, above what was
+    allocated before it, in MB. numpy reports its array buffers to tracemalloc."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestBitIdentity:
+    """Digests of outputs of the single-pass erf and the backward pass that
+    kept every activation to its end (numpy 2.4, x86-64). Computing erf in
+    blocks and freeing activations early must not change one bit."""
+
+    ERF_SHA256 = {
+        ("float32", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("float32", 1): "8dfdda235bbbecd0189690bf25258a6f5e519c94f9585ae227d98cb0899e4a78",
+        ("float32", 65535): "12da3388c7c484dc37e03e0adddaac9d029c572db21934ef8c47f9bcb4f3f74f",
+        ("float32", 65536): "36d83413d820e785f5b7a66a35bc6677463a0b401f08bd3d2f0bd497a9e82cc4",
+        ("float32", 65537): "66ef0ce0cac21c129dcbd6b4a631b21601260df915c3887028a99d18747de1ad",
+        ("float32", 196615): "d0f9f532985a2b01344000a2fece30b41b77b466fb09ce97b2ef409985c6e168",
+        ("float64", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("float64", 1): "dfb48196460fd57840f7f84e9821ad50fe1a9000ebdb03ef75ac0c5199a35aa4",
+        ("float64", 65535): "3b3ce38f977f5215f3c9890bfe153dbe990ca2fa9d48bde756d77d1f2c935754",
+        ("float64", 65536): "b86553cd6c930d8576b9d8e42deffeb6e71218c75c911bbafa8ea8bf8a797c53",
+        ("float64", 65537): "9477a84a2cd67b89000c34ab5888be05259ca2129d5c6339d880c93e42ebb9e4",
+        ("float64", 196615): "9361832344df891bc91147ff18ef4a0dd9b4758e2f308d9078d0e88291b5a172",
+    }
+
+    @pytest.mark.parametrize("dtype, n", sorted(ERF_SHA256))
+    def test_erf_digest(self, dtype, n):
+        got = erf(erf_input(n, dtype))
+        assert got.dtype == np.dtype(dtype) and got.shape == (n,)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == self.ERF_SHA256[dtype, n]
+
+    @pytest.mark.parametrize("dtype, bits", [("float32", "7b3f053f"),
+                                             ("float64", "d2ed185cefa7e03f")])
+    def test_erf_of_a_0d_array_keeps_its_shape(self, dtype, bits):
+        got = erf(np.array(0.5, dtype=dtype))
+        assert got.shape == () and got.dtype == np.dtype(dtype)
+        assert got.tobytes().hex() == bits
+
+    GRADS_SHA256 = {
+        ("float32", False): "f09a39737c8008cc5a9a6d6ac8b27625de6271c2a77bd6c8e4211518119d77c2",
+        ("float32", True): "503fb406b276a37dac460ad2403f1fd25e88f9862a44ddddfa282bd9ee032a8c",
+        ("float64", False): "24fcd2d898e2b6a9dc686ad820be5a0ad5b5b42e9793185f5ce7b4f55c4f0b2d",
+        ("float64", True): "5902bb6cf835eaeaf00b8549074c5ae7754c9c4fcc9cf18f707c9c8b9c589194",
+    }
+
+    @pytest.mark.parametrize("dtype, lora", sorted(GRADS_SHA256))
+    def test_training_loss_and_grads_digest(self, dtype, lora):
+        model, (ids, targets) = grads_case(lora)
+        if dtype == "float32":
+            model = _float32_copy(model)
+        loss, grads, a_grads = model.loss_and_grads(ids, targets, train=True,
+                                                    rng=np.random.default_rng(5))
+        h = hashlib.sha256(repr(loss).encode())
+        for k in sorted(grads):
+            h.update(grads[k].tobytes())
+        for k in sorted(a_grads):
+            h.update(a_grads[k][0].tobytes())
+            h.update(a_grads[k][1].tobytes())
+        assert h.hexdigest() == self.GRADS_SHA256[dtype, lora]
+
+
+class TestMemory:
+    """tracemalloc peaks on a model of the default specialist shape with V=300.
+    When every forward kept every layer's activations and backward freed none,
+    these peaks were 141.9 MB (eval) and 23.3 MB (backward); now they are 62.7
+    and 9.9 MB. Each bound lies between the two."""
+
+    def model_and_sequences(self):
+        cfg = SpecialistConfig(vocab_size=300, layers=2, d_model=64, heads=2, dropout=0.1,
+                               max_positions=256)
+        rng = np.random.default_rng(2)
+        return (SpecialistModel(cfg, seed=1),
+                [list(rng.integers(4, 300, size=121)) for _ in range(32)])
+
+    def test_eval_loss_keeps_no_activations(self):
+        model, seqs = self.model_and_sequences()
+        assert traced_peak_mb(lambda: model.eval_loss(seqs)) < 80.0
+
+    def test_backward_frees_each_layer_once_used(self):
+        model, seqs = self.model_and_sequences()
+        step = _float32_copy(model)
+        ids, targets = pad_batch(seqs[:16])
+        logits, cache = step.forward(ids, train=True, rng=np.random.default_rng(3))
+        _, dlogits = cross_entropy(logits, targets)
+        del logits
+        assert traced_peak_mb(lambda: step.backward(cache, dlogits)) < 13.0
