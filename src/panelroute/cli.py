@@ -437,52 +437,41 @@ def cmd_tokenize(args, cfg: dict, out: Path) -> int:
 def cmd_featurize(args, cfg: dict, out: Path) -> int:
     episodes, vocab = _load_tokenized(out)
     with _cohort_sized(cfg, RouterError):
-        ds = prepare_router_datasets(episodes, vocab, _router_config(cfg))
-    save_feature_models(out / "feature_models.bin", ds.tfidf, ds.svd,
-                        {"config_hash": config_hash(cfg)})
+        ds, tfidf, svd = prepare_router_datasets(episodes, vocab, _router_config(cfg))
+    save_feature_models(out / "feature_models.bin", tfidf, svd, {"config_hash": config_hash(cfg)})
     arrays = {}
-    meta = {"kind": "features", "config_hash": config_hash(cfg), "seed": cfg["seed"],
-            "model_hash": sha256_file(out / "feature_models.bin"),
-            "dim": int(ds.x["train"].shape[1]), "splits": {}, "ids": {}}
     for name in ("train", "dev", "test"):
         arrays[f"x_{name}"] = ds.x[name]
         arrays[f"y_{name}"] = ds.y[name].astype(np.uint8)
         arrays[f"w_{name}"] = ds.w[name]
         arrays[f"ell_{name}"] = ds.ell[name]
         arrays[f"danger_{name}"] = ds.danger[name].astype(np.uint8)
-        meta["splits"][name] = len(ds.ids[name])
-        meta["ids"][name] = ds.ids[name]
-    save_bundle(out / "features.bin", meta, arrays)
+    save_bundle(out / "features.bin", {"kind": "features", "config_hash": config_hash(cfg)},
+                arrays)
     _update_manifest(out, cfg, "feature_models.bin", "features.bin")
-    print(f"feature table: {meta['splits']} rows, dim {meta['dim']}")
+    rows = {name: len(ds.y[name]) for name in ("train", "dev", "test")}
+    print(f"feature table: {rows} rows, dim {ds.x['train'].shape[1]}")
     return EXIT_OK
 
 
-def _load_feature_models(out: Path, cfg: dict):
-    """This config's fitted (tfidf, svd) from feature_models.bin."""
-    tfidf, svd, stamp = load_feature_models(_require(out, "feature_models.bin", "featurize"))
-    _check_hash(stamp, cfg, "feature_models.bin")
-    return tfidf, svd
-
-
-def _load_datasets(out: Path, cfg: dict):
+def _load_datasets(out: Path, cfg: dict) -> RouterDatasets:
+    """This config's feature table from features.bin."""
     meta, arrays = load_bundle(_require(out, "features.bin", "featurize"), "features")
     _check_hash(meta.get("config_hash"), cfg, "features.bin")
-    ds = RouterDatasets(*_load_feature_models(out, cfg))
+    ds = RouterDatasets()
     for name in ("train", "dev", "test"):
         ds.x[name] = arrays[f"x_{name}"]
         ds.y[name] = arrays[f"y_{name}"].astype(np.float64)
         ds.w[name] = arrays[f"w_{name}"]
         ds.danger[name] = arrays[f"danger_{name}"].astype(bool)
         ds.ell[name] = arrays[f"ell_{name}"]
-        ds.ids[name] = meta["ids"][name]
     return ds
 
 
 def cmd_train_router(args, cfg: dict, out: Path) -> int:
     ds = _load_datasets(out, cfg)
     with _cohort_sized(cfg, RouterError):
-        model = train_router(ds, _router_config(cfg))
+        model = train_router(ds)
     model.save(out / "router.bin", {"config_hash": config_hash(cfg)})
     _update_manifest(out, cfg, "router.bin")
     print(f"router checkpoint written to {out / 'router.bin'}")
@@ -593,7 +582,8 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
 
 def cmd_route(args, cfg: dict, out: Path) -> int:
     model = _load_router(out, cfg)
-    tfidf, svd = _load_feature_models(out, cfg)
+    tfidf, svd, stamp = load_feature_models(_require(out, "feature_models.bin", "featurize"))
+    _check_hash(stamp, cfg, "feature_models.bin")
     thresholds = _load_thresholds(out, cfg)
     vocab = Vocabulary.load(_require(out, "vocab.tsv", "tokenize"))
     episode_path = Path(args.episode)

@@ -16,7 +16,7 @@ byte-identical to those drawn through `choice`; the pinned cohort digests in
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np

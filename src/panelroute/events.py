@@ -183,28 +183,16 @@ class Vocabulary:
         return cls([(tok, cnt) for sid, tok, cnt in rows if tok not in SENTINELS])
 
 
-def _passes_whitelist(token: str, whitelist) -> bool:
-    # Whitelist filters code families; gap markers and sentinels are exempt.
-    if not whitelist or token.startswith("[GAP]"):
-        return True
-    return any(token.startswith(p) for p in whitelist)
-
-
-def build_vocabulary(token_lists, min_count: int = 1, whitelist=None) -> Vocabulary:
+def build_vocabulary(token_lists, min_count: int = 1) -> Vocabulary:
     """Count tokens across rendered sequences; keep those at or above
-    min_count and inside the whitelist. Order: descending count, ties
-    alphabetical (byte-wise)."""
+    min_count. Order: descending count, ties alphabetical (byte-wise)."""
     counts: dict[str, int] = {}
     for toks in token_lists:
         for tok in toks:
             if tok in SENTINELS:
                 continue
             counts[tok] = counts.get(tok, 0) + 1
-    kept = [
-        (tok, cnt)
-        for tok, cnt in counts.items()
-        if cnt >= min_count and _passes_whitelist(tok, whitelist)
-    ]
+    kept = [(tok, cnt) for tok, cnt in counts.items() if cnt >= min_count]
     kept.sort(key=lambda tc: (-tc[1], tc[0]))
     return Vocabulary(kept)
 

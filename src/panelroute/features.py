@@ -69,12 +69,10 @@ def _terms(doc: str):
 
 
 class TfidfModel:
-    def __init__(self, terms, idf, n_docs, min_df=2):
+    def __init__(self, terms, idf):
         self.terms = list(terms)
         self.term_to_col = {t: i for i, t in enumerate(self.terms)}
         self.idf = np.asarray(idf, dtype=np.float64)
-        self.n_docs = int(n_docs)
-        self.min_df = int(min_df)
 
     @property
     def n_terms(self) -> int:
@@ -126,17 +124,16 @@ def tfidf_fit(docs, min_df: int = 2) -> TfidfModel:
         raise FeatureError("no term reaches min_df; empty TF-IDF model")
     n = len(docs)
     idf = np.array([np.log((1.0 + n) / (1.0 + df[t])) + 1.0 for t in terms])
-    return TfidfModel(terms, idf, n, min_df)
+    return TfidfModel(terms, idf)
 
 
 class SvdProjector:
     """Truncated SVD projector; rows of `components` are orthonormal right
     singular vectors (r' x M)."""
 
-    def __init__(self, components, singular_values, seed=0):
+    def __init__(self, components, singular_values):
         self.components = np.asarray(components, dtype=np.float64)
         self.singular_values = np.asarray(singular_values, dtype=np.float64)
-        self.seed = int(seed)
 
     @property
     def rank(self) -> int:
@@ -146,13 +143,7 @@ class SvdProjector:
 def save_feature_models(path, tfidf: TfidfModel, svd: SvdProjector,
                         extra_meta: dict | None = None) -> None:
     """Write the fitted TF-IDF and SVD models to one `feature_models` bundle."""
-    meta = {
-        "kind": "feature_models",
-        "tfidf": {"kind": "tfidf", "terms": tfidf.terms, "n_docs": tfidf.n_docs,
-                  "min_df": tfidf.min_df},
-        "svd": {"kind": "svd", "seed": svd.seed},
-        **(extra_meta or {}),
-    }
+    meta = {"kind": "feature_models", "tfidf": {"terms": tfidf.terms}, **(extra_meta or {})}
     arrays = {"tfidf_idf": tfidf.idf, "svd_components": svd.components,
               "svd_singular_values": svd.singular_values}
     save_bundle(path, meta, arrays)
@@ -162,10 +153,8 @@ def load_feature_models(path):
     """(tfidf, svd, config_hash) from a bundle `save_feature_models` wrote;
     config_hash is the stamp it carries, or ""."""
     meta, arrays = load_bundle(path, "feature_models")
-    tf = meta["tfidf"]
-    tfidf = TfidfModel(tf["terms"], arrays["tfidf_idf"], tf["n_docs"], tf["min_df"])
-    svd = SvdProjector(arrays["svd_components"], arrays["svd_singular_values"],
-                       meta["svd"]["seed"])
+    tfidf = TfidfModel(meta["tfidf"]["terms"], arrays["tfidf_idf"])
+    svd = SvdProjector(arrays["svd_components"], arrays["svd_singular_values"])
     return tfidf, svd, meta.get("config_hash", "")
 
 
@@ -201,7 +190,7 @@ def svd_fit(x, rank: int = 256, seed: int = 0) -> SvdProjector:
     if min(n, m) <= max(_DENSE_CUTOFF, r + _OVERSAMPLE):
         dense = x.toarray() if sparse.issparse(x) else np.asarray(x, dtype=np.float64)
         _, s, vt = np.linalg.svd(dense, full_matrices=False)
-        return SvdProjector(_fix_signs(vt[:r]), s[:r], seed)
+        return SvdProjector(_fix_signs(vt[:r]), s[:r])
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57D]))
     sketch = min(r + _OVERSAMPLE, min(n, m))
@@ -219,7 +208,7 @@ def svd_fit(x, rank: int = 256, seed: int = 0) -> SvdProjector:
     b = np.asarray(q.T @ x)
     del q
     _, s, vt = np.linalg.svd(b, full_matrices=False)
-    return SvdProjector(_fix_signs(vt[:r]), s[:r], seed)
+    return SvdProjector(_fix_signs(vt[:r]), s[:r])
 
 
 def _project_csr(indptr, indices, data, components) -> np.ndarray:

@@ -1,7 +1,7 @@
 """End-to-end orchestration: tokenize -> features -> router -> thresholds ->
 evaluation. Shared by the CLI and the test suites."""
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,11 +19,11 @@ class RouterTrainConfig:
     svd_rank: int = 256
 
 
-def tokenize_cohort(episodes, min_count: int = 1, whitelist=None):
+def tokenize_cohort(episodes, min_count: int = 1):
     """Render every episode once, build the vocabulary over the renderings and
     encode them into `ep.tokens`, as `tokenize_episode` would."""
     token_lists = [render_episode_tokens(ep.events, ep.gold_diag_code) for ep in episodes]
-    vocab = build_vocabulary(token_lists, min_count=min_count, whitelist=whitelist)
+    vocab = build_vocabulary(token_lists, min_count=min_count)
     for ep, texts in zip(episodes, token_lists):
         ep.tokens = encode_tokens(texts, vocab)
     return episodes, vocab
@@ -31,43 +31,41 @@ def tokenize_cohort(episodes, min_count: int = 1, whitelist=None):
 
 @dataclass
 class RouterDatasets:
-    tfidf: object
-    svd: object
+    """The feature table: per split name, one array per field."""
     x: dict = field(default_factory=dict)  # split -> feature matrix
     y: dict = field(default_factory=dict)  # split -> (N, 5) 0/1
     w: dict = field(default_factory=dict)  # split -> sample weights
     danger: dict = field(default_factory=dict)  # split -> (N,) bool
     ell: dict = field(default_factory=dict)  # split -> (N,) prefix length
-    ids: dict = field(default_factory=dict)  # split -> [episode id] per row
 
 
-def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig) -> RouterDatasets:
-    """Split episodes (before prefix expansion), expand, fit TF-IDF and SVD on
-    the training rows only, and featurize every split; each row weighs ell/K."""
+def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig):
+    """(datasets, tfidf, svd): split episodes (before prefix expansion), expand,
+    fit TF-IDF and SVD on the training rows only, and featurize every split;
+    each row weighs ell/K."""
     parts = split(episodes, SplitSpec(seed=cfg.seed))
     rows = {name: feats.expand_cohort(eps, cfg.k)
             for name, eps in zip(("train", "dev", "test"), parts)}
     train_docs = [feats.row_document(r, vocab) for r in rows["train"]]
     tfidf = feats.tfidf_fit(train_docs)
     svd = feats.svd_fit(tfidf.transform(train_docs), rank=cfg.svd_rank, seed=cfg.seed)
-    ds = RouterDatasets(tfidf, svd)
+    ds = RouterDatasets()
     for name, split_rows in rows.items():
-        ds.x[name] = feats.featurize_rows(split_rows, vocab, ds.tfidf, ds.svd)
+        ds.x[name] = feats.featurize_rows(split_rows, vocab, tfidf, svd)
         ds.y[name] = np.array([r.label_bits for r in split_rows], dtype=np.float64)
         ds.w[name] = np.array([r.weight for r in split_rows])
         ds.danger[name] = np.array([r.danger for r in split_rows], dtype=bool)
         ds.ell[name] = np.array([r.ell for r in split_rows], dtype=np.int64)
-        ds.ids[name] = [r.episode_id for r in split_rows]
-    return ds
+    return ds, tfidf, svd
 
 
-def train_router(ds: RouterDatasets, cfg: RouterTrainConfig) -> RouterModel:
+def train_router(ds: RouterDatasets) -> RouterModel:
     """Fit a head per domain on train and Platt-calibrate each on dev."""
     heads = [fit_head(ds.x["train"], ds.y["train"][:, d], ds.w["train"], domain=domain)
              for d, domain in enumerate(DOMAINS)]
     calibrators = [platt_fit(head.raw_scores(ds.x["dev"]), ds.y["dev"][:, d])
                    for d, head in enumerate(heads)]
-    return RouterModel(heads, calibrators, asdict(cfg))
+    return RouterModel(heads, calibrators)
 
 
 def prob_rows_for(model: RouterModel, ds: RouterDatasets, split_name: str):

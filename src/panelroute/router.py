@@ -9,7 +9,7 @@ minimize with L-BFGS and a 1e-6 gradient stop.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,7 +187,6 @@ def temperature_fit(logits, labels) -> float:
 class RouterModel:
     heads: list  # 5 LogisticHead in DOMAINS order
     calibrators: list  # 5 PlattCalibrator
-    config: dict = field(default_factory=dict)
     config_hash: str = ""  # the stamp `load` read from the checkpoint, if any
 
     def predict_raw(self, x) -> np.ndarray:
@@ -206,8 +205,6 @@ class RouterModel:
     def save(self, path, extra_meta: dict | None = None) -> None:
         meta = {
             "kind": "router",
-            "config": self.config,
-            "domains": [d.value for d in DOMAINS],
             "calibrators": [[cal.a, cal.b] for cal in self.calibrators],
             "biases": [h.bias for h in self.heads],
             **(extra_meta or {}),
@@ -221,4 +218,4 @@ class RouterModel:
                               bias=float(meta["biases"][i]))
                  for i, d in enumerate(DOMAINS)]
         calibrators = [PlattCalibrator(a, b) for a, b in meta["calibrators"]]
-        return cls(heads, calibrators, meta["config"], meta.get("config_hash", ""))
+        return cls(heads, calibrators, meta.get("config_hash", ""))

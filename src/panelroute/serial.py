@@ -74,7 +74,9 @@ def load_bundle(path, kind: str | None = None):
 
     The payload is read once into one writable buffer and the arrays are views
     into it; a view that would start off its dtype's alignment is copied.
-    A short, truncated or malformed file, or one not of `kind`, raises BundleError.
+    A short, truncated or malformed file (a header length past the end of the
+    file, a shape that is not non-negative integers), or one not of `kind`,
+    raises BundleError.
     """
     with open(path, "rb") as fh:
         preamble = fh.read(16)
@@ -85,11 +87,12 @@ def load_bundle(path, kind: str | None = None):
         version, hlen = struct.unpack("<IQ", preamble[4:])
         if version != FORMAT_VERSION:
             raise BundleError(f"{path}: unsupported bundle version {version}")
-        raw_header = fh.read(hlen)
-        if len(raw_header) < hlen:
+        size = os.fstat(fh.fileno()).st_size
+        if hlen > size - fh.tell():  # checked first: the read would allocate hlen bytes
             raise BundleError(f"{path}: truncated bundle (header runs past end of file)")
-        payload = np.empty(os.fstat(fh.fileno()).st_size - fh.tell(), dtype=np.uint8)
-        if fh.readinto(payload) != payload.size:
+        raw_header = fh.read(hlen)
+        payload = np.empty(size - fh.tell(), dtype=np.uint8)
+        if len(raw_header) < hlen or fh.readinto(payload) != payload.size:
             raise BundleError(f"{path}: bundle changed while it was read")
     try:
         header = json.loads(raw_header)
@@ -97,6 +100,9 @@ def load_bundle(path, kind: str | None = None):
         for spec in header["arrays"]:
             dtype = np.dtype(spec["dtype"])
             shape = tuple(spec["shape"])
+            if not all(type(n) is int and n >= 0 for n in shape):
+                raise BundleError(f"{path}: malformed bundle header (array {spec['name']!r} "
+                                  f"has shape {spec['shape']!r})")
             start = int(spec["offset"])
             end = start + dtype.itemsize * math.prod(shape)
             if start < 0 or end > payload.size:

@@ -195,7 +195,6 @@ class SpecialistModel:
         """Weights are drawn from `seed` unless `params` supplies them."""
         self.config = config
         self.domain = domain
-        self.temperature = 1.0
         self.adapters: dict[str, tuple] = {}
         self.lora_alpha = 1.0
         self.lora_rank = 0
@@ -459,9 +458,8 @@ class SpecialistModel:
         total, count = 0.0, 0
         for ids, targets in iter_batches(sequences, EVAL_BATCH_SIZE):
             logits, _ = self.forward(ids, keep="logits")
-            valid = targets != PAD_ID
-            n = int(valid.sum())
-            loss, _ = cross_entropy(logits, targets)
+            loss, n, _ = _masked_nll(logits, targets)
+            del logits
             total += loss * n
             count += n
         if count == 0:
@@ -469,12 +467,12 @@ class SpecialistModel:
         return total / count
 
     def suggest(self, prefix_ids, k: int = 3):
-        """Top-k next tokens with temperature-scaled probabilities."""
+        """Top-k next tokens with their softmax probabilities."""
         if k < 1:
             raise SpecialistError("k must be >= 1")
         k = min(k, self.config.vocab_size)
         logits, _ = self.forward(np.asarray(prefix_ids)[None, :], keep="last")
-        z = logits[0, -1] / self.temperature
+        z = logits[0, -1]
         z = z - z.max()
         probs = np.exp(z) / np.exp(z).sum()
         # Stable: tied probabilities keep the lower token id first.
@@ -488,7 +486,6 @@ class SpecialistModel:
             "kind": "specialist",
             "config": asdict(self.config),
             "domain": self.domain,
-            "temperature": self.temperature,
             "lora_rank": self.lora_rank,
             "lora_alpha": self.lora_alpha,
         }
@@ -507,7 +504,6 @@ class SpecialistModel:
         meta, arrays = load_bundle(path, "specialist")
         params = {k: v for k, v in arrays.items() if not k.startswith("lora.")}
         model = cls(SpecialistConfig(**meta["config"]), domain=meta.get("domain"), params=params)
-        model.temperature = meta.get("temperature", 1.0)
         model.lora_rank = meta.get("lora_rank", 0)
         model.lora_alpha = meta.get("lora_alpha", 1.0)
         model.config_hash = meta.get("config_hash", "")
@@ -520,25 +516,28 @@ class SpecialistModel:
         return model
 
 
-def cross_entropy(logits, targets):
-    """Mean CE over non-pad positions; returns (loss, dlogits)."""
+def _masked_nll(logits, targets):
+    """(loss, n, logprobs): the mean negative log-likelihood of the n non-pad
+    `targets`, and the log-softmax of `logits` it was read from."""
     targets = np.atleast_2d(np.asarray(targets))
     valid = targets != PAD_ID
     n = int(valid.sum())
     if n == 0:
         raise SpecialistError("all-pad batch")
-    z = logits - logits.max(-1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(-1, keepdims=True))
-    logprobs = z - logsumexp
+    logprobs = logits - logits.max(-1, keepdims=True)
+    logprobs -= np.log(np.exp(logprobs).sum(-1, keepdims=True))
+    picked = np.take_along_axis(logprobs, targets[..., None], -1)[..., 0]
+    return float(-(picked * valid).sum() / n), n, logprobs
+
+
+def cross_entropy(logits, targets):
+    """Mean CE over non-pad positions; returns (loss, dlogits)."""
+    targets = np.atleast_2d(np.asarray(targets))
+    loss, n, logprobs = _masked_nll(logits, targets)
+    dlogits = np.exp(logprobs, out=logprobs)
     bsz, t = targets.shape
-    rows = np.repeat(np.arange(bsz), t)
-    cols = np.tile(np.arange(t), bsz)
-    picked = logprobs[rows, cols, targets.ravel()].reshape(bsz, t)
-    loss = float(-(picked * valid).sum() / n)
-    dlogits = np.exp(logprobs)
-    one_hot_idx = (rows, cols, targets.ravel())
-    dlogits[one_hot_idx] -= 1.0
-    dlogits *= (valid / n)[..., None]
+    dlogits[np.arange(bsz)[:, None], np.arange(t), targets] -= 1.0
+    dlogits *= ((targets != PAD_ID) / n)[..., None]
     return loss, dlogits
 
 

@@ -39,8 +39,8 @@ def run_router_pipeline(episodes, seed=0, svd_rank=128):
         warnings.simplefilter("ignore")
         episodes, vocab = pipeline.tokenize_cohort(episodes)
         cfg = pipeline.RouterTrainConfig(seed=seed, svd_rank=svd_rank)
-        ds = pipeline.prepare_router_datasets(episodes, vocab, cfg)
-        model = pipeline.train_router(ds, cfg)
+        ds, _, _ = pipeline.prepare_router_datasets(episodes, vocab, cfg)
+        model = pipeline.train_router(ds)
     return model, ds
 
 

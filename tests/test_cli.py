@@ -6,6 +6,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -108,7 +109,45 @@ class TestPipeline:
         meta, _ = load_bundle(out / "router.bin")
         manifest = json.loads((out / "manifest.json").read_text())
         assert meta["config_hash"] == manifest["config_hash"]
-        assert "config_hash" not in meta["config"]
+
+    def test_router_stages_do_not_read_feature_models(self, pipeline_dir, tmp_path):
+        """train-router, tune and eval read features.bin alone: without
+        feature_models.bin they write what a run that kept it wrote."""
+        out, cfg_path = pipeline_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        written = ["router.bin", "thresholds.json", "frontier.csv", "report.json"]
+        for name in ["feature_models.bin", *written]:
+            (run_dir / name).unlink()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for stage in ("train-router", "tune", "eval"):
+                assert run([stage, "--config", str(cfg_path), "--out", str(run_dir)]) == EXIT_OK
+        for name in written:
+            assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_bundles_hold_exactly_their_documented_keys(self, specialist_dir):
+        """Each bundle's meta keys and array names, and nothing a stage does not read."""
+        out, _, _ = specialist_dir
+        table = {f"{field}_{name}" for field in ("x", "y", "w", "ell", "danger")
+                 for name in ("train", "dev", "test")}
+        block = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                 "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
+        layouts = {
+            "features.bin": ({"kind", "config_hash"}, table),
+            "feature_models.bin": ({"kind", "config_hash", "tfidf"},
+                                   {"tfidf_idf", "svd_components", "svd_singular_values"}),
+            "router.bin": ({"kind", "config_hash", "biases", "calibrators"}, {"head_weights"}),
+            "specialist_Cardiac.bin": (
+                {"kind", "config_hash", "config", "domain", "lora_rank", "lora_alpha"},
+                {"tok_emb", "pos_emb", "lnf_g", "lnf_b",
+                 *(f"l{i}.{name}" for i in range(2) for name in block)}),
+        }
+        for bundle, (meta_keys, array_names) in layouts.items():
+            meta, arrays = load_bundle(out / bundle)
+            assert set(meta) == meta_keys, bundle
+            assert set(arrays) == array_names, bundle
+        assert set(load_bundle(out / "feature_models.bin")[0]["tfidf"]) == {"terms"}
 
     def test_no_array_is_stored_in_two_bundles(self, pipeline_dir):
         out, _ = pipeline_dir
@@ -249,16 +288,26 @@ class TestErrorPaths:
     def test_missing_artifact_exits_3(self, tmp_path):
         assert run(["tokenize", "--out", str(tmp_path)]) == EXIT_DATA
 
-    @pytest.mark.parametrize("corrupt", ["truncated", "wrong_kind"])
+    @pytest.mark.parametrize("corrupt", ["truncated", "wrong_kind", "header_length",
+                                         "negative_shape"])
     def test_bad_router_checkpoint_exits_3(self, pipeline_dir, tmp_path, capsys, corrupt):
         out, cfg_path = pipeline_dir
         shutil.copytree(out, tmp_path / "run")
         router = tmp_path / "run" / "router.bin"
+        raw = router.read_bytes()
         if corrupt == "truncated":
-            raw = router.read_bytes()
             router.write_bytes(raw[: len(raw) // 2])
-        else:
+        elif corrupt == "wrong_kind":
             shutil.copy(tmp_path / "run" / "feature_models.bin", router)
+        elif corrupt == "header_length":  # 1 TiB, far past the end of the file
+            router.write_bytes(raw[:8] + struct.pack("<Q", 2**40) + raw[16:])
+        else:  # (-1, dim): read as (4, dim) from the 5 heads' bytes, were it let through
+            (hlen,) = struct.unpack("<Q", raw[8:16])
+            header = json.loads(raw[16:16 + hlen])
+            (spec,) = header["arrays"]
+            spec["shape"][0] = -1
+            new = json.dumps(header).encode()
+            router.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + hlen:])
         capsys.readouterr()
         code = run(["route", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
                     "--episode", str(write_cardiac_probe(tmp_path / "ep.json"))])
@@ -685,17 +734,15 @@ class TestErrorPaths:
             assert err.startswith("config error: ") and "specialist_Gastro.bin" in err
             assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("stage", ["train-router", "route"])
-    def test_foreign_feature_models_exit_2(self, pipeline_dir, tmp_path, capsys, stage):
+    def test_foreign_feature_models_exit_2(self, pipeline_dir, tmp_path, capsys):
         out, cfg_path = pipeline_dir
         run_dir = tmp_path / "run"
         shutil.copytree(out, run_dir)
         other = write_config(tmp_path / "other.json", seed=99)
         assert run_pipeline(tmp_path / "other", other, upto="featurize") == [EXIT_OK] * 3
         shutil.copy(tmp_path / "other" / "feature_models.bin", run_dir / "feature_models.bin")
-        argv = [stage, "--config", str(cfg_path), "--out", str(run_dir)]
-        if stage == "route":
-            argv += ["--episode", str(write_cardiac_probe(tmp_path / "ep.json"))]
+        argv = ["route", "--config", str(cfg_path), "--out", str(run_dir),
+                "--episode", str(write_cardiac_probe(tmp_path / "ep.json"))]
         capsys.readouterr()
         code = run(argv)
         err = capsys.readouterr().err

@@ -135,16 +135,6 @@ class TestBuildVocabulary:
         assert vocab.encode("[ACTION]_ORD_XRAY") == UNK_ID
         assert vocab.encode("[ACTION]_ORD_ECG") == 4
 
-    def test_empty_whitelist_disables_filter(self):
-        lists = [["[ACTION]_ORD_ECG"], ["[ACTION]_ORD_ECG"]]
-        assert len(build_vocabulary(lists, whitelist=None)) == 5
-
-    def test_whitelist_drops_other_families(self):
-        lists = [["[DIAG]_ICD9_1", "[ACTION]_ORD_ECG"]] * 2
-        vocab = build_vocabulary(lists, whitelist={"[DIAG]"})
-        assert vocab.encode("[ACTION]_ORD_ECG") == UNK_ID
-        assert vocab.encode("[DIAG]_ICD9_1") == 4
-
     def test_hand_counted_corpus(self):
         lists = [
             ["[DIAG]_ICD9_1", "[ACTION]_ORD_ECG", "[OBS]_LAB_T:HIGH"],

@@ -126,7 +126,7 @@ class TestFitHead:
 def toy_router():
     heads = [LogisticHead(domain=d, weights=np.zeros(2), bias=0.0) for d in DOMAINS]
     cals = [PlattCalibrator(1.0, 0.0)] * 5
-    return RouterModel(heads, cals, {"seed": 0})
+    return RouterModel(heads, cals)
 
 
 class TestRouterModel:

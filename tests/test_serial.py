@@ -1,6 +1,7 @@
 import builtins
 import errno
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -152,4 +153,25 @@ class TestCorruptBundles:
     def test_bad_magic_raises_bundle_error(self, tmp_path):
         (tmp_path / "b.bin").write_bytes(b"NOPE" + bytes(40))
         with pytest.raises(BundleError, match="bad magic"):
+            load_bundle(tmp_path / "b.bin")
+
+    def test_header_length_past_the_file_raises_before_the_read(self, tmp_path):
+        path = tmp_path / "b.bin"
+        save_bundle(path, {"kind": "t"}, {"x": np.arange(3.0)})
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = struct.pack("<Q", 2**40)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(BundleError, match="header runs past end of file"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("shape", [[-2, 5], [-1, 5], [5, -2], [2.5], [True, 5]], ids=str)
+    def test_shape_of_other_than_non_negative_integers_raises(self, tmp_path, shape):
+        """80 payload bytes, which a negative dimension would read as some
+        other shape: (0, 5), (1, 5) and (5, 0) for the first three."""
+        header = json.dumps({"version": serial.FORMAT_VERSION, "meta": {"kind": "t"},
+                             "arrays": [{"name": "x", "dtype": "float64", "shape": shape,
+                                         "offset": 0}]}).encode()
+        (tmp_path / "b.bin").write_bytes(serial.MAGIC + struct.pack(
+            "<IQ", serial.FORMAT_VERSION, len(header)) + header + bytes(80))
+        with pytest.raises(BundleError, match="has shape"):
             load_bundle(tmp_path / "b.bin")

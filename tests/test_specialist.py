@@ -319,14 +319,6 @@ class TestSuggest:
         top = model.suggest(ids, k=1)
         assert top[0][0] == int(np.argmax(logits[0, -1]))
 
-    def test_temperature_preserves_topk_order(self):
-        model = tiny_model(seed=4)
-        ids = [2, 4, 5, 6]
-        cold = [t for t, _ in model.suggest(ids, k=5)]
-        model.temperature = 3.0
-        warm = [t for t, _ in model.suggest(ids, k=5)]
-        assert cold == warm
-
     def test_matches_top_k_of_full_forward_with_ties(self):
         model = tiny_model(seed=6)
         tied = [4, 6, 9, 10]
@@ -544,12 +536,10 @@ class TestPersistence:
     def test_save_load_round_trip_with_adapters(self, tmp_path):
         model = tiny_model(seed=6)
         model.attach_lora(rank=2, alpha=4.0, seed=1)
-        model.temperature = 1.7
         model.save(tmp_path / "m.bin")
         loaded = SpecialistModel.load(tmp_path / "m.bin")
         ids = np.array([[2, 4, 5]])
         assert np.array_equal(model.forward(ids)[0], loaded.forward(ids)[0])
-        assert loaded.temperature == 1.7
         assert set(loaded.adapters) == set(model.adapters)
 
     @pytest.mark.parametrize("lora_rank", [0, 2])
