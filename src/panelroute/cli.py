@@ -53,8 +53,8 @@ from .events import (
 )
 from .features import expand_prefixes, featurize_rows, load_feature_models, save_feature_models
 from .pipeline import (
-    RouterDatasets,
-    RouterTrainConfig,
+    SPLITS,
+    TABLE,
     prepare_router_datasets,
     evaluate,
     train_router,
@@ -63,7 +63,8 @@ from .pipeline import (
 )
 from .policy import AuditLog, PolicyError, Thresholds, arbitrate, tune_thresholds, write_frontier_csv
 from .router import RouterError, RouterModel, SplitSpec, split
-from .serial import BundleError, load_bundle, save_bundle, sha256_file, sha256_obj, write_json
+from .serial import (BundleError, load_bundle, save_bundle, sha256_file, sha256_obj, write_json,
+                     write_lines)
 from .specialist import (
     SpecialistConfig,
     SpecialistError,
@@ -317,10 +318,6 @@ def _cohort_sized(cfg: dict, *errors):
         raise ConfigError(f"{sized}: {e}") from None
 
 
-def _router_config(cfg: dict) -> RouterTrainConfig:
-    return RouterTrainConfig(k=cfg["k"], seed=cfg["seed"], svd_rank=cfg["svd_rank"])
-
-
 def _token_inputs(out: Path) -> dict:
     """tokens.bin's stamp: the SHA-256 of each file it is encoded from."""
     return {"cohort.jsonl": sha256_file(_require(out, "cohort.jsonl", "synth")),
@@ -360,7 +357,7 @@ def _load_tokenized(out: Path):
                 and danger.shape == (n,)
                 and (ids.size == 0 or 0 <= ids.min() <= ids.max() < len(vocab))):
             raise DataError(f"{path}: offsets, shapes or token ids do not fit vocab.tsv")
-    except (KeyError, TypeError, ValueError) as e:
+    except (TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed token bundle ({e!r}); "
                         "re-run `panelroute tokenize`") from None
     except (BundleError, DataError) as e:
@@ -437,41 +434,28 @@ def cmd_tokenize(args, cfg: dict, out: Path) -> int:
 def cmd_featurize(args, cfg: dict, out: Path) -> int:
     episodes, vocab = _load_tokenized(out)
     with _cohort_sized(cfg, RouterError):
-        ds, tfidf, svd = prepare_router_datasets(episodes, vocab, _router_config(cfg))
+        table, tfidf, svd = prepare_router_datasets(episodes, vocab, cfg["k"], cfg["seed"],
+                                                    cfg["svd_rank"])
     save_feature_models(out / "feature_models.bin", tfidf, svd, {"config_hash": config_hash(cfg)})
-    arrays = {}
-    for name in ("train", "dev", "test"):
-        arrays[f"x_{name}"] = ds.x[name]
-        arrays[f"y_{name}"] = ds.y[name].astype(np.uint8)
-        arrays[f"w_{name}"] = ds.w[name]
-        arrays[f"ell_{name}"] = ds.ell[name]
-        arrays[f"danger_{name}"] = ds.danger[name].astype(np.uint8)
     save_bundle(out / "features.bin", {"kind": "features", "config_hash": config_hash(cfg)},
-                arrays)
+                table)
     _update_manifest(out, cfg, "feature_models.bin", "features.bin")
-    rows = {name: len(ds.y[name]) for name in ("train", "dev", "test")}
-    print(f"feature table: {rows} rows, dim {ds.x['train'].shape[1]}")
+    rows = {name: len(table[f"y_{name}"]) for name in SPLITS}
+    print(f"feature table: {rows} rows, dim {table['x_train'].shape[1]}")
     return EXIT_OK
 
 
-def _load_datasets(out: Path, cfg: dict) -> RouterDatasets:
-    """This config's feature table from features.bin."""
+def _load_datasets(out: Path, cfg: dict) -> dict:
+    """This config's feature table from features.bin, every TABLE array in it."""
     meta, arrays = load_bundle(_require(out, "features.bin", "featurize"), "features")
     _check_hash(meta.get("config_hash"), cfg, "features.bin")
-    ds = RouterDatasets()
-    for name in ("train", "dev", "test"):
-        ds.x[name] = arrays[f"x_{name}"]
-        ds.y[name] = arrays[f"y_{name}"].astype(np.float64)
-        ds.w[name] = arrays[f"w_{name}"]
-        ds.danger[name] = arrays[f"danger_{name}"].astype(bool)
-        ds.ell[name] = arrays[f"ell_{name}"]
-    return ds
+    return {name: arrays[name] for name in TABLE}
 
 
 def cmd_train_router(args, cfg: dict, out: Path) -> int:
-    ds = _load_datasets(out, cfg)
+    table = _load_datasets(out, cfg)
     with _cohort_sized(cfg, RouterError):
-        model = train_router(ds)
+        model = train_router(table)
     model.save(out / "router.bin", {"config_hash": config_hash(cfg)})
     _update_manifest(out, cfg, "router.bin")
     print(f"router checkpoint written to {out / 'router.bin'}")
@@ -485,9 +469,9 @@ def _load_router(out: Path, cfg: dict) -> RouterModel:
 
 
 def cmd_tune(args, cfg: dict, out: Path) -> int:
-    ds = _load_datasets(out, cfg)
+    table = _load_datasets(out, cfg)
     model = _load_router(out, cfg)
-    dev_rows = prob_rows_for(model, ds, "dev")
+    dev_rows = prob_rows_for(model, table, "dev")
     grid = [tuple(p) for p in cfg["grid"]] if cfg["grid"] else None
     with _cohort_sized(cfg, PolicyError):
         result = tune_thresholds(dev_rows, grid=grid, constraint=cfg["constraint"],
@@ -554,12 +538,12 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_eval(args, cfg: dict, out: Path) -> int:
-    ds = _load_datasets(out, cfg)
+    table = _load_datasets(out, cfg)
     model = _load_router(out, cfg)
     thresholds = _load_thresholds(out, cfg)
     lm = metrics.LatencyModel(l_router=cfg["latency"]["l_router"],
                               l_expert_default=cfg["latency"]["l_expert"])
-    report = evaluate(model, ds, thresholds, lm, k=cfg["k"])
+    report = evaluate(model, table, thresholds, lm, k=cfg["k"])
     spec_models = {d: m for d in DOMAINS if (m := _load_specialist(out, cfg, d)) is not None}
     if spec_models:
         episodes = _load_tokenized(out)[0]
@@ -571,10 +555,10 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
             }
     report["config_hash"] = config_hash(cfg)
     write_json(out / "report.json", report)
-    with open(out / "report.csv", "w", encoding="utf-8") as fh:
-        fh.write("domain,roc_auc,pr_auc,brier,ece\n")
-        for dom, row in report["router"]["per_domain"].items():
-            fh.write(f"{dom},{row['roc_auc']!r},{row['pr_auc']!r},{row['brier']!r},{row['ece']!r}\n")
+    write_lines(out / "report.csv", [
+        "domain,roc_auc,pr_auc,brier,ece\n",
+        *(f"{dom},{row['roc_auc']!r},{row['pr_auc']!r},{row['brier']!r},{row['ece']!r}\n"
+          for dom, row in report["router"]["per_domain"].items())])
     _update_manifest(out, cfg, "report.json", "report.csv")
     print(json.dumps(report["policy"], sort_keys=True, indent=2))
     return EXIT_OK
@@ -585,7 +569,8 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     tfidf, svd, stamp = load_feature_models(_require(out, "feature_models.bin", "featurize"))
     _check_hash(stamp, cfg, "feature_models.bin")
     thresholds = _load_thresholds(out, cfg)
-    vocab = Vocabulary.load(_require(out, "vocab.tsv", "tokenize"))
+    vocab_path = _require(out, "vocab.tsv", "tokenize")
+    vocab = Vocabulary.load(vocab_path)
     episode_path = Path(args.episode)
     try:
         episode = episode_from_dict(json.loads(episode_path.read_text()))
@@ -606,6 +591,10 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     for domain in decision.route:
         spec_model = _load_specialist(out, cfg, domain)
         if spec_model is not None:
+            if spec_model.config.vocab_size != len(vocab):
+                raise DataError(f"{vocab_path}: {len(vocab)} tokens, but "
+                                f"specialist_{domain.value}.bin was trained on "
+                                f"{spec_model.config.vocab_size}")
             top = spec_model.suggest(episode.tokens[:-1], k=3)
             suggestions[domain] = [vocab.decode(t) for t, _ in top]
     merged = [[item, d.value] for item, d in arbitrate(suggestions)]
@@ -624,12 +613,10 @@ def cmd_report(args, cfg: dict, out: Path) -> int:
     path = _require(out, "report.json", "eval")
     report = _read_json(path)
     _check_hash(report.get("config_hash"), cfg, "report.json")
-    with open(out / "anytime.csv", "w", encoding="utf-8") as fh:
-        fh.write("ell,metric,value\n")
-        for metric_name, curve in report["anytime"].items():
-            for ell in sorted(curve, key=int):
-                v = curve[ell]
-                fh.write(f"{ell},{metric_name},{'' if v is None else repr(v)}\n")
+    write_lines(out / "anytime.csv", [
+        "ell,metric,value\n",
+        *(f"{ell},{metric_name},{'' if curve[ell] is None else repr(curve[ell])}\n"
+          for metric_name, curve in report["anytime"].items() for ell in sorted(curve, key=int))])
     _update_manifest(out, cfg, "anytime.csv")
     print(f"anytime curves written to {out / 'anytime.csv'}")
     return EXIT_OK

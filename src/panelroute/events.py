@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .serial import write_lines
+
 MAX_SEQ_LEN = 512
 DEFAULT_GAP_THRESHOLDS = (1, 6)  # hours
 
@@ -164,10 +166,8 @@ class Vocabulary:
         return self.id_to_token[token_id]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for i in range(len(self)):
-                tok = self.id_to_token[i]
-                fh.write(f"{i}\t{tok}\t{self.counts[tok]}\n")
+        write_lines(path, (f"{i}\t{tok}\t{self.counts[tok]}\n"
+                           for i, tok in self.id_to_token.items()))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -297,9 +297,7 @@ def episode_from_dict(d: dict) -> Episode:
 
 
 def write_episodes_jsonl(path, episodes) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ep in episodes:
-            fh.write(json.dumps(episode_to_dict(ep), sort_keys=True) + "\n")
+    write_lines(path, (json.dumps(episode_to_dict(ep), sort_keys=True) + "\n" for ep in episodes))
 
 
 def read_episodes_jsonl(path) -> list:

@@ -1,8 +1,6 @@
 """End-to-end orchestration: tokenize -> features -> router -> thresholds ->
 evaluation. Shared by the CLI and the test suites."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import features as feats
@@ -11,12 +9,9 @@ from .events import (DOMAINS, LIFE_THREAT_DOMAINS, build_vocabulary, encode_toke
                      from_multi_hot, render_episode_tokens)
 from .router import RouterModel, SplitSpec, fit_head, platt_fit, split
 
-
-@dataclass
-class RouterTrainConfig:
-    k: int = 5
-    seed: int = 0
-    svd_rank: int = 256
+SPLITS = ("train", "dev", "test")
+# The feature table, as features.bin stores it: one array per field and split.
+TABLE = tuple(f"{field}_{name}" for field in ("x", "y", "w", "ell", "danger") for name in SPLITS)
 
 
 def tokenize_cohort(episodes, min_count: int = 1):
@@ -29,50 +24,40 @@ def tokenize_cohort(episodes, min_count: int = 1):
     return episodes, vocab
 
 
-@dataclass
-class RouterDatasets:
-    """The feature table: per split name, one array per field."""
-    x: dict = field(default_factory=dict)  # split -> feature matrix
-    y: dict = field(default_factory=dict)  # split -> (N, 5) 0/1
-    w: dict = field(default_factory=dict)  # split -> sample weights
-    danger: dict = field(default_factory=dict)  # split -> (N,) bool
-    ell: dict = field(default_factory=dict)  # split -> (N,) prefix length
-
-
-def prepare_router_datasets(episodes, vocab, cfg: RouterTrainConfig):
-    """(datasets, tfidf, svd): split episodes (before prefix expansion), expand,
-    fit TF-IDF and SVD on the training rows only, and featurize every split;
-    each row weighs ell/K."""
-    parts = split(episodes, SplitSpec(seed=cfg.seed))
-    rows = {name: feats.expand_cohort(eps, cfg.k)
-            for name, eps in zip(("train", "dev", "test"), parts)}
+def prepare_router_datasets(episodes, vocab, k: int, seed: int, svd_rank: int):
+    """(table, tfidf, svd): split episodes (before prefix expansion), expand,
+    fit TF-IDF and SVD on the training rows only, and featurize every split
+    into the TABLE arrays; each row weighs ell/K, and `y` (N, 5) and `danger`
+    (N,) are 0/1 uint8."""
+    parts = split(episodes, SplitSpec(seed=seed))
+    rows = {name: feats.expand_cohort(eps, k) for name, eps in zip(SPLITS, parts)}
     train_docs = [feats.row_document(r, vocab) for r in rows["train"]]
     tfidf = feats.tfidf_fit(train_docs)
-    svd = feats.svd_fit(tfidf.transform(train_docs), rank=cfg.svd_rank, seed=cfg.seed)
-    ds = RouterDatasets()
+    svd = feats.svd_fit(tfidf.transform(train_docs), rank=svd_rank, seed=seed)
+    table = {}
     for name, split_rows in rows.items():
-        ds.x[name] = feats.featurize_rows(split_rows, vocab, tfidf, svd)
-        ds.y[name] = np.array([r.label_bits for r in split_rows], dtype=np.float64)
-        ds.w[name] = np.array([r.weight for r in split_rows])
-        ds.danger[name] = np.array([r.danger for r in split_rows], dtype=bool)
-        ds.ell[name] = np.array([r.ell for r in split_rows], dtype=np.int64)
-    return ds, tfidf, svd
+        table[f"x_{name}"] = feats.featurize_rows(split_rows, vocab, tfidf, svd)
+        table[f"y_{name}"] = np.array([r.label_bits for r in split_rows], dtype=np.uint8)
+        table[f"w_{name}"] = np.array([r.weight for r in split_rows])
+        table[f"ell_{name}"] = np.array([r.ell for r in split_rows], dtype=np.int64)
+        table[f"danger_{name}"] = np.array([r.danger for r in split_rows], dtype=np.uint8)
+    return table, tfidf, svd
 
 
-def train_router(ds: RouterDatasets) -> RouterModel:
+def train_router(table: dict) -> RouterModel:
     """Fit a head per domain on train and Platt-calibrate each on dev."""
-    heads = [fit_head(ds.x["train"], ds.y["train"][:, d], ds.w["train"], domain=domain)
+    heads = [fit_head(table["x_train"], table["y_train"][:, d], table["w_train"], domain=domain)
              for d, domain in enumerate(DOMAINS)]
-    calibrators = [platt_fit(head.raw_scores(ds.x["dev"]), ds.y["dev"][:, d])
+    calibrators = [platt_fit(head.raw_scores(table["x_dev"]), table["y_dev"][:, d])
                    for d, head in enumerate(heads)]
     return RouterModel(heads, calibrators)
 
 
-def prob_rows_for(model: RouterModel, ds: RouterDatasets, split_name: str):
+def prob_rows_for(model: RouterModel, table: dict, split_name: str):
     """(probs, truth_domains, danger) triples for the tuner and evaluators."""
-    probs = model.predict_proba(ds.x[split_name])
-    truths = [from_multi_hot(bits) for bits in ds.y[split_name]]
-    return list(zip(probs, truths, ds.danger[split_name].tolist()))
+    probs = model.predict_proba(table[f"x_{split_name}"])
+    truths = [from_multi_hot(bits) for bits in table[f"y_{split_name}"]]
+    return list(zip(probs, truths, table[f"danger_{split_name}"].astype(bool).tolist()))
 
 
 def _policy_metrics(routed, truth, lm: metrics.LatencyModel) -> dict:
@@ -81,13 +66,13 @@ def _policy_metrics(routed, truth, lm: metrics.LatencyModel) -> dict:
             "latency_mean_ms": float(lm.per_row(routed).mean())}
 
 
-def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Thresholds,
+def evaluate(model: RouterModel, table: dict, thresholds: policy.Thresholds,
              lm: metrics.LatencyModel | None = None, k: int = 5) -> dict:
     """Full metric report on the test split: per-head discrimination and
     calibration, tuned-policy routing quality, baselines, anytime curves."""
     lm = lm or metrics.LatencyModel()
-    probs = model.predict_proba(ds.x["test"])
-    y = ds.y["test"]
+    probs = model.predict_proba(table["x_test"])
+    y = table["y_test"]
     n = len(y)
 
     per_domain = {}
@@ -110,7 +95,7 @@ def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Threshol
     }
 
     truth = y.astype(bool)
-    routed, branch = policy.route_batch(probs, thresholds, ds.danger["test"])
+    routed, branch = policy.route_batch(probs, thresholds, table["danger_test"])
     branch_mix = {b: int(np.sum(branch == i)) for i, b in enumerate(policy.BRANCHES)}
 
     baselines = {
@@ -128,7 +113,7 @@ def evaluate(model: RouterModel, ds: RouterDatasets, thresholds: policy.Threshol
         return metrics.policy_metrics(routed[idx], truth[idx])["recall_any"]
 
     indices = list(range(n))
-    ell_of = lambda i: ds.ell["test"][i]
+    ell_of = lambda i: table["ell_test"][i]
     anytime = {
         "macro_roc_auc": metrics.anytime(stratum_auc, indices, ell_of, k),
         "recall_any": metrics.anytime(stratum_recall_any, indices, ell_of, k),

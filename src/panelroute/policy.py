@@ -8,6 +8,7 @@ import numpy as np
 
 from .events import DOMAINS, from_multi_hot
 from .metrics import LIFE_IDX as _LIFE_IDX, domain_mask, policy_metrics
+from .serial import write_lines
 
 FAIL_OPEN_FLOOR = 0.25  # a row whose every probability is below it fails open
 
@@ -167,10 +168,8 @@ def tune_thresholds(prob_rows, grid=None, constraint: float = 0.98, **options) -
 
 def write_frontier_csv(path, table) -> None:
     cols = ["tau_hi", "tau_lo", "life_recall", "expected_experts", "recall_any", "recall_all"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in table:
-            fh.write(",".join(repr(row[c]) for c in cols) + "\n")
+    write_lines(path, [",".join(cols) + "\n",
+                       *(",".join(repr(row[c]) for c in cols) + "\n" for row in table)])
 
 
 def arbitrate(suggestions: dict) -> list:

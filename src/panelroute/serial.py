@@ -24,6 +24,18 @@ class BundleError(Exception):
     pass
 
 
+class _Fields(dict):
+    """A bundle's meta or arrays: reading a key the bundle lacks raises
+    BundleError naming the file, so each loader reads its layout by name."""
+
+    def __init__(self, path, what: str, items):
+        super().__init__(items)
+        self.missing = f"{path}: bundle has no {what}"
+
+    def __missing__(self, key):
+        raise BundleError(f"{self.missing} {key!r}")
+
+
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -70,7 +82,8 @@ def save_bundle(path, meta: dict, arrays: dict | None = None) -> None:
 
 
 def load_bundle(path, kind: str | None = None):
-    """Return (meta, arrays) from a bundle file.
+    """Return (meta, arrays) from a bundle file; reading a meta key or an
+    array name the bundle lacks raises BundleError.
 
     The payload is read once into one writable buffer and the arrays are views
     into it; a view that would start off its dtype's alignment is copied.
@@ -112,7 +125,7 @@ def load_bundle(path, kind: str | None = None):
             arrays[spec["name"]] = arr if arr.flags.aligned else arr.copy()
         if kind is not None and header["meta"].get("kind") != kind:
             raise BundleError(f"{path}: not a {kind} bundle")
-        return header["meta"], arrays
+        return _Fields(path, "meta key", header["meta"]), _Fields(path, "array", arrays)
     except (ValueError, KeyError, TypeError, AttributeError) as e:  # incl. JSONDecodeError
         raise BundleError(f"{path}: malformed bundle header ({e})") from e
 
@@ -129,7 +142,13 @@ def sha256_obj(obj) -> str:
     return hashlib.sha256(_canonical_json(obj)).hexdigest()
 
 
+def write_lines(path, lines) -> None:
+    """Write each string of `lines`, as UTF-8, replacing `path` whole."""
+    with _replacing(path) as fh:
+        for line in lines:
+            fh.write(line.encode("utf-8"))
+
+
 def write_json(path, obj) -> None:
     """Write `obj` as indented JSON with sorted keys, replacing `path` whole."""
-    with _replacing(path) as fh:
-        fh.write((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    write_lines(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .events import PAD_ID
-from .serial import load_bundle, save_bundle
+from .serial import load_bundle, save_bundle, write_lines
 
 _LN_EPS = 1e-5
 WARMUP_FRAC = 0.05  # of all steps, warmed up linearly
@@ -161,28 +161,26 @@ def _layer_norm_backward(dy, g, cache):
     return dx, dg, db
 
 
-def _init_params(c: SpecialistConfig, seed: int) -> dict:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC1]))
-    d, v, p = c.d_model, c.vocab_size, c.max_positions
-
-    def w(*shape):
-        return rng.normal(0.0, 0.02, size=shape)
-
-    params = {"tok_emb": w(v, d), "pos_emb": w(p, d),
-              "lnf_g": np.ones(d), "lnf_b": np.zeros(d)}
+def _param_shapes(c: SpecialistConfig) -> dict:
+    """Each weight's name and shape, in the order `_init_params` draws them."""
+    d, h = c.d_model, c.mlp_mult * c.d_model
+    shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.max_positions, d),
+              "lnf_g": (d,), "lnf_b": (d,)}
     for i in range(c.layers):
-        params[f"l{i}.ln1_g"] = np.ones(d)
-        params[f"l{i}.ln1_b"] = np.zeros(d)
+        shapes |= {f"l{i}.ln1_g": (d,), f"l{i}.ln1_b": (d,)}
         for nm in ("wq", "wk", "wv", "wo"):
-            params[f"l{i}.{nm}"] = w(d, d)
-            params[f"l{i}.b{nm[1]}"] = np.zeros(d)
-        params[f"l{i}.ln2_g"] = np.ones(d)
-        params[f"l{i}.ln2_b"] = np.zeros(d)
-        params[f"l{i}.w1"] = w(d, c.mlp_mult * d)
-        params[f"l{i}.b1"] = np.zeros(c.mlp_mult * d)
-        params[f"l{i}.w2"] = w(c.mlp_mult * d, d)
-        params[f"l{i}.b2"] = np.zeros(d)
-    return params
+            shapes |= {f"l{i}.{nm}": (d, d), f"l{i}.b{nm[1]}": (d,)}
+        shapes |= {f"l{i}.ln2_g": (d,), f"l{i}.ln2_b": (d,), f"l{i}.w1": (d, h),
+                   f"l{i}.b1": (h,), f"l{i}.w2": (h, d), f"l{i}.b2": (d,)}
+    return shapes
+
+
+def _init_params(c: SpecialistConfig, seed: int) -> dict:
+    """Matrices drawn from N(0, 0.02^2), layer-norm gains one, biases zero."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EC1]))
+    return {name: rng.normal(0.0, 0.02, size=shape) if len(shape) == 2
+            else np.ones(shape) if name.endswith("_g") else np.zeros(shape)
+            for name, shape in _param_shapes(c).items()}
 
 
 class SpecialistModel:
@@ -502,8 +500,9 @@ class SpecialistModel:
     @classmethod
     def load(cls, path) -> "SpecialistModel":
         meta, arrays = load_bundle(path, "specialist")
-        params = {k: v for k, v in arrays.items() if not k.startswith("lora.")}
-        model = cls(SpecialistConfig(**meta["config"]), domain=meta.get("domain"), params=params)
+        config = SpecialistConfig(**meta["config"])
+        params = {name: arrays[name] for name in sorted(_param_shapes(config))}  # file order
+        model = cls(config, domain=meta.get("domain"), params=params)
         model.lora_rank = meta.get("lora_rank", 0)
         model.lora_alpha = meta.get("lora_alpha", 1.0)
         model.config_hash = meta.get("config_hash", "")
@@ -695,7 +694,6 @@ def perplexity(model: SpecialistModel, sequences) -> float:
 
 
 def write_curve_csv(path, curve) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,dev_loss,ppl\n")
-        for row in curve:
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['dev_loss']!r},{row['ppl']!r}\n")
+    write_lines(path, ["epoch,train_loss,dev_loss,ppl\n",
+                       *(f"{row['epoch']},{row['train_loss']!r},{row['dev_loss']!r},{row['ppl']!r}\n"
+                         for row in curve)])

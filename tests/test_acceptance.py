@@ -38,10 +38,9 @@ def run_router_pipeline(episodes, seed=0, svd_rank=128):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         episodes, vocab = pipeline.tokenize_cohort(episodes)
-        cfg = pipeline.RouterTrainConfig(seed=seed, svd_rank=svd_rank)
-        ds, _, _ = pipeline.prepare_router_datasets(episodes, vocab, cfg)
-        model = pipeline.train_router(ds)
-    return model, ds
+        table, _, _ = pipeline.prepare_router_datasets(episodes, vocab, 5, seed, svd_rank)
+        model = pipeline.train_router(table)
+    return model, table
 
 
 def test_criterion_1_fixture_identities():
@@ -162,13 +161,13 @@ def test_criterion_4_tuner_optimality():
 def test_criterion_5_paper_shaped_end_to_end():
     t0 = time.time()
     eps = build_cohort(total=2000, seed=0, mixture=(0.082, 0.228, 0.326, 0.038, 0.326))
-    model, ds = run_router_pipeline(eps, seed=0)
-    dev_rows = pipeline.prob_rows_for(model, ds, "dev")
+    model, table = run_router_pipeline(eps, seed=0)
+    dev_rows = pipeline.prob_rows_for(model, table, "dev")
     result = policy.tune_thresholds(dev_rows, constraint=0.98)
     thresholds = policy.Thresholds(result.tau_hi, result.tau_lo)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = pipeline.evaluate(model, ds, thresholds)
+        report = pipeline.evaluate(model, table, thresholds)
     elapsed = time.time() - t0
     assert result.life_recall >= 0.95
     assert report["policy"]["recall_any"] >= 0.99
@@ -184,16 +183,16 @@ def test_criterion_6_router_sanity():
     counts = {d.value: 400 for d in DOMAINS}
 
     noise_eps = build_cohort(counts=counts, seed=6, signal=0.0)
-    model, ds = run_router_pipeline(noise_eps, seed=6)
-    probs = model.predict_proba(ds.x["test"])
+    model, table = run_router_pipeline(noise_eps, seed=6)
+    probs = model.predict_proba(table["x_test"])
     for d in range(5):
-        auc = metrics.roc_auc(probs[:, d], ds.y["test"][:, d])
+        auc = metrics.roc_auc(probs[:, d], table["y_test"][:, d])
         assert 0.45 <= auc <= 0.55, f"domain {d}: AUC {auc}"
 
     clean_eps = build_cohort(counts=counts, seed=6, signal=1.0)
-    model, ds = run_router_pipeline(clean_eps, seed=6)
-    probs = model.predict_proba(ds.x["test"])
-    aucs = [metrics.roc_auc(probs[:, d], ds.y["test"][:, d]) for d in range(5)]
+    model, table = run_router_pipeline(clean_eps, seed=6)
+    probs = model.predict_proba(table["x_test"])
+    aucs = [metrics.roc_auc(probs[:, d], table["y_test"][:, d]) for d in range(5)]
     assert float(np.mean(aucs)) >= 0.99
     announce(6, f"signal-free per-domain AUC within [0.45, 0.55]; separable "
                 f"macro AUC {np.mean(aucs):.4f} >= 0.99")
@@ -204,10 +203,10 @@ def test_criterion_7_calibration_improvement():
 
     for seed in range(5):
         eps = build_cohort(total=400, seed=seed)
-        model, ds = run_router_pipeline(eps, seed=seed)
-        raw = model.predict_raw(ds.x["dev"])
+        model, table = run_router_pipeline(eps, seed=seed)
+        raw = model.predict_raw(table["x_dev"])
         for d in range(5):
-            y = ds.y["dev"][:, d]
+            y = table["y_dev"][:, d]
             if len(np.unique(y)) < 2:
                 continue
             with warnings.catch_warnings():

@@ -149,6 +149,25 @@ class TestPipeline:
             assert set(arrays) == array_names, bundle
         assert set(load_bundle(out / "feature_models.bin")[0]["tfidf"]) == {"terms"}
 
+    def test_stored_table_is_the_in_memory_table(self, pipeline_dir):
+        """features.bin holds exactly the arrays prepare_router_datasets
+        returns: the same names, dtypes and bytes."""
+        from panelroute import cli, pipeline
+
+        out, cfg_path = pipeline_dir
+        cfg = cli.load_config(build_parser().parse_args(["featurize", "--config", str(cfg_path)]))
+        episodes, vocab = cli._load_tokenized(out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table, _, _ = pipeline.prepare_router_datasets(episodes, vocab, cfg["k"], cfg["seed"],
+                                                           cfg["svd_rank"])
+        _, stored = load_bundle(out / "features.bin")
+        assert set(stored) == set(table) == set(pipeline.TABLE)
+        for name, arr in table.items():
+            assert stored[name].dtype == arr.dtype, name
+            assert stored[name].shape == arr.shape, name
+            assert stored[name].tobytes() == arr.tobytes(), name
+
     def test_no_array_is_stored_in_two_bundles(self, pipeline_dir):
         out, _ = pipeline_dir
         bundle_of = {}  # SHA-256 of an array's bytes -> first "bundle:array" holding it
@@ -314,6 +333,34 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.startswith("data error: ") and "router.bin" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage, name, part, key", [
+        ("train-router", "features.bin", "array", "x_train"),
+        ("tune", "router.bin", "meta key", "biases"),
+        ("tune", "router.bin", "array", "head_weights"),
+        ("route", "feature_models.bin", "array", "tfidf_idf"),
+        ("route", "feature_models.bin", "meta key", "tfidf"),
+        ("eval", "specialist_Gastro.bin", "array", "tok_emb"),
+        ("eval", "specialist_Gastro.bin", "meta key", "config"),
+    ])
+    def test_bundle_lacking_a_key_exits_3_naming_file_and_key(
+            self, specialist_dir, tmp_path, capsys, stage, name, part, key):
+        out, cfg_path, _ = specialist_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        meta, arrays = load_bundle(run_dir / name)
+        del (meta if part == "meta key" else arrays)[key]
+        save_bundle(run_dir / name, meta, arrays)
+        argv = [stage, "--config", str(cfg_path), "--out", str(run_dir)]
+        if stage == "route":
+            argv += ["--episode", str(write_cardiac_probe(tmp_path / "ep.json"))]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and name in err and f"{part} {key!r}" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("stage, name, corrupt, code", [
@@ -567,15 +614,20 @@ class TestErrorPaths:
                 if (out / "audit.jsonl").exists() else None) == audit
 
     @pytest.mark.parametrize("corrupt, named", [("garbage", "vocab.tsv, line 1"),
-                                                ("not_utf8", "vocab.tsv: not UTF-8")])
-    def test_malformed_vocab_exits_3(self, pipeline_dir, tmp_path, capsys, corrupt, named):
-        out, cfg_path = pipeline_dir
+                                                ("not_utf8", "vocab.tsv: not UTF-8"),
+                                                ("cut_short", "vocab.tsv: 20 tokens")])
+    def test_malformed_vocab_exits_3(self, specialist_dir, tmp_path, capsys, corrupt, named):
+        """route reads vocab.tsv, and decodes its specialists' suggestions with it;
+        "cut_short" is what a write cut off at a line boundary leaves."""
+        out, cfg_path, _ = specialist_dir
         shutil.copytree(out, tmp_path / "run")
         vocab = tmp_path / "run" / "vocab.tsv"
         if corrupt == "garbage":
             vocab.write_text("garbage\n")
-        else:
+        elif corrupt == "not_utf8":
             vocab.write_bytes(vocab.read_bytes() + b"\xff\xfe")
+        else:
+            vocab.write_text("".join(vocab.read_text().splitlines(keepends=True)[:20]))
         capsys.readouterr()
         code = run(["route", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
                     "--episode", str(write_cardiac_probe(tmp_path / "ep.json"))])
@@ -583,6 +635,7 @@ class TestErrorPaths:
         assert code == EXIT_DATA
         assert err.startswith("data error: ") and named in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "run" / "audit.jsonl").exists()
 
     def test_cohort_not_utf8_exits_3_naming_it(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "config.json")

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from panelroute import serial
-from panelroute.serial import BundleError, load_bundle, save_bundle, sha256_file, write_json
+from panelroute.events import (DOMAINS, Episode, Vocabulary, read_episodes_jsonl,
+                               write_episodes_jsonl)
+from panelroute.policy import write_frontier_csv
+from panelroute.serial import (BundleError, load_bundle, save_bundle, sha256_file, write_json,
+                               write_lines)
+from panelroute.specialist import write_curve_csv
 
 DTYPES = [np.uint8, np.int64, np.float32, np.float64]
 
@@ -96,9 +101,30 @@ class DiskFull:
         return len(data)
 
 
+VOCAB = Vocabulary([(f"tok{i}", i) for i in range(10)])
+EPISODES = [Episode(f"e{i}", labels=(DOMAINS[i % 5],)) for i in range(10)]
+FRONTIER = [dict.fromkeys(["tau_hi", "tau_lo", "life_recall", "expected_experts",
+                           "recall_any", "recall_all"], i / 10) for i in range(10)]
+CURVE = [{"epoch": i, "train_loss": 1.0, "dev_loss": 1.5, "ppl": 4.5} for i in range(10)]
+
+# Each writer, and a check that the file it wrote reads back as written.
 WRITERS = {
-    "save_bundle": lambda path: save_bundle(path, {"kind": "t"}, {"x": np.arange(100.0)}),
-    "write_json": lambda path: write_json(path, {"x": list(range(100))}),
+    "save_bundle": (lambda path: save_bundle(path, {"kind": "t"}, {"x": np.arange(100.0)}),
+                    lambda path: np.array_equal(load_bundle(path)[1]["x"], np.arange(100.0))),
+    "write_json": (lambda path: write_json(path, {"x": list(range(100))}),
+                   lambda path: json.loads(path.read_text()) == {"x": list(range(100))}),
+    "write_lines": (lambda path: write_lines(path, (f"{i}\n" for i in range(100))),
+                    lambda path: path.read_text() == "".join(f"{i}\n" for i in range(100))),
+    "Vocabulary.save": (VOCAB.save,
+                        lambda path: Vocabulary.load(path).token_to_id == VOCAB.token_to_id),
+    "write_episodes_jsonl": (
+        lambda path: write_episodes_jsonl(path, EPISODES),
+        lambda path: [(ep.episode_id, ep.labels) for ep in read_episodes_jsonl(path)]
+        == [(ep.episode_id, ep.labels) for ep in EPISODES]),
+    "write_frontier_csv": (lambda path: write_frontier_csv(path, FRONTIER),
+                           lambda path: len(path.read_text().splitlines()) == 11),
+    "write_curve_csv": (lambda path: write_curve_csv(path, CURVE),
+                        lambda path: len(path.read_text().splitlines()) == 11),
 }
 
 
@@ -113,7 +139,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(serial, "open", lambda *a, **k: DiskFull(builtins.open(*a, **k)),
                             raising=False)
         with pytest.raises(OSError, match="No space"):
-            WRITERS[writer](path)
+            WRITERS[writer][0](path)
         assert [p.name for p in tmp_path.iterdir()] == (["artifact"] if previous else [])
         if previous is not None:
             assert path.read_bytes() == previous
@@ -122,12 +148,10 @@ class TestAtomicWrites:
     def test_write_replaces_the_file_and_leaves_no_temporary(self, tmp_path, writer):
         path = tmp_path / "artifact"
         path.write_bytes(b"previous")
-        WRITERS[writer](path)
+        write, reads_back = WRITERS[writer]
+        write(path)
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
-        if writer == "write_json":
-            assert json.loads(path.read_text()) == {"x": list(range(100))}
-        else:
-            assert np.array_equal(load_bundle(path)[1]["x"], np.arange(100.0))
+        assert reads_back(path)
 
 
 class TestCorruptBundles:
