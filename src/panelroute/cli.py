@@ -71,7 +71,9 @@ from .specialist import (
     SpecialistModel,
     TrainConfig,
     perplexity,
+    perplexity_from_loss,
     train,
+    unigram_entropy,
     write_curve_csv,
 )
 
@@ -550,8 +552,10 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
         report["specialists"] = {}
         for domain, spec_model in spec_models.items():
             _, _, test_eps = _specialist_split(episodes, cfg, domain)
+            test_seqs = [e.tokens for e in test_eps]
             report["specialists"][domain.value] = {
-                "test_ppl": perplexity(spec_model, [e.tokens for e in test_eps])
+                "test_ppl": perplexity(spec_model, test_seqs),
+                "unigram_ppl": perplexity_from_loss(unigram_entropy(test_seqs)),
             }
     report["config_hash"] = config_hash(cfg)
     write_json(out / "report.json", report)

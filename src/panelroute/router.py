@@ -214,8 +214,26 @@ class RouterModel:
     @classmethod
     def load(cls, path) -> "RouterModel":
         meta, arrays = load_bundle(path, "router")
-        heads = [LogisticHead(domain=d, weights=arrays["head_weights"][i],
-                              bias=float(meta["biases"][i]))
+        n = len(DOMAINS)
+        weights = arrays["head_weights"]
+        if weights.ndim != 2 or len(weights) != n:
+            raise arrays.malformed("head_weights", f"has shape {weights.shape}, not one row "
+                                                   f"per domain ({n})")
+        biases = _numbers(meta, "biases", (n,))
+        calibrators = _numbers(meta, "calibrators", (n, 2))
+        heads = [LogisticHead(domain=d, weights=weights[i], bias=float(biases[i]))
                  for i, d in enumerate(DOMAINS)]
-        calibrators = [PlattCalibrator(a, b) for a, b in meta["calibrators"]]
-        return cls(heads, calibrators, meta.get("config_hash", ""))
+        return cls(heads, [PlattCalibrator(float(a), float(b)) for a, b in calibrators],
+                   meta.get("config_hash", ""))
+
+
+def _numbers(meta, key, shape):
+    """meta[key] as a float64 array of `shape`; anything else is a
+    BundleError naming the key."""
+    try:
+        values = np.asarray(meta[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != shape:
+        raise meta.malformed(key, f"is not a {'x'.join(map(str, shape))} list of numbers")
+    return values

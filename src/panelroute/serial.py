@@ -26,14 +26,20 @@ class BundleError(Exception):
 
 class _Fields(dict):
     """A bundle's meta or arrays: reading a key the bundle lacks raises
-    BundleError naming the file, so each loader reads its layout by name."""
+    BundleError naming the file, so each loader reads its layout by name, and
+    `malformed` names the file and key of a value a loader refuses."""
 
     def __init__(self, path, what: str, items):
         super().__init__(items)
-        self.missing = f"{path}: bundle has no {what}"
+        self.where = (path, what)
 
     def __missing__(self, key):
-        raise BundleError(f"{self.missing} {key!r}")
+        path, what = self.where
+        raise BundleError(f"{path}: bundle has no {what} {key!r}")
+
+    def malformed(self, key, why: str) -> BundleError:
+        path, what = self.where
+        return BundleError(f"{path}: {what} {key!r} {why}")
 
 
 def _canonical_json(obj) -> bytes:

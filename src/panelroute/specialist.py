@@ -5,6 +5,11 @@ learned absolute positions, tied input/output embeddings, AdamW with linear
 warmup then cosine decay to 10% of peak, global-norm gradient clipping, and
 optional low-rank adapters on attention and feed-forward weights.
 
+Batches are cut from the sequences in length order, so that a batch pads
+little (`length_batches`). Each training epoch shuffles equal lengths, cuts
+the batches and visits them in shuffled order; `eval_loss` cuts its batches in
+length order with ties in index order, and runs them shortest first.
+
 `forward` and `backward` compute in the dtype of the weights they are given.
 `train` keeps float64 master weights, float64 AdamW moments and float64
 gradient clipping; each step's forward and backward passes run in float32 on
@@ -15,7 +20,7 @@ checkpoints, which `save` refuses to write from any other dtype.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -173,6 +178,16 @@ def _param_shapes(c: SpecialistConfig) -> dict:
         shapes |= {f"l{i}.ln2_g": (d,), f"l{i}.ln2_b": (d,), f"l{i}.w1": (d, h),
                    f"l{i}.b1": (h,), f"l{i}.w2": (h, d), f"l{i}.b2": (d,)}
     return shapes
+
+
+def _add_rows(out, ids, rows) -> None:
+    """out[ids[i]] += rows[i] for every i, as np.add.at does, but with one
+    stable sort of `ids`, which groups each id's rows, and one np.add.reduceat
+    that sums every group, in place of a scatter element by element."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    out[sorted_ids[starts]] += np.add.reduceat(rows[order], starts)
 
 
 def _init_params(c: SpecialistConfig, seed: int) -> dict:
@@ -439,7 +454,7 @@ class SpecialistModel:
             dx = layer_backward(f"l{i}.", layers.pop(), dx)
 
         grads["pos_emb"][:t] += dx.sum(0)
-        np.add.at(grads["tok_emb"], ids, dx)
+        _add_rows(grads["tok_emb"], ids.ravel(), dx.reshape(-1, c.d_model))
         return grads, a_grads
 
     # --- loss ---------------------------------------------------------------
@@ -454,7 +469,8 @@ class SpecialistModel:
     def eval_loss(self, sequences):
         """Token-weighted mean cross-entropy over a set of sequences."""
         total, count = 0.0, 0
-        for ids, targets in iter_batches(sequences, EVAL_BATCH_SIZE):
+        for batch in length_batches(sequences, EVAL_BATCH_SIZE):
+            ids, targets = pad_batch([sequences[i] for i in batch])
             logits, _ = self.forward(ids, keep="logits")
             loss, n, _ = _masked_nll(logits, targets)
             del logits
@@ -500,8 +516,18 @@ class SpecialistModel:
     @classmethod
     def load(cls, path) -> "SpecialistModel":
         meta, arrays = load_bundle(path, "specialist")
-        config = SpecialistConfig(**meta["config"])
-        params = {name: arrays[name] for name in sorted(_param_shapes(config))}  # file order
+        names = {f.name for f in fields(SpecialistConfig)}
+        if not isinstance(meta["config"], dict) or set(meta["config"]) != names:
+            raise meta.malformed("config", f"does not hold exactly {sorted(names)}")
+        try:
+            config = SpecialistConfig(**meta["config"])
+            shapes = _param_shapes(config)
+        except (SpecialistError, TypeError) as e:
+            raise meta.malformed("config", f"is not a model shape ({e})") from None
+        params = {name: arrays[name] for name in sorted(shapes)}  # file order
+        for name, w in params.items():
+            if w.shape != shapes[name]:
+                raise arrays.malformed(name, f"has shape {w.shape}, not {shapes[name]}")
         model = cls(config, domain=meta.get("domain"), params=params)
         model.lora_rank = meta.get("lora_rank", 0)
         model.lora_alpha = meta.get("lora_alpha", 1.0)
@@ -552,12 +578,21 @@ def pad_batch(sequences):
     return ids, targets
 
 
-def iter_batches(sequences, batch_size, order=None):
-    order = list(order) if order is not None else list(range(len(sequences)))
-    for start in range(0, len(order), batch_size):
-        chunk = [sequences[i] for i in order[start:start + batch_size]]
-        if chunk:
-            yield pad_batch(chunk)
+def length_batches(sequences, batch_size, rng=None) -> list:
+    """Index arrays of `batch_size` sequences each, cut from the sequences in
+    length order; only the batch of the longest may be short.
+
+    Without `rng`, equal lengths keep index order and the batches run
+    shortest first. With `rng`, the sort is a stable one of
+    `rng.permutation`, so equal lengths are shuffled, and the batches come in
+    the order of a second `rng.permutation`."""
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    order = np.arange(lengths.size) if rng is None else rng.permutation(lengths.size)
+    order = order[np.argsort(lengths[order], kind="stable")]
+    batches = [order[i:i + batch_size] for i in range(0, order.size, batch_size)]
+    if rng is not None:
+        batches = [batches[j] for j in rng.permutation(len(batches))]
+    return batches
 
 
 def unigram_entropy(sequences) -> float:
@@ -627,13 +662,13 @@ def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConf
     """Train with AdamW + warmup/cosine schedule; returns the per-epoch curve.
 
     Attached adapters train and the base weights stay frozen (LoRA);
-    without adapters the weights train. Each step's forward and backward
-    passes run on a float32 copy of the model; clipping, AdamW and the dev
-    losses are float64. The model is left holding the best-dev-loss tensors.
+    without adapters the weights train. Each epoch draws new `length_batches`
+    from the training generator. Each step's forward and backward passes run
+    on a float32 copy of the model; clipping, AdamW and the dev losses are
+    float64. The model is left holding the best-dev-loss tensors.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7417]))
-    n = len(train_sequences)
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
+    steps_per_epoch = math.ceil(len(train_sequences) / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
     opt = AdamW()
     decay_keys = {  # no adapter is decayed: no `key.A` or `key.B` name is listed
@@ -645,9 +680,9 @@ def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConf
     best = None
     step = 0
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
-        for ids, targets in iter_batches(train_sequences, cfg.batch_size, order):
+        for batch in length_batches(train_sequences, cfg.batch_size, rng):
+            ids, targets = pad_batch([train_sequences[i] for i in batch])
             loss, grads, a_grads = _float32_copy(model).loss_and_grads(
                 ids, targets, train=True, rng=rng)
             if not math.isfinite(loss):

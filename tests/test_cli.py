@@ -363,6 +363,30 @@ class TestErrorPaths:
         assert err.startswith("data error: ") and name in err and f"{part} {key!r}" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("stage, name, part, key, edit", [
+        ("tune", "router.bin", "meta key", "biases",
+         lambda meta, arrays: meta.update(biases=meta["biases"][:4])),
+        ("eval", "specialist_Gastro.bin", "meta key", "config",
+         lambda meta, arrays: meta["config"].update(extra=1)),
+        ("eval", "specialist_Gastro.bin", "array", "l0.w1",
+         lambda meta, arrays: arrays.update({"l0.w1": arrays["l0.w1"][:, :128]})),
+    ], ids=["four_biases", "extra_config_key", "cut_weight"])
+    def test_bundle_with_a_malformed_value_exits_3_naming_file_and_key(
+            self, specialist_dir, tmp_path, capsys, stage, name, part, key, edit):
+        out, cfg_path, _ = specialist_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        meta, arrays = load_bundle(run_dir / name)
+        edit(meta, arrays)
+        save_bundle(run_dir / name, meta, arrays)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run([stage, "--config", str(cfg_path), "--out", str(run_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and name in err and f"{part} {key!r}" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("stage, name, corrupt, code", [
         ("route", "thresholds.json", "truncated", EXIT_DATA),
         ("route", "thresholds.json", "unstamped", EXIT_CONFIG),
@@ -877,6 +901,22 @@ class TestTokenBundle:
         assert calls == [out / "cohort.jsonl"]
         assert set(json.loads((out / "report.json").read_text())["specialists"]) == {
             "Cardiac", "Pulmonary", "Gastro", "Musculoskeletal", "Psychogenic"}
+
+    def test_report_states_each_specialists_unigram_baseline(self, specialist_dir):
+        """unigram_ppl is exp of the entropy of the test split's target tokens."""
+        from panelroute import cli
+
+        out, cfg_path, _ = specialist_dir
+        cfg = cli.load_config(build_parser().parse_args(["eval", "--config", str(cfg_path)]))
+        episodes, _ = cli._load_tokenized(out)
+        report = json.loads((out / "report.json").read_text())["specialists"]
+        for domain in cli.DOMAINS:
+            _, _, test_eps = cli._specialist_split(episodes, cfg, domain)
+            counts = collections.Counter(t for e in test_eps for t in e.tokens[1:])
+            total = sum(counts.values())
+            entropy = -sum(c / total * np.log(c / total) for c in counts.values())
+            assert report[domain.value]["unigram_ppl"] == pytest.approx(np.exp(entropy),
+                                                                        rel=1e-12)
 
     def test_ids_are_narrow_and_stamped_with_their_inputs(self, specialist_dir):
         out, _, _ = specialist_dir

@@ -12,6 +12,7 @@ from panelroute import specialist
 from panelroute.events import PAD_ID
 from panelroute.serial import load_bundle
 from panelroute.specialist import (
+    _add_rows,
     _float32_copy,
     _gelu,
     _gelu_grad,
@@ -23,7 +24,7 @@ from panelroute.specialist import (
     clip_global_norm,
     cross_entropy,
     erf,
-    iter_batches,
+    length_batches,
     lr_schedule,
     pad_batch,
     perplexity_from_loss,
@@ -188,7 +189,8 @@ class TestKeep:
         rng = np.random.default_rng(5)
         seqs = [list(rng.integers(4, 30, size=int(rng.integers(3, 30)))) for _ in range(45)]
         total, count = 0.0, 0
-        for ids, targets in iter_batches(seqs, specialist.EVAL_BATCH_SIZE):
+        for ids, targets in (pad_batch([seqs[i] for i in batch])
+                             for batch in length_batches(seqs, specialist.EVAL_BATCH_SIZE)):
             logits, cache = model.forward(ids)
             assert cache is not None
             n = int((targets != PAD_ID).sum())
@@ -349,16 +351,80 @@ class TestBatches:
         assert ids[1].tolist() == [2, 6, PAD_ID]
         assert targets[1].tolist() == [6, 3, PAD_ID]
 
-    def test_iter_batches_covers_all(self):
-        seqs = [[2, i, 3] for i in range(4, 11)]
-        n = sum(ids.shape[0] for ids, _ in iter_batches(seqs, 3))
-        assert n == 7
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(2, 12), max_size=60), st.integers(1, 9), st.integers(0, 2**32))
+    def test_length_batches_cover_once_in_length_ranges(self, lengths, batch_size, seed):
+        seqs = [[2] * n for n in lengths]
+        for rng_seed in (None, seed):
+            def draw():
+                rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+                return length_batches(seqs, batch_size, rng)
+
+            batches = draw()
+            assert sorted(i for b in batches for i in b.tolist()) == list(range(len(seqs)))
+            assert sum(len(b) < batch_size for b in batches) <= 1
+            ranges = sorted((min(lengths[i] for i in b), max(lengths[i] for i in b))
+                            for b in batches)
+            assert all(hi <= lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+            assert [b.tolist() for b in draw()] == [b.tolist() for b in batches]
+
+    def test_evaluation_batches_run_shortest_first_with_ties_in_index_order(self):
+        seqs = [[2] * n for n in (5, 3, 5, 2, 3, 5)]
+        assert [b.tolist() for b in length_batches(seqs, 2)] == [[3, 1], [4, 0], [2, 5]]
+
+    def test_training_batches_shuffle_ties_and_batch_order(self):
+        tied = [[2, 5]] * 40
+        partitions = {frozenset(frozenset(b.tolist())
+                                for b in length_batches(tied, 4, np.random.default_rng(s)))
+                      for s in range(5)}
+        assert len(partitions) == 5
+        seqs = [[2] * (1 + i // 4) for i in range(40)]  # ten lengths, four of each
+        orders = {tuple(len(seqs[b[0]]) for b in length_batches(seqs, 4, np.random.default_rng(s)))
+                  for s in range(5)}
+        assert len(orders) == 5
+
+    def test_eval_loss_does_not_depend_on_sequence_order(self):
+        """Distinct lengths give the same batches in any order, so the same
+        bits; tied lengths may swap rows within a batch."""
+        model = tiny_model(vocab=30, layers=2, d=16, seed=6, max_positions=80)
+        rng = np.random.default_rng(6)
+        distinct = [[2, *rng.integers(4, 30, size=n)] for n in rng.permutation(np.arange(1, 76))]
+        tied = [[2, *rng.integers(4, 30, size=int(rng.integers(1, 38)))] for _ in range(90)]
+        for seqs in (distinct, tied):
+            shuffled = [seqs[i] for i in rng.permutation(len(seqs))]
+            assert model.eval_loss(shuffled) == pytest.approx(model.eval_loss(seqs),
+                                                              rel=0, abs=1e-12)
+        shuffled = [distinct[i] for i in rng.permutation(len(distinct))]
+        assert model.eval_loss(shuffled) == model.eval_loss(distinct)
 
     def test_unigram_entropy_hand_case(self):
         # targets: 4,4,5 -> p = (2/3, 1/3)
         seqs = [[2, 4, 4], [2, 5]]
         expected = -(2 / 3 * math.log(2 / 3) + 1 / 3 * math.log(1 / 3))
         assert unigram_entropy(seqs) == pytest.approx(expected, abs=1e-12)
+
+
+class TestAddRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 300), st.integers(1, 40),
+           st.integers(1, 8), st.integers(0, 2**32))
+    def test_matches_np_add_at_within_summation_error(self, dtype, n, vocab, d, seed):
+        """np.add.at is the reference. The sums run in another order, so each
+        element may differ by the rounding bound of its sum: (rows summed) x
+        eps x (sum of their magnitudes)."""
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, vocab, size=n)
+        rows = rng.normal(size=(n, d)).astype(dtype)
+        start = rng.normal(size=(vocab, d)).astype(dtype)
+        got = start.copy()
+        _add_rows(got, ids, rows)
+        want = start.copy()
+        np.add.at(want, ids, rows)
+        magnitude = np.abs(start).astype(np.float64)
+        np.add.at(magnitude, ids, np.abs(rows))
+        summed = np.bincount(ids, minlength=vocab)[:, None] + 1
+        assert got.dtype == dtype
+        assert np.all(np.abs(got - want) <= 2 * summed * np.finfo(dtype).eps * magnitude)
 
 
 class TestOptimizer:
@@ -623,7 +689,10 @@ def traced_peak_mb(fn):
 class TestBitIdentity:
     """Digests of outputs of the single-pass erf and the backward pass that
     kept every activation to its end (numpy 2.4, x86-64). Computing erf in
-    blocks and freeing activations early must not change one bit."""
+    blocks and freeing activations early must not change one bit. The
+    gradient digests were re-pinned when the token-embedding scatter became a
+    per-token reduceat, which sums each token's rows before adding them; every
+    other gradient array kept its bits."""
 
     ERF_SHA256 = {
         ("float32", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -654,10 +723,10 @@ class TestBitIdentity:
         assert got.tobytes().hex() == bits
 
     GRADS_SHA256 = {
-        ("float32", False): "f09a39737c8008cc5a9a6d6ac8b27625de6271c2a77bd6c8e4211518119d77c2",
-        ("float32", True): "503fb406b276a37dac460ad2403f1fd25e88f9862a44ddddfa282bd9ee032a8c",
-        ("float64", False): "24fcd2d898e2b6a9dc686ad820be5a0ad5b5b42e9793185f5ce7b4f55c4f0b2d",
-        ("float64", True): "5902bb6cf835eaeaf00b8549074c5ae7754c9c4fcc9cf18f707c9c8b9c589194",
+        ("float32", False): "8443251088af4ac41083d61d56726a63e4468f814515532972b0fe12385ec1be",
+        ("float32", True): "b33f862c64bcdc3deea794230cf3359c0d4e40cd084980246be39be3706e8590",
+        ("float64", False): "b557f9763864ae01faf9509fdfcd60595042428bb87f3184a13e94cec931ad56",
+        ("float64", True): "66f713dd5f4719304ba5963e1d7c88346be683273b6a7d252470e4e250292a49",
     }
 
     @pytest.mark.parametrize("dtype, lora", sorted(GRADS_SHA256))
