@@ -63,8 +63,8 @@ from .pipeline import (
 )
 from .policy import AuditLog, PolicyError, Thresholds, arbitrate, tune_thresholds, write_frontier_csv
 from .router import RouterError, RouterModel, SplitSpec, split
-from .serial import (BundleError, load_bundle, save_bundle, sha256_file, sha256_obj, write_json,
-                     write_lines)
+from .serial import (BundleError, Layout, load_bundle, save_bundle, sha256_file, sha256_obj,
+                     write_json, write_lines)
 from .specialist import (
     SpecialistConfig,
     SpecialistError,
@@ -326,6 +326,13 @@ def _token_inputs(out: Path) -> dict:
             "vocab.tsv": sha256_file(_require(out, "vocab.tsv", "tokenize"))}
 
 
+FEATURES = Layout("features", {}, TABLE)
+# tokens.bin: n episodes' token ids, n + 1 offsets into them, label bits and danger flags.
+TOKENS = Layout("tokens", {"episode_ids": (str, ("n",))},
+                {"ids": (np.unsignedinteger, ("n_ids",)), "offsets": (np.int64, ("n+1",)),
+                 "labels": (np.uint8, ("n", len(DOMAINS))), "danger": (np.uint8, ("n",))})
+
+
 def _save_tokens(out: Path, episodes, vocab: Vocabulary) -> None:
     """Write tokens.bin: every episode's token ids (one ragged array with
     offsets), label bits and danger flag."""
@@ -349,25 +356,19 @@ def _load_tokenized(out: Path):
     inputs = _token_inputs(out)
     vocab = Vocabulary.load(out / "vocab.tsv")
     try:
-        meta, arrays = load_bundle(path, "tokens")
+        meta, arrays = load_bundle(path, TOKENS)
         if meta.get("inputs") != inputs:
             raise DataError(f"{path}: built from another cohort.jsonl or vocab.tsv")
-        eids, n = meta["episode_ids"], len(meta["episode_ids"])
-        ids, off, labels, danger = (arrays[k] for k in ("ids", "offsets", "labels", "danger"))
-        if not (off.shape == (n + 1,) and off[0] == 0 and off[-1] == ids.size
-                and np.all(off[1:] >= off[:-1]) and labels.shape == (n, len(DOMAINS))
-                and danger.shape == (n,)
-                and (ids.size == 0 or 0 <= ids.min() <= ids.max() < len(vocab))):
-            raise DataError(f"{path}: offsets, shapes or token ids do not fit vocab.tsv")
-    except (TypeError, ValueError) as e:
-        raise DataError(f"{path}: malformed token bundle ({e!r}); "
-                        "re-run `panelroute tokenize`") from None
+        ids, off = arrays["ids"], arrays["offsets"]
+        if not (off[0] == 0 and off[-1] == ids.size and np.all(off[1:] >= off[:-1])
+                and (ids.size == 0 or ids.max() < len(vocab))):
+            raise DataError(f"{path}: offsets or token ids do not fit vocab.tsv")
     except (BundleError, DataError) as e:
         raise DataError(f"{e}; re-run `panelroute tokenize`") from None
     tokens, off = ids.tolist(), off.tolist()
-    episodes = [Episode(eid, tokens=tokens[off[i]:off[i + 1]], labels=from_multi_hot(bits),
-                        danger=bool(flag))
-                for i, (eid, bits, flag) in enumerate(zip(eids, labels.tolist(), danger.tolist()))]
+    labels, danger = arrays["labels"].tolist(), arrays["danger"].tolist()
+    episodes = [Episode(eid, tokens=tokens[a:b], labels=from_multi_hot(bits), danger=bool(flag))
+                for eid, a, b, bits, flag in zip(meta["episode_ids"], off, off[1:], labels, danger)]
     return episodes, vocab
 
 
@@ -396,6 +397,9 @@ def _load_specialist(out: Path, cfg: dict, domain: DomainLabel) -> SpecialistMod
     if not (out / name).exists():
         return None
     model = SpecialistModel.load(out / name)
+    if model.domain != domain.value:
+        raise DataError(f"{out / name}: meta key 'domain' is {model.domain!r}, "
+                        f"not {domain.value!r}")
     _check_hash(model.config_hash, cfg, name)
     return model
 
@@ -448,10 +452,10 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
 
 
 def _load_datasets(out: Path, cfg: dict) -> dict:
-    """This config's feature table from features.bin, every TABLE array in it."""
-    meta, arrays = load_bundle(_require(out, "features.bin", "featurize"), "features")
+    """This config's feature table: the TABLE arrays in features.bin."""
+    meta, table = load_bundle(_require(out, "features.bin", "featurize"), FEATURES)
     _check_hash(meta.get("config_hash"), cfg, "features.bin")
-    return {name: arrays[name] for name in TABLE}
+    return table
 
 
 def cmd_train_router(args, cfg: dict, out: Path) -> int:
@@ -464,15 +468,15 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _load_router(out: Path, cfg: dict) -> RouterModel:
-    model = RouterModel.load(_require(out, "router.bin", "train-router"))
+def _load_router(out: Path, cfg: dict, dim: int) -> RouterModel:
+    model = RouterModel.load(_require(out, "router.bin", "train-router"), dim)
     _check_hash(model.config_hash, cfg, "router.bin")
     return model
 
 
 def cmd_tune(args, cfg: dict, out: Path) -> int:
     table = _load_datasets(out, cfg)
-    model = _load_router(out, cfg)
+    model = _load_router(out, cfg, table["x_train"].shape[1])
     dev_rows = prob_rows_for(model, table, "dev")
     grid = [tuple(p) for p in cfg["grid"]] if cfg["grid"] else None
     with _cohort_sized(cfg, PolicyError):
@@ -541,7 +545,7 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
 
 def cmd_eval(args, cfg: dict, out: Path) -> int:
     table = _load_datasets(out, cfg)
-    model = _load_router(out, cfg)
+    model = _load_router(out, cfg, table["x_train"].shape[1])
     thresholds = _load_thresholds(out, cfg)
     lm = metrics.LatencyModel(l_router=cfg["latency"]["l_router"],
                               l_expert_default=cfg["latency"]["l_expert"])
@@ -569,9 +573,9 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_route(args, cfg: dict, out: Path) -> int:
-    model = _load_router(out, cfg)
     tfidf, svd, stamp = load_feature_models(_require(out, "feature_models.bin", "featurize"))
     _check_hash(stamp, cfg, "feature_models.bin")
+    model = _load_router(out, cfg, svd.rank)
     thresholds = _load_thresholds(out, cfg)
     vocab_path = _require(out, "vocab.tsv", "tokenize")
     vocab = Vocabulary.load(vocab_path)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import Episode, Vocabulary
-from .serial import load_bundle, save_bundle
+from .serial import Layout, load_bundle, save_bundle
 
 
 class FeatureError(Exception):
@@ -140,6 +140,11 @@ class SvdProjector:
         return self.components.shape[0]
 
 
+LAYOUT = Layout("feature_models", {"tfidf.terms": (str, ("terms",))}, {
+    "tfidf_idf": (np.float64, ("terms",)), "svd_components": (np.float64, ("rank", "terms")),
+    "svd_singular_values": (np.float64, ("rank",))})
+
+
 def save_feature_models(path, tfidf: TfidfModel, svd: SvdProjector,
                         extra_meta: dict | None = None) -> None:
     """Write the fitted TF-IDF and SVD models to one `feature_models` bundle."""
@@ -152,7 +157,7 @@ def save_feature_models(path, tfidf: TfidfModel, svd: SvdProjector,
 def load_feature_models(path):
     """(tfidf, svd, config_hash) from a bundle `save_feature_models` wrote;
     config_hash is the stamp it carries, or ""."""
-    meta, arrays = load_bundle(path, "feature_models")
+    meta, arrays = load_bundle(path, LAYOUT)
     tfidf = TfidfModel(meta["tfidf"]["terms"], arrays["tfidf_idf"])
     svd = SvdProjector(arrays["svd_components"], arrays["svd_singular_values"])
     return tfidf, svd, meta.get("config_hash", "")

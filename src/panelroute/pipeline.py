@@ -10,8 +10,11 @@ from .events import (DOMAINS, LIFE_THREAT_DOMAINS, build_vocabulary, encode_toke
 from .router import RouterModel, SplitSpec, fit_head, platt_fit, split
 
 SPLITS = ("train", "dev", "test")
-# The feature table, as features.bin stores it: one array per field and split.
-TABLE = tuple(f"{field}_{name}" for field in ("x", "y", "w", "ell", "danger") for name in SPLITS)
+# The feature table, as features.bin stores it: the dtype and shape of each field's array
+# per split, with n_<split> rows and features of width dim.
+TABLE = {f"{field}_{name}": (dtype, (f"n_{name}", *dims)) for field, dtype, dims in (
+    ("x", np.float64, ("dim",)), ("y", np.uint8, (len(DOMAINS),)), ("w", np.float64, ()),
+    ("ell", np.int64, ()), ("danger", np.uint8, ())) for name in SPLITS}
 
 
 def tokenize_cohort(episodes, min_count: int = 1):
@@ -37,7 +40,8 @@ def prepare_router_datasets(episodes, vocab, k: int, seed: int, svd_rank: int):
     table = {}
     for name, split_rows in rows.items():
         table[f"x_{name}"] = feats.featurize_rows(split_rows, vocab, tfidf, svd)
-        table[f"y_{name}"] = np.array([r.label_bits for r in split_rows], dtype=np.uint8)
+        table[f"y_{name}"] = np.array([r.label_bits for r in split_rows],
+                                      dtype=np.uint8).reshape(-1, len(DOMAINS))
         table[f"w_{name}"] = np.array([r.weight for r in split_rows])
         table[f"ell_{name}"] = np.array([r.ell for r in split_rows], dtype=np.int64)
         table[f"danger_{name}"] = np.array([r.danger for r in split_rows], dtype=np.uint8)

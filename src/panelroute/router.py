@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import DOMAINS, DomainLabel
-from .serial import load_bundle, save_bundle
+from .serial import Layout, load_bundle, save_bundle
 
 DEFAULT_C = 2.0
 DEFAULT_MAX_ITER = 3000
@@ -212,28 +212,16 @@ class RouterModel:
         save_bundle(path, meta, {"head_weights": np.stack([h.weights for h in self.heads])})
 
     @classmethod
-    def load(cls, path) -> "RouterModel":
-        meta, arrays = load_bundle(path, "router")
-        n = len(DOMAINS)
-        weights = arrays["head_weights"]
-        if weights.ndim != 2 or len(weights) != n:
-            raise arrays.malformed("head_weights", f"has shape {weights.shape}, not one row "
-                                                   f"per domain ({n})")
-        biases = _numbers(meta, "biases", (n,))
-        calibrators = _numbers(meta, "calibrators", (n, 2))
-        heads = [LogisticHead(domain=d, weights=weights[i], bias=float(biases[i]))
-                 for i, d in enumerate(DOMAINS)]
-        return cls(heads, [PlattCalibrator(float(a), float(b)) for a, b in calibrators],
+    def load(cls, path, dim: int) -> "RouterModel":
+        """The router in `path`, refused unless its heads score features of width `dim`."""
+        meta, arrays = load_bundle(path, LAYOUT, dim=dim)
+        heads = [LogisticHead(domain=d, weights=arrays["head_weights"][i], bias=float(b))
+                 for i, (d, b) in enumerate(zip(DOMAINS, meta["biases"]))]
+        return cls(heads, [PlattCalibrator(float(a), float(b)) for a, b in meta["calibrators"]],
                    meta.get("config_hash", ""))
 
 
-def _numbers(meta, key, shape):
-    """meta[key] as a float64 array of `shape`; anything else is a
-    BundleError naming the key."""
-    try:
-        values = np.asarray(meta[key], dtype=np.float64)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or values.shape != shape:
-        raise meta.malformed(key, f"is not a {'x'.join(map(str, shape))} list of numbers")
-    return values
+# router.bin: a head per domain over features of width dim, and each head's Platt (a, b).
+LAYOUT = Layout("router", {"biases": (float, (len(DOMAINS),)),
+                           "calibrators": (float, (len(DOMAINS), 2))},
+                {"head_weights": (np.float64, (len(DOMAINS), "dim"))})

@@ -13,6 +13,7 @@ import os
 import secrets
 import struct
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,22 +25,66 @@ class BundleError(Exception):
     pass
 
 
-class _Fields(dict):
-    """A bundle's meta or arrays: reading a key the bundle lacks raises
-    BundleError naming the file, so each loader reads its layout by name, and
-    `malformed` names the file and key of a value a loader refuses."""
+class Layout(NamedTuple):
+    """A bundle kind's layout. `meta` maps each meta key, as a dotted path, to
+    (type, shape), where a float may be stored as an int and a value of shape
+    (a, b) is a list of a lists of b. `arrays` maps every array to (numpy scalar
+    type, shape), or is a function from the checked meta to that map, raising
+    ValueError for meta it cannot lay out. A shape holds ints and names. A name
+    is bound where it first occurs and must match wherever it occurs again;
+    "n+1" is one more than n."""
+    kind: str
+    meta: dict
+    arrays: dict | Callable
 
-    def __init__(self, path, what: str, items):
-        super().__init__(items)
-        self.where = (path, what)
 
-    def __missing__(self, key):
-        path, what = self.where
-        raise BundleError(f"{path}: bundle has no {what} {key!r}")
+def _check(path, meta: dict, arrays: dict, layout: Layout, sizes: dict) -> None:
+    """Raise BundleError naming the file and key unless the bundle fits `layout`."""
+    if meta.get("kind") != layout.kind:
+        raise BundleError(f"{path}: not a {layout.kind} bundle")
+    bound = {name: (n, "the data it is read with") for name, n in sizes.items()}
 
-    def malformed(self, key, why: str) -> BundleError:
-        path, what = self.where
-        return BundleError(f"{path}: {what} {key!r} {why}")
+    def fits(shape, got, where) -> bool:
+        for want, n in zip(shape, got):
+            if type(want) is str:
+                name, _, plus = want.partition("+")
+                size, by = bound.setdefault(name, (n - int(plus or 0), where))
+                if size + int(plus or 0) != n:
+                    raise BundleError(f"{path}: {where} has {want} = {n}, "
+                                      f"but {by} has {name} = {size}")
+            elif want != n:
+                return False
+        return len(shape) == len(got)
+
+    def holds(value, types, shape, key) -> bool:
+        level = [value]  # the values at one depth of the nested lists
+        for want in shape:
+            if set(map(type, level)) - {list} or not all(
+                    fits((want,), (n,), f"meta key {key!r}") for n in set(map(len, level))):
+                return False
+            level = level[0] if len(level) == 1 else [v for values in level for v in values]
+        return set(map(type, level)) <= types
+
+    for key, (t, shape) in layout.meta.items():
+        value, parts = meta, key.split(".")
+        for i, part in enumerate(parts):
+            if type(value) is not dict or part not in value:
+                raise BundleError(f"{path}: bundle has no meta key {'.'.join(parts[:i + 1])!r}")
+            value = value[part]
+        if not holds(value, {int, float} if t is float else {t}, shape, key):
+            raise BundleError(f"{path}: meta key {key!r} is not {t.__name__} of shape {shape}")
+    declared = layout.arrays(meta) if callable(layout.arrays) else layout.arrays
+    for name, (dtype, shape) in declared.items():
+        got = arrays.get(name)
+        if got is None:
+            raise BundleError(f"{path}: bundle has no array {name!r}")
+        if not issubclass(got.dtype.type, dtype) or (
+                got.shape != shape and not fits(shape, got.shape, f"array {name!r}")):
+            raise BundleError(f"{path}: array {name!r} is {got.dtype} of shape {got.shape}, "
+                              f"not {dtype.__name__} of shape {shape}")
+    if len(arrays) > len(declared):
+        raise BundleError(f"{path}: bundle holds array {min(set(arrays) - set(declared))!r}, "
+                          "which its layout does not name")
 
 
 def _canonical_json(obj) -> bytes:
@@ -87,15 +132,15 @@ def save_bundle(path, meta: dict, arrays: dict | None = None) -> None:
             fh.write(arr.reshape(-1).view(np.uint8))
 
 
-def load_bundle(path, kind: str | None = None):
-    """Return (meta, arrays) from a bundle file; reading a meta key or an
-    array name the bundle lacks raises BundleError.
+def load_bundle(path, layout: Layout | None = None, **sizes):
+    """Return (meta, arrays) from a bundle file, checked against `layout` if one
+    is given, with `sizes` binding some of its names.
 
     The payload is read once into one writable buffer and the arrays are views
     into it; a view that would start off its dtype's alignment is copied.
     A short, truncated or malformed file (a header length past the end of the
-    file, a shape that is not non-negative integers), or one not of `kind`,
-    raises BundleError.
+    file, a shape that is not non-negative integers), or one that does not
+    hold what `layout` declares, raises BundleError.
     """
     with open(path, "rb") as fh:
         preamble = fh.read(16)
@@ -129,9 +174,9 @@ def load_bundle(path, kind: str | None = None):
                                   f"runs past end of payload)")
             arr = payload[start:end].view(dtype).reshape(shape)
             arrays[spec["name"]] = arr if arr.flags.aligned else arr.copy()
-        if kind is not None and header["meta"].get("kind") != kind:
-            raise BundleError(f"{path}: not a {kind} bundle")
-        return _Fields(path, "meta key", header["meta"]), _Fields(path, "array", arrays)
+        if layout is not None:
+            _check(path, header["meta"], arrays, layout, sizes)
+        return header["meta"], arrays
     except (ValueError, KeyError, TypeError, AttributeError) as e:  # incl. JSONDecodeError
         raise BundleError(f"{path}: malformed bundle header ({e})") from e
 

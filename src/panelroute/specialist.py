@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .events import PAD_ID
-from .serial import load_bundle, save_bundle, write_lines
+from .serial import Layout, load_bundle, save_bundle, write_lines
 
 _LN_EPS = 1e-5
 WARMUP_FRAC = 0.05  # of all steps, warmed up linearly
@@ -203,7 +203,7 @@ class SpecialistModel:
 
     ADAPTABLE = ("wq", "wk", "wv", "wo", "w1", "w2")
 
-    def __init__(self, config: SpecialistConfig, seed: int = 0, domain: str | None = None,
+    def __init__(self, config: SpecialistConfig, seed: int = 0, domain: str = "",
                  params: dict | None = None):
         """Weights are drawn from `seed` unless `params` supplies them."""
         self.config = config
@@ -232,12 +232,9 @@ class SpecialistModel:
         self.lora_rank = rank
         self.lora_alpha = alpha
         self.adapters = {}
-        for i in range(self.config.layers):
-            for nm in self.ADAPTABLE:
-                key = f"l{i}.{nm}"
-                din, dout = self.params[key].shape
-                self.adapters[key] = (rng.normal(0.0, 0.01, size=(din, rank)),
-                                      np.zeros((rank, dout)))
+        for key in _adapted_keys(self.config):
+            din, dout = self.params[key].shape
+            self.adapters[key] = (rng.normal(0.0, 0.01, size=(din, rank)), np.zeros((rank, dout)))
 
     def merge_lora(self) -> None:
         if not self.adapters:
@@ -246,12 +243,6 @@ class SpecialistModel:
             self.params[key] = self.params[key] + (self.lora_alpha / self.lora_rank) * (a @ b)
         self.adapters = {}
         self.lora_rank = 0
-
-    def lora_parameter_count(self) -> int:
-        return sum(a.size + b.size for a, b in self.adapters.values())
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     # --- forward / backward -----------------------------------------------
 
@@ -508,37 +499,49 @@ class SpecialistModel:
         for key, (a, b) in self.adapters.items():
             arrays[f"lora.{key}.A"] = a
             arrays[f"lora.{key}.B"] = b
+        declared = _checkpoint_arrays(meta)
         for name, arr in sorted(arrays.items()):
-            if arr.dtype != np.float64:
-                raise SpecialistError(f"checkpoint array {name} is {arr.dtype}, not float64")
+            if arr.dtype != declared[name][0]:
+                raise SpecialistError(f"checkpoint array {name} is {arr.dtype}, "
+                                      f"not {declared[name][0].__name__}")
         save_bundle(path, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "SpecialistModel":
-        meta, arrays = load_bundle(path, "specialist")
-        names = {f.name for f in fields(SpecialistConfig)}
-        if not isinstance(meta["config"], dict) or set(meta["config"]) != names:
-            raise meta.malformed("config", f"does not hold exactly {sorted(names)}")
-        try:
-            config = SpecialistConfig(**meta["config"])
-            shapes = _param_shapes(config)
-        except (SpecialistError, TypeError) as e:
-            raise meta.malformed("config", f"is not a model shape ({e})") from None
-        params = {name: arrays[name] for name in sorted(shapes)}  # file order
-        for name, w in params.items():
-            if w.shape != shapes[name]:
-                raise arrays.malformed(name, f"has shape {w.shape}, not {shapes[name]}")
-        model = cls(config, domain=meta.get("domain"), params=params)
-        model.lora_rank = meta.get("lora_rank", 0)
-        model.lora_alpha = meta.get("lora_alpha", 1.0)
+        meta, arrays = load_bundle(path, LAYOUT)
+        config = SpecialistConfig(**meta["config"])
+        model = cls(config, domain=meta["domain"],
+                    params={k: v for k, v in arrays.items() if not k.startswith("lora.")})
+        model.lora_rank, model.lora_alpha = meta["lora_rank"], meta["lora_alpha"]
         model.config_hash = meta.get("config_hash", "")
-        adapters = {}
-        for k in arrays:
-            if k.startswith("lora.") and k.endswith(".A"):
-                key = k[len("lora."):-2]
-                adapters[key] = (arrays[f"lora.{key}.A"], arrays[f"lora.{key}.B"])
-        model.adapters = adapters
+        model.adapters = {key: (arrays[f"lora.{key}.A"], arrays[f"lora.{key}.B"])
+                          for key in (_adapted_keys(config) if model.lora_rank else ())}
         return model
+
+
+def _adapted_keys(config: SpecialistConfig) -> list:
+    """The weights that take adapters: each of `SpecialistModel.ADAPTABLE` in every layer."""
+    return [f"l{i}.{nm}" for i in range(config.layers) for nm in SpecialistModel.ADAPTABLE]
+
+
+def _checkpoint_arrays(meta: dict) -> dict:
+    """(dtype, shape) of each array of a checkpoint with this meta: float64 weights of
+    its config's shapes and, at a nonzero lora_rank r, each adapted weight's A and B."""
+    try:
+        config = SpecialistConfig(**meta["config"])
+    except (SpecialistError, TypeError) as e:
+        raise ValueError(f"meta key 'config' is not a model shape ({e})") from None
+    shapes, r = _param_shapes(config), meta["lora_rank"]
+    for key in _adapted_keys(config) if r else ():
+        din, dout = shapes[key]
+        shapes |= {f"lora.{key}.A": (din, r), f"lora.{key}.B": (r, dout)}
+    return {name: (np.float64, shape) for name, shape in shapes.items()}
+
+
+# A specialist's config, its domain, and its adapters' rank and scale.
+LAYOUT = Layout("specialist", {
+    "domain": (str, ()), "lora_rank": (int, ()), "lora_alpha": (float, ()),
+    **{f"config.{f.name}": (f.type, ()) for f in fields(SpecialistConfig)}}, _checkpoint_arrays)
 
 
 def _masked_nll(logits, targets):

@@ -1,10 +1,12 @@
 import collections
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -26,12 +28,19 @@ from panelroute.cli import (
     EXIT_CONSTRAINT,
     EXIT_DATA,
     EXIT_OK,
+    FEATURES,
+    TOKENS,
+    DataError,
     build_parser,
     config_hash,
     run,
 )
+from panelroute import cli, features, router, specialist
 from panelroute.cohort import default_grammars, save_grammars
-from panelroute.serial import load_bundle, save_bundle, sha256_file
+from panelroute.features import load_feature_models
+from panelroute.router import RouterModel
+from panelroute.serial import BundleError, load_bundle, save_bundle, sha256_file
+from panelroute.specialist import SpecialistConfig, SpecialistModel
 
 
 def write_config(path, **overrides):
@@ -127,27 +136,16 @@ class TestPipeline:
             assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_bundles_hold_exactly_their_documented_keys(self, specialist_dir):
-        """Each bundle's meta keys and array names, and nothing a stage does not read."""
+        """Each bundle holds the meta keys its layout declares, its kind and its
+        stamp, and exactly the arrays its layout declares."""
         out, _, _ = specialist_dir
-        table = {f"{field}_{name}" for field in ("x", "y", "w", "ell", "danger")
-                 for name in ("train", "dev", "test")}
-        block = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                 "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
-        layouts = {
-            "features.bin": ({"kind", "config_hash"}, table),
-            "feature_models.bin": ({"kind", "config_hash", "tfidf"},
-                                   {"tfidf_idf", "svd_components", "svd_singular_values"}),
-            "router.bin": ({"kind", "config_hash", "biases", "calibrators"}, {"head_weights"}),
-            "specialist_Cardiac.bin": (
-                {"kind", "config_hash", "config", "domain", "lora_rank", "lora_alpha"},
-                {"tok_emb", "pos_emb", "lnf_g", "lnf_b",
-                 *(f"l{i}.{name}" for i in range(2) for name in block)}),
-        }
-        for bundle, (meta_keys, array_names) in layouts.items():
-            meta, arrays = load_bundle(out / bundle)
-            assert set(meta) == meta_keys, bundle
-            assert set(arrays) == array_names, bundle
-        assert set(load_bundle(out / "feature_models.bin")[0]["tfidf"]) == {"terms"}
+        for name, (layout, stamp, _) in BUNDLES.items():
+            meta, arrays = load_bundle(out / name)
+            paths = [key.split(".") for key in layout.meta]
+            assert set(meta) == {"kind", stamp, *(path[0] for path in paths)}, name
+            for parent in {path[0] for path in paths if len(path) == 2}:
+                assert set(meta[parent]) == {p[1] for p in paths if p[0] == parent}, name
+            assert set(arrays) == set(declared_arrays(layout, meta)), name
 
     def test_stored_table_is_the_in_memory_table(self, pipeline_dir):
         """features.bin holds exactly the arrays prepare_router_datasets
@@ -895,6 +893,192 @@ def specialist_dir(tmp_path_factory):
     return out, cfg_path, calls
 
 
+# Each bundle kind: its layout, the stamp its writer adds, and a stage that reads it.
+BUNDLES = {
+    "tokens.bin": (TOKENS, "inputs", "featurize"),
+    "features.bin": (FEATURES, "config_hash", "train-router"),
+    "feature_models.bin": (features.LAYOUT, "config_hash", "route"),
+    "router.bin": (router.LAYOUT, "config_hash", "tune"),
+    "specialist_Gastro.bin": (specialist.LAYOUT, "config_hash", "eval"),
+}
+
+
+def declared_arrays(layout, meta) -> dict:
+    return layout.arrays(meta) if callable(layout.arrays) else layout.arrays
+
+
+def load_with_layout(run_dir, name):
+    """Read a bundle through its loader; tokens.bin's reports a DataError."""
+    path = run_dir / name
+    if name == "tokens.bin":
+        return cli._load_tokenized(run_dir)
+    if name == "router.bin":
+        return RouterModel.load(path, load_bundle(run_dir / "features.bin")[1]["x_train"].shape[1])
+    if name.startswith("specialist_"):
+        return SpecialistModel.load(path)
+    if name == "feature_models.bin":
+        return load_feature_models(path)
+    return load_bundle(path, FEATURES)
+
+
+def stage_argv(stage, cfg_path, run_dir, tmp_path):
+    argv = [stage, "--config", str(cfg_path), "--out", str(run_dir)]
+    if stage == "route":
+        argv += ["--episode", str(write_cardiac_probe(tmp_path / "ep.json"))]
+    return argv
+
+
+def cut(key, index):
+    return lambda meta, arrays: arrays.update({key: arrays[key][index]})
+
+
+def retype(key, dtype, scale=1):
+    return lambda meta, arrays: arrays.update({key: arrays[key].astype(dtype) * scale})
+
+
+class TestBundleLayouts:
+    @pytest.mark.parametrize("stage, name, part, key, edit", [
+        ("train-router", "features.bin", "array", "x_train", cut("x_train", np.s_[:, :10])),
+        ("train-router", "features.bin", "array", "y_train", cut("y_train", np.s_[:, :4])),
+        ("train-router", "features.bin", "array", "w_train", cut("w_train", np.s_[:-3])),
+        ("eval", "features.bin", "array", "x_test", cut("x_test", np.s_[:, :10])),
+        ("tune", "features.bin", "array", "y_dev", cut("y_dev", np.s_[:, :4])),
+        ("train-router", "features.bin", "array", "x_train", retype("x_train", np.int8)),
+        ("route", "feature_models.bin", "array", "tfidf_idf", cut("tfidf_idf", np.s_[:-5])),
+        ("route", "feature_models.bin", "array", "svd_components",
+         cut("svd_components", np.s_[:, :-5])),
+        ("route", "feature_models.bin", "meta key", "tfidf.terms",
+         lambda meta, arrays: meta["tfidf"].update(terms=5)),
+        ("route", "feature_models.bin", "array", "svd_components",
+         cut("svd_components", np.s_[:-5])),
+        ("tune", "router.bin", "array", "head_weights", retype("head_weights", np.int64)),
+        ("eval", "specialist_Gastro.bin", "array", "tok_emb", retype("tok_emb", np.int8)),
+        ("eval", "specialist_Gastro.bin", "array", "tok_emb", retype("tok_emb", np.float32)),
+        ("eval", "specialist_Gastro.bin", "meta key", "lora_rank",
+         lambda meta, arrays: meta.update(lora_rank="x")),
+        ("eval", "specialist_Gastro.bin", "array", "lora.l0.wq.A",
+         lambda meta, arrays: (meta.update(lora_rank=2), arrays.update(
+             {"lora.l0.wq.A": np.zeros((3, 7)), "lora.l0.wq.B": np.zeros((2, 9))}))),
+        ("eval", "specialist_Gastro.bin", "array", "lora.nope.A",
+         lambda meta, arrays: arrays.update(
+             {"lora.nope.A": np.zeros((64, 2)), "lora.nope.B": np.zeros((2, 64))})),
+        ("eval", "specialist_Gastro.bin", "array", "junk",
+         lambda meta, arrays: arrays.update(junk=np.zeros(3))),
+        ("featurize", "tokens.bin", "array", "ids", retype("ids", np.float64)),
+        ("featurize", "tokens.bin", "array", "labels", retype("labels", np.int64, 3)),
+        ("tune", "router.bin", "array", "head_weights", cut("head_weights", np.s_[:, :59])),
+        ("eval", "router.bin", "array", "head_weights", cut("head_weights", np.s_[:, :59])),
+        ("route", "router.bin", "array", "head_weights", cut("head_weights", np.s_[:, :59])),
+        ("eval", "specialist_Gastro.bin", "meta key", "domain", "specialist_Cardiac.bin"),
+        ("route", "specialist_Cardiac.bin", "meta key", "domain", "specialist_Gastro.bin"),
+    ])
+    def test_bundle_off_its_layout_exits_3_naming_file_and_key(
+            self, specialist_dir, tmp_path, capsys, stage, name, part, key, edit):
+        """A bundle re-saved with one edit, or a specialist copied over another
+        domain's, is refused by the stage that reads it."""
+        out, cfg_path, _ = specialist_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        if isinstance(edit, str):
+            shutil.copy(run_dir / edit, run_dir / name)
+        else:
+            meta, arrays = load_bundle(run_dir / name)
+            edit(meta, arrays)
+            save_bundle(run_dir / name, meta, arrays)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(stage_argv(stage, cfg_path, run_dir, tmp_path)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and name in err and f"{part} {key!r}" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_an_empty_split_is_stored_in_its_declared_shape(self, tmp_path):
+        """Two episodes per domain leave the test split empty: its y is
+        (0, 5), so train-router and tune read the table as at any size."""
+        cfg_path = write_config(tmp_path / "config.json", cohort={"counts": dict.fromkeys(
+            ("Cardiac", "Pulmonary", "Gastro", "Musculoskeletal", "Psychogenic"), 2)})
+        assert run_pipeline(tmp_path, cfg_path, upto="tune") == [EXIT_OK] * 5
+        _, arrays = load_bundle(tmp_path / "features.bin", FEATURES)
+        assert arrays["y_test"].shape == (0, 5) and arrays["x_test"].shape[0] == 0
+
+    def test_readme_names_every_declared_key(self):
+        """README's module bullets name every meta key and array of every
+        layout; a split, a layer and an adapted weight are written as <split>,
+        l<i> and <name>."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullets = "\n".join(line for line in readme.splitlines()
+                            if line.startswith("- `src/panelroute/"))
+        lora_meta = {"config": dataclasses.asdict(SpecialistConfig(vocab_size=5, layers=1)),
+                     "lora_rank": 1}
+        keys = set()
+        for layout, _, _ in BUNDLES.values():
+            keys |= {part for key in layout.meta for part in key.split(".")}
+            for name in declared_arrays(layout, lora_meta):
+                name = re.sub(r"_(train|dev|test)$", "_<split>", name)
+                name = re.sub(r"^lora\.l\d+\.\w+\.", "lora.<name>.", name)
+                keys.add(re.sub(r"^l\d+\.", "l<i>.", name))
+        assert {"x_<split>", "l<i>.wq", "lora.<name>.A", "terms", "vocab_size", "offsets"} <= keys
+        assert [key for key in sorted(keys) if f"`{key}`" not in bullets] == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(BUNDLES)), st.data())
+    def test_any_edit_off_the_layout_is_refused(self, specialist_dir, tmp_path_factory, name,
+                                                data):
+        """Drop a declared key, retype a declared meta value, resize or retype a
+        declared array, or add an array: the loader raises and the stage exits 3."""
+        out, cfg_path, _ = specialist_dir
+        run_dir = tmp_path_factory.mktemp("run")
+        shutil.copytree(out, run_dir, dirs_exist_ok=True)
+        layout, _, stage = BUNDLES[name]
+        meta, arrays = load_bundle(run_dir / name)
+        arrays = dict(arrays)
+        shapes = declared_arrays(layout, meta)
+        paths = sorted({("kind",), *(tuple(key.split(".")) for key in layout.meta),
+                        *((key.split(".")[0],) for key in layout.meta)})
+        edit = data.draw(st.sampled_from(["drop", "retype_meta", "resize", "dtype", "add"]))
+        if edit == "drop":
+            key = data.draw(st.sampled_from(paths + sorted(shapes)))
+            if isinstance(key, tuple):
+                parent = meta[key[0]] if len(key) == 2 else meta
+                del parent[key[-1]]
+            else:
+                del arrays[key]
+        elif edit == "retype_meta":
+            key = data.draw(st.sampled_from(paths))
+            parent = meta[key[0]] if len(key) == 2 else meta
+            want = layout.meta.get(".".join(key))
+            allowed = (() if want is None or want[1]
+                       else (int, float) if want[0] is float else (want[0],))
+            parent[key[-1]] = data.draw(st.sampled_from(
+                [v for v in ("x", 5, 2.5, None, True, {}) if type(v) not in allowed]))
+        elif edit == "resize":
+            key = data.draw(st.sampled_from(sorted(shapes)))
+            arr = arrays[key]
+            axis = data.draw(st.integers(0, arr.ndim - 1))
+            size = data.draw(st.integers(0, arr.shape[axis] + 3).filter(
+                lambda n: n != arr.shape[axis]))
+            new_shape = list(arr.shape)
+            new_shape[axis] = size
+            arrays[key] = np.resize(arr, new_shape)
+        elif edit == "dtype":
+            key = data.draw(st.sampled_from(sorted(shapes)))
+            dtype = data.draw(st.sampled_from(
+                [t for t in (np.int8, np.uint16, np.int64, np.float32, np.float64, np.bool_)
+                 if not issubclass(t, shapes[key][0])]))
+            arrays[key] = arrays[key].astype(dtype)
+        else:
+            arrays[data.draw(st.sampled_from(["junk", "lora.l0.wq.A", "x_extra"]))] = np.zeros(2)
+        save_bundle(run_dir / name, meta, arrays)
+        with pytest.raises(DataError if name == "tokens.bin" else BundleError):
+            load_with_layout(run_dir, name)
+        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("ignore")
+            code = run(stage_argv(stage, cfg_path, run_dir, run_dir))
+        assert code == EXIT_DATA, err.getvalue()
+        assert name in err.getvalue()
+
+
 class TestTokenBundle:
     def test_the_cohort_is_parsed_once_per_build(self, specialist_dir):
         out, _, calls = specialist_dir
@@ -920,7 +1104,7 @@ class TestTokenBundle:
 
     def test_ids_are_narrow_and_stamped_with_their_inputs(self, specialist_dir):
         out, _, _ = specialist_dir
-        meta, arrays = load_bundle(out / "tokens.bin", "tokens")
+        meta, arrays = load_bundle(out / "tokens.bin", TOKENS)
         assert arrays["ids"].dtype == np.uint8
         assert meta["inputs"] == {"cohort.jsonl": sha256_file(out / "cohort.jsonl"),
                                   "vocab.tsv": sha256_file(out / "vocab.tsv")}
@@ -1029,7 +1213,7 @@ class TestTokenBundle:
                 assert code == EXIT_CONFIG and not (out / "vocab.tsv").exists()
                 return
             assert code == EXIT_OK
-            meta, arrays = load_bundle(out / "tokens.bin", "tokens")
+            meta, arrays = load_bundle(out / "tokens.bin", TOKENS)
             vocab = Vocabulary.load(out / "vocab.tsv")
             expected = [tokenize_episode(ep, vocab) for ep in read_episodes_jsonl(
                 out / "cohort.jsonl")]

@@ -156,7 +156,7 @@ class TestRouterModel:
         model = toy_router()
         model.heads[2].weights = np.array([0.3, 0.7])
         model.save(tmp_path / "r.bin")
-        loaded = RouterModel.load(tmp_path / "r.bin")
+        loaded = RouterModel.load(tmp_path / "r.bin", dim=2)
         x = np.array([[1.0, -1.0], [0.5, 2.0]])
         assert np.array_equal(model.predict_proba(x), loaded.predict_proba(x))
 
