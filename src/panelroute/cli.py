@@ -57,6 +57,8 @@ from .pipeline import (
     TABLE,
     prepare_router_datasets,
     evaluate,
+    split_rows,
+    split_table,
     train_router,
     prob_rows_for,
     tokenize_cohort,
@@ -326,7 +328,9 @@ def _token_inputs(out: Path) -> dict:
             "vocab.tsv": sha256_file(_require(out, "vocab.tsv", "tokenize"))}
 
 
-FEATURES = Layout("features", {}, TABLE)
+# features.bin: the test split's TABLE arrays; train-router and tune project their splits.
+FEATURES = Layout("features", {}, {name: spec for name, spec in TABLE.items()
+                                   if name.endswith("_test")})
 # tokens.bin: n episodes' token ids, n + 1 offsets into them, label bits and danger flags.
 TOKENS = Layout("tokens", {"episode_ids": (str, ("n",))},
                 {"ids": (np.unsignedinteger, ("n_ids",)), "offsets": (np.int64, ("n+1",)),
@@ -440,26 +444,46 @@ def cmd_tokenize(args, cfg: dict, out: Path) -> int:
 def cmd_featurize(args, cfg: dict, out: Path) -> int:
     episodes, vocab = _load_tokenized(out)
     with _cohort_sized(cfg, RouterError):
-        table, tfidf, svd = prepare_router_datasets(episodes, vocab, cfg["k"], cfg["seed"],
-                                                    cfg["svd_rank"])
+        rows = split_rows(episodes, cfg["k"], cfg["seed"], SPLITS)
+        table, tfidf, svd = prepare_router_datasets(rows, vocab, cfg["seed"], cfg["svd_rank"],
+                                                    splits=("test",))
     save_feature_models(out / "feature_models.bin", tfidf, svd, {"config_hash": config_hash(cfg)})
     save_bundle(out / "features.bin", {"kind": "features", "config_hash": config_hash(cfg)},
                 table)
     _update_manifest(out, cfg, "feature_models.bin", "features.bin")
-    rows = {name: len(table[f"y_{name}"]) for name in SPLITS}
-    print(f"feature table: {rows} rows, dim {table['x_train'].shape[1]}")
+    print(f"feature table: { {name: len(r) for name, r in rows.items()} } rows, dim {svd.rank}")
     return EXIT_OK
 
 
-def _load_datasets(out: Path, cfg: dict) -> dict:
-    """This config's feature table: the TABLE arrays in features.bin."""
+def _load_feature_models(out: Path, cfg: dict):
+    """(tfidf, svd): this config's fitted models in feature_models.bin."""
+    tfidf, svd, stamp = load_feature_models(_require(out, "feature_models.bin", "featurize"))
+    _check_hash(stamp, cfg, "feature_models.bin")
+    return tfidf, svd
+
+
+def _project_splits(out: Path, cfg: dict, *names: str) -> dict:
+    """The TABLE arrays of the named splits, projected from tokens.bin with this
+    config's feature_models.bin; the other splits are not expanded."""
+    tfidf, svd = _load_feature_models(out, cfg)
+    episodes, vocab = _load_tokenized(out)
+    with _cohort_sized(cfg, RouterError):
+        rows = split_rows(episodes, cfg["k"], cfg["seed"], names)
+    table = {}
+    for name in names:
+        table |= split_table(name, rows[name], vocab, tfidf, svd)
+    return table
+
+
+def _load_test_table(out: Path, cfg: dict) -> dict:
+    """This config's test table: the arrays in features.bin."""
     meta, table = load_bundle(_require(out, "features.bin", "featurize"), FEATURES)
     _check_hash(meta.get("config_hash"), cfg, "features.bin")
     return table
 
 
 def cmd_train_router(args, cfg: dict, out: Path) -> int:
-    table = _load_datasets(out, cfg)
+    table = _project_splits(out, cfg, "train", "dev")
     with _cohort_sized(cfg, RouterError):
         model = train_router(table)
     model.save(out / "router.bin", {"config_hash": config_hash(cfg)})
@@ -468,15 +492,17 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _load_router(out: Path, cfg: dict, dim: int) -> RouterModel:
-    model = RouterModel.load(_require(out, "router.bin", "train-router"), dim)
+def _load_router(out: Path, cfg: dict, dim: int, source: str) -> RouterModel:
+    """This config's router, refused unless its heads score `source`'s `dim` features."""
+    model = RouterModel.load(_require(out, "router.bin", "train-router"), dim, source)
     _check_hash(model.config_hash, cfg, "router.bin")
     return model
 
 
 def cmd_tune(args, cfg: dict, out: Path) -> int:
-    table = _load_datasets(out, cfg)
-    model = _load_router(out, cfg, table["x_train"].shape[1])
+    table = _project_splits(out, cfg, "dev")
+    model = _load_router(out, cfg, table["x_dev"].shape[1],
+                         f"{out / 'feature_models.bin'} array 'svd_components'")
     dev_rows = prob_rows_for(model, table, "dev")
     grid = [tuple(p) for p in cfg["grid"]] if cfg["grid"] else None
     with _cohort_sized(cfg, PolicyError):
@@ -544,12 +570,14 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_eval(args, cfg: dict, out: Path) -> int:
-    table = _load_datasets(out, cfg)
-    model = _load_router(out, cfg, table["x_train"].shape[1])
+    table = _load_test_table(out, cfg)
+    model = _load_router(out, cfg, table["x_test"].shape[1],
+                         f"{out / 'features.bin'} array 'x_test'")
     thresholds = _load_thresholds(out, cfg)
     lm = metrics.LatencyModel(l_router=cfg["latency"]["l_router"],
                               l_expert_default=cfg["latency"]["l_expert"])
-    report = evaluate(model, table, thresholds, lm, k=cfg["k"])
+    with _cohort_sized(cfg, metrics.MetricError):
+        report = evaluate(model, table, thresholds, lm, k=cfg["k"])
     spec_models = {d: m for d in DOMAINS if (m := _load_specialist(out, cfg, d)) is not None}
     if spec_models:
         episodes = _load_tokenized(out)[0]
@@ -573,9 +601,8 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_route(args, cfg: dict, out: Path) -> int:
-    tfidf, svd, stamp = load_feature_models(_require(out, "feature_models.bin", "featurize"))
-    _check_hash(stamp, cfg, "feature_models.bin")
-    model = _load_router(out, cfg, svd.rank)
+    tfidf, svd = _load_feature_models(out, cfg)
+    model = _load_router(out, cfg, svd.rank, f"{out / 'feature_models.bin'} array 'svd_components'")
     thresholds = _load_thresholds(out, cfg)
     vocab_path = _require(out, "vocab.tsv", "tokenize")
     vocab = Vocabulary.load(vocab_path)

@@ -221,17 +221,23 @@ def _project_csr(indptr, indices, data, components) -> np.ndarray:
 
     Every row adds a * components[:, j] for its nonzeros (j, a) in column
     order, starting from zero, as scipy's csr_matvecs does, so the result is
-    bitwise `csr_matrix(...) @ components.T`. Step k adds the k-th nonzero of
-    every row that has one."""
+    bitwise `csr_matrix(...) @ components.T`. Rows are visited by descending
+    nonzero count (stable), so step k adds the k-th nonzero of the first n_k
+    rows, those that have one, into a contiguous block; one scatter restores
+    the row order."""
     nnz = np.diff(indptr)
+    order = np.argsort(-nnz, kind="stable")
+    starts, counts = indptr[order], nnz[order]
     z = np.zeros((len(nnz), components.shape[0]))
-    for k in range(int(nnz.max(initial=0))):
-        rows = np.flatnonzero(nnz > k)
-        pos = indptr[rows] + k
-        terms = components.T[indices[pos]]
+    for k in range(int(counts.max(initial=0))):
+        n_k = int(np.count_nonzero(counts > k))
+        pos = starts[:n_k] + k
+        terms = np.take(components.T, indices[pos], axis=0)
         terms *= data[pos, None]
-        z[rows] += terms
-    return z
+        z[:n_k] += terms
+    out = np.empty_like(z)
+    out[order] = z
+    return out
 
 
 def featurize_rows(rows, vocab: Vocabulary, tfidf: TfidfModel, svd: SvdProjector) -> np.ndarray:

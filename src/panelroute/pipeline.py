@@ -10,8 +10,8 @@ from .events import (DOMAINS, LIFE_THREAT_DOMAINS, build_vocabulary, encode_toke
 from .router import RouterModel, SplitSpec, fit_head, platt_fit, split
 
 SPLITS = ("train", "dev", "test")
-# The feature table, as features.bin stores it: the dtype and shape of each field's array
-# per split, with n_<split> rows and features of width dim.
+# The feature table: the dtype and shape of each field's array per split, with
+# n_<split> rows and features of width dim. features.bin stores the test split's.
 TABLE = {f"{field}_{name}": (dtype, (f"n_{name}", *dims)) for field, dtype, dims in (
     ("x", np.float64, ("dim",)), ("y", np.uint8, (len(DOMAINS),)), ("w", np.float64, ()),
     ("ell", np.int64, ()), ("danger", np.uint8, ())) for name in SPLITS}
@@ -27,24 +27,35 @@ def tokenize_cohort(episodes, min_count: int = 1):
     return episodes, vocab
 
 
-def prepare_router_datasets(episodes, vocab, k: int, seed: int, svd_rank: int):
-    """(table, tfidf, svd): split episodes (before prefix expansion), expand,
-    fit TF-IDF and SVD on the training rows only, and featurize every split
-    into the TABLE arrays; each row weighs ell/K, and `y` (N, 5) and `danger`
-    (N,) are 0/1 uint8."""
-    parts = split(episodes, SplitSpec(seed=seed))
-    rows = {name: feats.expand_cohort(eps, k) for name, eps in zip(SPLITS, parts)}
+def split_rows(episodes, k: int, seed: int, names) -> dict:
+    """Each named split's prefix rows: the episodes are split (before prefix
+    expansion), and only the splits in `names` are expanded."""
+    parts = dict(zip(SPLITS, split(episodes, SplitSpec(seed=seed))))
+    return {name: feats.expand_cohort(parts[name], k) for name in names}
+
+
+def split_table(name: str, rows, vocab, tfidf, svd) -> dict:
+    """The TABLE arrays of split `name` from its prefix rows: each row weighs
+    ell/K, and `y` (N, 5) and `danger` (N,) are 0/1 uint8."""
+    return {
+        f"x_{name}": feats.featurize_rows(rows, vocab, tfidf, svd),
+        f"y_{name}": np.array([r.label_bits for r in rows],
+                              dtype=np.uint8).reshape(-1, len(DOMAINS)),
+        f"w_{name}": np.array([r.weight for r in rows]),
+        f"ell_{name}": np.array([r.ell for r in rows], dtype=np.int64),
+        f"danger_{name}": np.array([r.danger for r in rows], dtype=np.uint8),
+    }
+
+
+def prepare_router_datasets(rows: dict, vocab, seed: int, svd_rank: int, splits=SPLITS):
+    """(table, tfidf, svd): fit TF-IDF and SVD on `rows["train"]` only, and
+    build the TABLE arrays of each split in `splits` from `rows`."""
     train_docs = [feats.row_document(r, vocab) for r in rows["train"]]
     tfidf = feats.tfidf_fit(train_docs)
     svd = feats.svd_fit(tfidf.transform(train_docs), rank=svd_rank, seed=seed)
     table = {}
-    for name, split_rows in rows.items():
-        table[f"x_{name}"] = feats.featurize_rows(split_rows, vocab, tfidf, svd)
-        table[f"y_{name}"] = np.array([r.label_bits for r in split_rows],
-                                      dtype=np.uint8).reshape(-1, len(DOMAINS))
-        table[f"w_{name}"] = np.array([r.weight for r in split_rows])
-        table[f"ell_{name}"] = np.array([r.ell for r in split_rows], dtype=np.int64)
-        table[f"danger_{name}"] = np.array([r.danger for r in split_rows], dtype=np.uint8)
+    for name in splits:
+        table |= split_table(name, rows[name], vocab, tfidf, svd)
     return table, tfidf, svd
 
 
@@ -73,11 +84,14 @@ def _policy_metrics(routed, truth, lm: metrics.LatencyModel) -> dict:
 def evaluate(model: RouterModel, table: dict, thresholds: policy.Thresholds,
              lm: metrics.LatencyModel | None = None, k: int = 5) -> dict:
     """Full metric report on the test split: per-head discrimination and
-    calibration, tuned-policy routing quality, baselines, anytime curves."""
+    calibration, tuned-policy routing quality, baselines, anytime curves.
+    An empty test split raises MetricError."""
     lm = lm or metrics.LatencyModel()
-    probs = model.predict_proba(table["x_test"])
     y = table["y_test"]
     n = len(y)
+    if n == 0:
+        raise metrics.MetricError("the test split has no rows to evaluate")
+    probs = model.predict_proba(table["x_test"])
 
     per_domain = {}
     for d, domain in enumerate(DOMAINS):

@@ -42,7 +42,8 @@ def _check(path, meta: dict, arrays: dict, layout: Layout, sizes: dict) -> None:
     """Raise BundleError naming the file and key unless the bundle fits `layout`."""
     if meta.get("kind") != layout.kind:
         raise BundleError(f"{path}: not a {layout.kind} bundle")
-    bound = {name: (n, "the data it is read with") for name, n in sizes.items()}
+    bound = {name: n if isinstance(n, tuple) else (n, "the data it is read with")
+             for name, n in sizes.items()}
 
     def fits(shape, got, where) -> bool:
         for want, n in zip(shape, got):
@@ -134,7 +135,8 @@ def save_bundle(path, meta: dict, arrays: dict | None = None) -> None:
 
 def load_bundle(path, layout: Layout | None = None, **sizes):
     """Return (meta, arrays) from a bundle file, checked against `layout` if one
-    is given, with `sizes` binding some of its names.
+    is given, with `sizes` binding some of its names, each to a size or to
+    (size, where the size comes from), which a mismatch names.
 
     The payload is read once into one writable buffer and the arrays are views
     into it; a view that would start off its dtype's alignment is copied.

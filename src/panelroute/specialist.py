@@ -625,14 +625,24 @@ class AdamW:
             if key not in self.m:
                 self.m[key] = np.zeros_like(g)
                 self.v[key] = np.zeros_like(g)
-            self.m[key] = b1 * self.m[key] + (1 - b1) * g
-            self.v[key] = b2 * self.v[key] + (1 - b2) * g * g
-            mhat = self.m[key] / (1 - b1 ** self.t)
-            vhat = self.v[key] / (1 - b2 ** self.t)
-            update = mhat / (np.sqrt(vhat) + 1e-8)
+            m, v, p = self.m[key], self.v[key], params[key]
+            # In place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+            # update = (m/c1) / (sqrt(v/c2) + 1e-8) [+ wd*p] and p = p - lr*update.
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            gg = (1 - b2) * g
+            gg *= g
+            v += gg
+            denom = np.divide(v, 1 - b2 ** self.t, out=gg)
+            np.sqrt(denom, out=denom)
+            denom += 1e-8
+            update = m / (1 - b1 ** self.t)
+            update /= denom
             if key in decay_keys:
-                update = update + self.weight_decay * params[key]
-            params[key] = params[key] - lr * update
+                update += self.weight_decay * p
+            update *= lr
+            p -= update
 
 
 def clip_global_norm(grad_arrays, max_norm: float) -> float:
@@ -697,9 +707,6 @@ def train(model: SpecialistModel, train_sequences, dev_sequences, cfg: TrainConf
             grads = {k: g.astype(np.float64) for k, g in grads.items()}
             clip_global_norm(list(grads.values()), GRAD_CLIP)
             opt.step(tensors, grads, lr_schedule(step, total_steps, cfg.peak_lr), decay_keys)
-            if model.adapters:
-                model.adapters = {key: (tensors[f"{key}.A"], tensors[f"{key}.B"])
-                                  for key in model.adapters}
             epoch_loss += loss
             n_batches += 1
             step += 1

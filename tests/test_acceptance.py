@@ -38,7 +38,8 @@ def run_router_pipeline(episodes, seed=0, svd_rank=128):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         episodes, vocab = pipeline.tokenize_cohort(episodes)
-        table, _, _ = pipeline.prepare_router_datasets(episodes, vocab, 5, seed, svd_rank)
+        rows = pipeline.split_rows(episodes, 5, seed, pipeline.SPLITS)
+        table, _, _ = pipeline.prepare_router_datasets(rows, vocab, seed, svd_rank)
         model = pipeline.train_router(table)
     return model, table
 

@@ -119,21 +119,88 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert meta["config_hash"] == manifest["config_hash"]
 
-    def test_router_stages_do_not_read_feature_models(self, pipeline_dir, tmp_path):
-        """train-router, tune and eval read features.bin alone: without
-        feature_models.bin they write what a run that kept it wrote."""
+    def test_train_router_and_tune_do_not_read_features_bin(self, pipeline_dir, tmp_path):
+        """train-router and tune project their splits from tokens.bin and
+        feature_models.bin: without features.bin they write what the full run
+        wrote, and eval, which reads it, then writes the same report."""
         out, cfg_path = pipeline_dir
         run_dir = tmp_path / "run"
         shutil.copytree(out, run_dir)
         written = ["router.bin", "thresholds.json", "frontier.csv", "report.json"]
-        for name in ["feature_models.bin", *written]:
+        for name in ["features.bin", *written]:
             (run_dir / name).unlink()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for stage in ("train-router", "tune", "eval"):
+            for stage in ("train-router", "tune"):
                 assert run([stage, "--config", str(cfg_path), "--out", str(run_dir)]) == EXIT_OK
+            assert run(["eval", "--config", str(cfg_path), "--out", str(run_dir)]) == EXIT_DATA
+            shutil.copy(out / "features.bin", run_dir / "features.bin")
+            assert run(["eval", "--config", str(cfg_path), "--out", str(run_dir)]) == EXIT_OK
         for name in written:
             assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_train_and_dev_tables_are_featurize_rows_of_their_rows(self, pipeline_dir, tmp_path):
+        """The train and dev arrays train-router and tune build are, bit for bit,
+        featurize_rows of the split's prefix rows with the saved models, and the
+        table prepare_router_datasets builds for those splits."""
+        from panelroute import pipeline
+
+        out, cfg_path = pipeline_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        tables = {}
+
+        def recording(stage, fn, index):  # the table is fn's argument `index`
+            def record(*args):
+                tables[stage] = args[index]
+                return fn(*args)
+            return record
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mp.setattr(cli, "train_router", recording("train-router", cli.train_router, 0))
+            mp.setattr(cli, "prob_rows_for", recording("tune", cli.prob_rows_for, 1))
+            for stage in ("train-router", "tune"):
+                assert run([stage, "--config", str(cfg_path), "--out", str(run_dir)]) == EXIT_OK
+        cfg = cli.load_config(build_parser().parse_args(["featurize", "--config", str(cfg_path)]))
+        episodes, vocab = cli._load_tokenized(out)
+        tfidf, svd, _ = load_feature_models(out / "feature_models.bin")
+        rows = pipeline.split_rows(episodes, cfg["k"], cfg["seed"], pipeline.SPLITS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            full, _, _ = pipeline.prepare_router_datasets(rows, vocab, cfg["seed"],
+                                                          cfg["svd_rank"])
+        assert set(tables["train-router"]) == {n for n in pipeline.TABLE if n[-4:] != "test"}
+        assert set(tables["tune"]) == {n for n in pipeline.TABLE if n.endswith("_dev")}
+        for stage, table in tables.items():
+            for name, arr in table.items():
+                assert arr.dtype == full[name].dtype, (stage, name)
+                assert arr.tobytes() == full[name].tobytes(), (stage, name)
+            for split_name in ("train", "dev"):
+                if f"x_{split_name}" in table:
+                    want = features.featurize_rows(rows[split_name], vocab, tfidf, svd)
+                    assert table[f"x_{split_name}"].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stage", ["train-router", "tune"])
+    @pytest.mark.parametrize("corrupt, code", [("another_config", EXIT_CONFIG),
+                                               ("truncated", EXIT_DATA)])
+    def test_projecting_stages_refuse_a_foreign_or_truncated_feature_models_bin(
+            self, pipeline_dir, tmp_path, capsys, stage, corrupt, code):
+        out, cfg_path = pipeline_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        path = run_dir / "feature_models.bin"
+        if corrupt == "truncated":
+            path.write_bytes(path.read_bytes()[:-100])
+        else:
+            meta, arrays = load_bundle(path)
+            save_bundle(path, {**meta, "config_hash": config_hash({"seed": 99})}, arrays)
+        capsys.readouterr()
+        assert run([stage, "--config", str(cfg_path), "--out", str(run_dir)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " if code == EXIT_DATA else "config error: ")
+        assert "feature_models.bin" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_bundles_hold_exactly_their_documented_keys(self, specialist_dir):
         """Each bundle holds the meta keys its layout declares, its kind and its
@@ -147,20 +214,22 @@ class TestPipeline:
                 assert set(meta[parent]) == {p[1] for p in paths if p[0] == parent}, name
             assert set(arrays) == set(declared_arrays(layout, meta)), name
 
-    def test_stored_table_is_the_in_memory_table(self, pipeline_dir):
-        """features.bin holds exactly the arrays prepare_router_datasets
-        returns: the same names, dtypes and bytes."""
+    def test_features_bin_holds_exactly_the_test_table(self, pipeline_dir):
+        """features.bin holds exactly the five *_test arrays, with the names,
+        dtypes and bytes prepare_router_datasets returns for the test split."""
         from panelroute import cli, pipeline
 
         out, cfg_path = pipeline_dir
         cfg = cli.load_config(build_parser().parse_args(["featurize", "--config", str(cfg_path)]))
         episodes, vocab = cli._load_tokenized(out)
+        rows = pipeline.split_rows(episodes, cfg["k"], cfg["seed"], pipeline.SPLITS)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            table, _, _ = pipeline.prepare_router_datasets(episodes, vocab, cfg["k"], cfg["seed"],
-                                                           cfg["svd_rank"])
+            table, _, _ = pipeline.prepare_router_datasets(rows, vocab, cfg["seed"],
+                                                           cfg["svd_rank"], splits=("test",))
         _, stored = load_bundle(out / "features.bin")
-        assert set(stored) == set(table) == set(pipeline.TABLE)
+        assert set(stored) == set(table) == set(FEATURES.arrays) == {
+            "x_test", "y_test", "w_test", "ell_test", "danger_test"}
         for name, arr in table.items():
             assert stored[name].dtype == arr.dtype, name
             assert stored[name].shape == arr.shape, name
@@ -334,7 +403,8 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("stage, name, part, key", [
-        ("train-router", "features.bin", "array", "x_train"),
+        ("train-router", "feature_models.bin", "array", "svd_components"),
+        ("eval", "features.bin", "array", "y_test"),
         ("tune", "router.bin", "meta key", "biases"),
         ("tune", "router.bin", "array", "head_weights"),
         ("route", "feature_models.bin", "array", "tfidf_idf"),
@@ -391,7 +461,7 @@ class TestErrorPaths:
         ("report", "report.json", "truncated", EXIT_DATA),
         ("tune", "manifest.json", "truncated", EXIT_DATA),
         ("route", "timings.json", "open_brace", EXIT_DATA),
-        ("tune", "features.bin", "wrong_kind", EXIT_DATA),
+        ("eval", "features.bin", "wrong_kind", EXIT_DATA),
     ])
     def test_unreadable_artifact_exits_with_one_line_naming_it(
             self, pipeline_dir, tmp_path, capsys, stage, name, corrupt, code):
@@ -896,7 +966,7 @@ def specialist_dir(tmp_path_factory):
 # Each bundle kind: its layout, the stamp its writer adds, and a stage that reads it.
 BUNDLES = {
     "tokens.bin": (TOKENS, "inputs", "featurize"),
-    "features.bin": (FEATURES, "config_hash", "train-router"),
+    "features.bin": (FEATURES, "config_hash", "eval"),
     "feature_models.bin": (features.LAYOUT, "config_hash", "route"),
     "router.bin": (router.LAYOUT, "config_hash", "tune"),
     "specialist_Gastro.bin": (specialist.LAYOUT, "config_hash", "eval"),
@@ -908,12 +978,16 @@ def declared_arrays(layout, meta) -> dict:
 
 
 def load_with_layout(run_dir, name):
-    """Read a bundle through its loader; tokens.bin's reports a DataError."""
+    """Read a bundle through its loader; tokens.bin's reports a DataError, and
+    features.bin's x_test is read against the width router.bin scores, as eval does."""
     path = run_dir / name
     if name == "tokens.bin":
         return cli._load_tokenized(run_dir)
+    if name == "features.bin":
+        _, table = load_bundle(path, FEATURES)
+        return RouterModel.load(run_dir / "router.bin", table["x_test"].shape[1], str(path))
     if name == "router.bin":
-        return RouterModel.load(path, load_bundle(run_dir / "features.bin")[1]["x_train"].shape[1])
+        return RouterModel.load(path, load_bundle(run_dir / "features.bin")[1]["x_test"].shape[1])
     if name.startswith("specialist_"):
         return SpecialistModel.load(path)
     if name == "feature_models.bin":
@@ -938,12 +1012,14 @@ def retype(key, dtype, scale=1):
 
 class TestBundleLayouts:
     @pytest.mark.parametrize("stage, name, part, key, edit", [
-        ("train-router", "features.bin", "array", "x_train", cut("x_train", np.s_[:, :10])),
-        ("train-router", "features.bin", "array", "y_train", cut("y_train", np.s_[:, :4])),
-        ("train-router", "features.bin", "array", "w_train", cut("w_train", np.s_[:-3])),
+        ("train-router", "feature_models.bin", "array", "tfidf_idf", cut("tfidf_idf", np.s_[:-5])),
+        ("eval", "features.bin", "array", "y_test", cut("y_test", np.s_[:, :4])),
+        ("eval", "features.bin", "array", "w_test", cut("w_test", np.s_[:-3])),
         ("eval", "features.bin", "array", "x_test", cut("x_test", np.s_[:, :10])),
-        ("tune", "features.bin", "array", "y_dev", cut("y_dev", np.s_[:, :4])),
-        ("train-router", "features.bin", "array", "x_train", retype("x_train", np.int8)),
+        ("tune", "feature_models.bin", "array", "svd_components",
+         cut("svd_components", np.s_[:-5])),
+        ("eval", "features.bin", "array", "x_test", retype("x_test", np.int8)),
+        ("train-router", "tokens.bin", "array", "ids", retype("ids", np.float64)),
         ("route", "feature_models.bin", "array", "tfidf_idf", cut("tfidf_idf", np.s_[:-5])),
         ("route", "feature_models.bin", "array", "svd_components",
          cut("svd_components", np.s_[:, :-5])),
@@ -995,12 +1071,27 @@ class TestBundleLayouts:
 
     def test_an_empty_split_is_stored_in_its_declared_shape(self, tmp_path):
         """Two episodes per domain leave the test split empty: its y is
-        (0, 5), so train-router and tune read the table as at any size."""
+        (0, 5), and train-router and tune build their tables as at any size."""
         cfg_path = write_config(tmp_path / "config.json", cohort={"counts": dict.fromkeys(
             ("Cardiac", "Pulmonary", "Gastro", "Musculoskeletal", "Psychogenic"), 2)})
         assert run_pipeline(tmp_path, cfg_path, upto="tune") == [EXIT_OK] * 5
         _, arrays = load_bundle(tmp_path / "features.bin", FEATURES)
         assert arrays["y_test"].shape == (0, 5) and arrays["x_test"].shape[0] == 0
+
+    def test_eval_of_an_empty_test_split_is_a_config_error(self, tmp_path, capsys):
+        """An empty test split cannot be evaluated: eval exits 2 naming the
+        key that sized the cohort, without a traceback."""
+        counts = dict.fromkeys(("Cardiac", "Pulmonary", "Gastro", "Musculoskeletal",
+                                "Psychogenic"), 2)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"seed": 3, "cohort": {"counts": counts}}))
+        assert run_pipeline(tmp_path, cfg_path, upto="tune") == [EXIT_OK] * 5
+        capsys.readouterr()
+        assert run(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cohort.counts = ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_readme_names_every_declared_key(self):
         """README's module bullets name every meta key and array of every

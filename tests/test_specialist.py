@@ -449,6 +449,39 @@ class TestOptimizer:
         assert np.all(params["w"] < 1.0)
         assert np.all(params["b"] == 1.0)
 
+    def test_adamw_in_place_step_is_bitwise_the_out_of_place_formula(self):
+        """Several steps on decayed and undecayed keys, with changing learning
+        rates, equal the out-of-place update bit for bit, and update the
+        parameter arrays in place."""
+        rng = np.random.default_rng(11)
+        shapes = {"w": (7, 5), "b": (5,), "emb": (9, 3)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        want = {k: p.copy() for k, p in params.items()}
+        arrays = dict(params)
+        decay_keys = {"w"}
+        opt = AdamW(weight_decay=0.05)
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        b1, b2 = 0.9, 0.999
+        for t, lr in enumerate([1e-3, 3e-3, 2e-3, 5e-4, 1e-4], start=1):
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2)
+                     for k, s in shapes.items()}
+            opt.step(params, grads, lr, decay_keys)
+            for key, g in grads.items():  # the oracle: the out-of-place formula
+                m[key] = b1 * m[key] + (1 - b1) * g
+                v[key] = b2 * v[key] + (1 - b2) * g * g
+                mhat = m[key] / (1 - b1 ** t)
+                vhat = v[key] / (1 - b2 ** t)
+                update = mhat / (np.sqrt(vhat) + 1e-8)
+                if key in decay_keys:
+                    update = update + opt.weight_decay * want[key]
+                want[key] = want[key] - lr * update
+            for key in shapes:
+                assert params[key] is arrays[key]
+                assert params[key].tobytes() == want[key].tobytes(), (t, key)
+                assert opt.m[key].tobytes() == m[key].tobytes(), (t, key)
+                assert opt.v[key].tobytes() == v[key].tobytes(), (t, key)
+
 
 class TestTraining:
     def make_corpus(self, n=60, seed=0):
