@@ -57,8 +57,8 @@ from .pipeline import (
     TABLE,
     prepare_router_datasets,
     evaluate,
+    build_table,
     split_rows,
-    split_table,
     train_router,
     prob_rows_for,
     tokenize_cohort,
@@ -469,10 +469,7 @@ def _project_splits(out: Path, cfg: dict, *names: str) -> dict:
     episodes, vocab = _load_tokenized(out)
     with _cohort_sized(cfg, RouterError):
         rows = split_rows(episodes, cfg["k"], cfg["seed"], names)
-    table = {}
-    for name in names:
-        table |= split_table(name, rows[name], vocab, tfidf, svd)
-    return table
+    return build_table(rows, vocab, tfidf, svd)
 
 
 def _load_test_table(out: Path, cfg: dict) -> dict:
@@ -492,17 +489,19 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _load_router(out: Path, cfg: dict, dim: int, source: str) -> RouterModel:
-    """This config's router, refused unless its heads score `source`'s `dim` features."""
-    model = RouterModel.load(_require(out, "router.bin", "train-router"), dim, source)
+def _load_router(out: Path, cfg: dict, dim: int, name: str, array: str) -> RouterModel:
+    """This config's router, refused unless its heads score features of width
+    `dim`, read from the artifact `name`'s `array`."""
+    model = RouterModel.load(_require(out, "router.bin", "train-router"), dim,
+                             f"{out / name} array {array!r}")
     _check_hash(model.config_hash, cfg, "router.bin")
     return model
 
 
 def cmd_tune(args, cfg: dict, out: Path) -> int:
     table = _project_splits(out, cfg, "dev")
-    model = _load_router(out, cfg, table["x_dev"].shape[1],
-                         f"{out / 'feature_models.bin'} array 'svd_components'")
+    model = _load_router(out, cfg, table["x_dev"].shape[1], "feature_models.bin",
+                         "svd_components")
     dev_rows = prob_rows_for(model, table, "dev")
     grid = [tuple(p) for p in cfg["grid"]] if cfg["grid"] else None
     with _cohort_sized(cfg, PolicyError):
@@ -571,8 +570,7 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
 
 def cmd_eval(args, cfg: dict, out: Path) -> int:
     table = _load_test_table(out, cfg)
-    model = _load_router(out, cfg, table["x_test"].shape[1],
-                         f"{out / 'features.bin'} array 'x_test'")
+    model = _load_router(out, cfg, table["x_test"].shape[1], "features.bin", "x_test")
     thresholds = _load_thresholds(out, cfg)
     lm = metrics.LatencyModel(l_router=cfg["latency"]["l_router"],
                               l_expert_default=cfg["latency"]["l_expert"])
@@ -602,7 +600,7 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
 
 def cmd_route(args, cfg: dict, out: Path) -> int:
     tfidf, svd = _load_feature_models(out, cfg)
-    model = _load_router(out, cfg, svd.rank, f"{out / 'feature_models.bin'} array 'svd_components'")
+    model = _load_router(out, cfg, svd.rank, "feature_models.bin", "svd_components")
     thresholds = _load_thresholds(out, cfg)
     vocab_path = _require(out, "vocab.tsv", "tokenize")
     vocab = Vocabulary.load(vocab_path)

@@ -6,6 +6,7 @@ TF-IDF convention: raw term counts, smoothed idf ln((1+N)/(1+df)) + 1,
 L2 row normalization, 1-2 grams over rendered token text, min_df=2.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -81,10 +82,9 @@ class TfidfModel:
     def csr(self, docs):
         """(indptr, indices, data) of the CSR matrix whose rows are the
         L2-normalized tf*idf vectors of `docs`, columns sorted within each
-        row; OOV terms ignored."""
-        indptr = [0]
-        indices = []
-        data = []
+        row; OOV terms ignored. Each row's norm is sqrt(v.dot(v)), as
+        np.linalg.norm computes it, and an empty row stays empty."""
+        indptr, indices, tf = [0], [], []
         for doc in docs:
             counts: dict[int, float] = {}
             for term in _terms(doc):
@@ -92,15 +92,16 @@ class TfidfModel:
                 if col is not None:
                     counts[col] = counts.get(col, 0.0) + 1.0
             cols = sorted(counts)
-            vals = np.array([counts[c] * self.idf[c] for c in cols])
-            norm = np.linalg.norm(vals)
-            if norm > 0:
-                vals = vals / norm
             indices.extend(cols)
-            data.extend(vals.tolist())
+            tf.extend([counts[c] for c in cols])
             indptr.append(len(indices))
-        return (np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64),
-                np.asarray(data, dtype=np.float64))
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        vals = np.asarray(tf, dtype=np.float64) * self.idf[indices]
+        bounds = indptr.tolist()
+        norms = [math.sqrt(v.dot(v)) if len(v) else 1.0
+                 for v in (vals[a:b] for a, b in zip(bounds, bounds[1:]))]
+        return indptr, indices, vals / np.repeat(norms, np.diff(indptr))
 
     def transform(self, docs):
         """`csr(docs)` as a scipy.sparse.csr_matrix, for fitting the SVD."""
@@ -232,7 +233,7 @@ def _project_csr(indptr, indices, data, components) -> np.ndarray:
     for k in range(int(counts.max(initial=0))):
         n_k = int(np.count_nonzero(counts > k))
         pos = starts[:n_k] + k
-        terms = np.take(components.T, indices[pos], axis=0)
+        terms = components.T[indices[pos]]
         terms *= data[pos, None]
         z[:n_k] += terms
     out = np.empty_like(z)

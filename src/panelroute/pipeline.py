@@ -34,17 +34,19 @@ def split_rows(episodes, k: int, seed: int, names) -> dict:
     return {name: feats.expand_cohort(parts[name], k) for name in names}
 
 
-def split_table(name: str, rows, vocab, tfidf, svd) -> dict:
-    """The TABLE arrays of split `name` from its prefix rows: each row weighs
-    ell/K, and `y` (N, 5) and `danger` (N,) are 0/1 uint8."""
-    return {
-        f"x_{name}": feats.featurize_rows(rows, vocab, tfidf, svd),
-        f"y_{name}": np.array([r.label_bits for r in rows],
-                              dtype=np.uint8).reshape(-1, len(DOMAINS)),
-        f"w_{name}": np.array([r.weight for r in rows]),
-        f"ell_{name}": np.array([r.ell for r in rows], dtype=np.int64),
-        f"danger_{name}": np.array([r.danger for r in rows], dtype=np.uint8),
-    }
+def build_table(rows: dict, vocab, tfidf, svd) -> dict:
+    """The TABLE arrays of each split in `rows` (split name -> prefix rows),
+    projected with `tfidf` and `svd`: each row weighs ell/K, and `y` (N, 5)
+    and `danger` (N,) are 0/1 uint8."""
+    table = {}
+    for name, prefixes in rows.items():
+        table[f"x_{name}"] = feats.featurize_rows(prefixes, vocab, tfidf, svd)
+        table[f"y_{name}"] = np.array([r.label_bits for r in prefixes],
+                                      dtype=np.uint8).reshape(-1, len(DOMAINS))
+        table[f"w_{name}"] = np.array([r.weight for r in prefixes])
+        table[f"ell_{name}"] = np.array([r.ell for r in prefixes], dtype=np.int64)
+        table[f"danger_{name}"] = np.array([r.danger for r in prefixes], dtype=np.uint8)
+    return table
 
 
 def prepare_router_datasets(rows: dict, vocab, seed: int, svd_rank: int, splits=SPLITS):
@@ -53,10 +55,7 @@ def prepare_router_datasets(rows: dict, vocab, seed: int, svd_rank: int, splits=
     train_docs = [feats.row_document(r, vocab) for r in rows["train"]]
     tfidf = feats.tfidf_fit(train_docs)
     svd = feats.svd_fit(tfidf.transform(train_docs), rank=svd_rank, seed=seed)
-    table = {}
-    for name in splits:
-        table |= split_table(name, rows[name], vocab, tfidf, svd)
-    return table, tfidf, svd
+    return build_table({name: rows[name] for name in splits}, vocab, tfidf, svd), tfidf, svd
 
 
 def train_router(table: dict) -> RouterModel:

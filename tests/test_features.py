@@ -114,6 +114,30 @@ class TestTfidf:
         with pytest.raises(FeatureError):
             tfidf_fit(["a", "b"], min_df=2)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=12).map(" ".join),
+                    min_size=1, max_size=20))
+    def test_csr_is_bitwise_the_per_document_formula(self, docs):
+        """The CSR arrays equal, bit for bit, each document's tf*idf vector over
+        its sorted columns divided by its np.linalg.norm (an empty or OOV-only
+        document gives an empty row)."""
+        model = tfidf_fit(["a b c d e", "a b c", "d e f", "a f"], min_df=1)
+        indptr, indices, data = model.csr(docs)
+        for i, doc in enumerate(docs):
+            counts = {}
+            for term in doc.split() + [" ".join(p) for p in zip(doc.split(), doc.split()[1:])]:
+                if term in model.term_to_col:
+                    col = model.term_to_col[term]
+                    counts[col] = counts.get(col, 0.0) + 1.0
+            cols = sorted(counts)
+            vals = np.array([counts[c] * model.idf[c] for c in cols])
+            if cols:
+                vals = vals / np.linalg.norm(vals)
+            row = slice(indptr[i], indptr[i + 1])
+            assert indices[row].tolist() == cols
+            assert data[row].tobytes() == vals.tobytes()
+        assert indptr.dtype == indices.dtype == np.int64 and data.dtype == np.float64
+
 
 class TestSvd:
     def test_rank_one_matrix_single_nonzero_singular_value(self):
