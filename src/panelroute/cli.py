@@ -445,8 +445,7 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
     episodes, vocab = _load_tokenized(out)
     with _cohort_sized(cfg, RouterError):
         rows = split_rows(episodes, cfg["k"], cfg["seed"], SPLITS)
-        table, tfidf, svd = prepare_router_datasets(rows, vocab, cfg["seed"], cfg["svd_rank"],
-                                                    splits=("test",))
+        table, tfidf, svd = prepare_router_datasets(rows, vocab, cfg["seed"], cfg["svd_rank"])
     save_feature_models(out / "feature_models.bin", tfidf, svd, {"config_hash": config_hash(cfg)})
     save_bundle(out / "features.bin", {"kind": "features", "config_hash": config_hash(cfg)},
                 table)
@@ -492,8 +491,8 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
 def _load_router(out: Path, cfg: dict, dim: int, name: str, array: str) -> RouterModel:
     """This config's router, refused unless its heads score features of width
     `dim`, read from the artifact `name`'s `array`."""
-    model = RouterModel.load(_require(out, "router.bin", "train-router"), dim,
-                             f"{out / name} array {array!r}")
+    model = RouterModel.load(_require(out, "router.bin", "train-router"),
+                             (dim, f"{out / name} array {array!r}"))
     _check_hash(model.config_hash, cfg, "router.bin")
     return model
 

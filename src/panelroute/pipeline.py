@@ -49,13 +49,13 @@ def build_table(rows: dict, vocab, tfidf, svd) -> dict:
     return table
 
 
-def prepare_router_datasets(rows: dict, vocab, seed: int, svd_rank: int, splits=SPLITS):
-    """(table, tfidf, svd): fit TF-IDF and SVD on `rows["train"]` only, and
-    build the TABLE arrays of each split in `splits` from `rows`."""
+def prepare_router_datasets(rows: dict, vocab, seed: int, svd_rank: int):
+    """(test table, tfidf, svd): fit TF-IDF and SVD on `rows["train"]` only,
+    and build the test split's table, the one features.bin stores."""
     train_docs = [feats.row_document(r, vocab) for r in rows["train"]]
     tfidf = feats.tfidf_fit(train_docs)
     svd = feats.svd_fit(tfidf.transform(train_docs), rank=svd_rank, seed=seed)
-    return build_table({name: rows[name] for name in splits}, vocab, tfidf, svd), tfidf, svd
+    return build_table({"test": rows["test"]}, vocab, tfidf, svd), tfidf, svd
 
 
 def train_router(table: dict) -> RouterModel:

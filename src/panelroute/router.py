@@ -212,10 +212,10 @@ class RouterModel:
         save_bundle(path, meta, {"head_weights": np.stack([h.weights for h in self.heads])})
 
     @classmethod
-    def load(cls, path, dim: int, source: str = "the data it is read with") -> "RouterModel":
+    def load(cls, path, dim) -> "RouterModel":
         """The router in `path`, refused unless its heads score features of width
-        `dim`, the width of `source`."""
-        meta, arrays = load_bundle(path, LAYOUT, dim=(dim, source))
+        `dim`, given as a width or as (width, where it was read)."""
+        meta, arrays = load_bundle(path, LAYOUT, dim=dim)
         heads = [LogisticHead(domain=d, weights=arrays["head_weights"][i], bias=float(b))
                  for i, (d, b) in enumerate(zip(DOMAINS, meta["biases"]))]
         return cls(heads, [PlattCalibrator(float(a), float(b)) for a, b in meta["calibrators"]],

@@ -39,7 +39,8 @@ def run_router_pipeline(episodes, seed=0, svd_rank=128):
         warnings.simplefilter("ignore")
         episodes, vocab = pipeline.tokenize_cohort(episodes)
         rows = pipeline.split_rows(episodes, 5, seed, pipeline.SPLITS)
-        table, _, _ = pipeline.prepare_router_datasets(rows, vocab, seed, svd_rank)
+        _, tfidf, svd = pipeline.prepare_router_datasets(rows, vocab, seed, svd_rank)
+        table = pipeline.build_table(rows, vocab, tfidf, svd)
         model = pipeline.train_router(table)
     return model, table
 

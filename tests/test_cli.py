@@ -141,8 +141,8 @@ class TestPipeline:
 
     def test_train_and_dev_tables_are_featurize_rows_of_their_rows(self, pipeline_dir, tmp_path):
         """The train and dev arrays train-router and tune build are, bit for bit,
-        featurize_rows of the split's prefix rows with the saved models, and the
-        table prepare_router_datasets builds for those splits."""
+        featurize_rows of the split's prefix rows with the saved models, beside
+        the rows' labels, weights, lengths and danger flags."""
         from panelroute import pipeline
 
         out, cfg_path = pipeline_dir
@@ -166,20 +166,20 @@ class TestPipeline:
         episodes, vocab = cli._load_tokenized(out)
         tfidf, svd, _ = load_feature_models(out / "feature_models.bin")
         rows = pipeline.split_rows(episodes, cfg["k"], cfg["seed"], pipeline.SPLITS)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            full, _, _ = pipeline.prepare_router_datasets(rows, vocab, cfg["seed"],
-                                                          cfg["svd_rank"])
-        assert set(tables["train-router"]) == {n for n in pipeline.TABLE if n[-4:] != "test"}
-        assert set(tables["tune"]) == {n for n in pipeline.TABLE if n.endswith("_dev")}
+        splits = {"train-router": ("train", "dev"), "tune": ("dev",)}
         for stage, table in tables.items():
+            want = {}
+            for name in splits[stage]:
+                r = rows[name]
+                want |= {f"x_{name}": features.featurize_rows(r, vocab, tfidf, svd),
+                         f"y_{name}": np.array([p.label_bits for p in r], dtype=np.uint8),
+                         f"w_{name}": np.array([p.weight for p in r]),
+                         f"ell_{name}": np.array([p.ell for p in r], dtype=np.int64),
+                         f"danger_{name}": np.array([p.danger for p in r], dtype=np.uint8)}
+            assert set(table) == set(want), stage
             for name, arr in table.items():
-                assert arr.dtype == full[name].dtype, (stage, name)
-                assert arr.tobytes() == full[name].tobytes(), (stage, name)
-            for split_name in ("train", "dev"):
-                if f"x_{split_name}" in table:
-                    want = features.featurize_rows(rows[split_name], vocab, tfidf, svd)
-                    assert table[f"x_{split_name}"].tobytes() == want.tobytes()
+                assert arr.dtype == want[name].dtype, (stage, name)
+                assert arr.tobytes() == want[name].tobytes(), (stage, name)
 
     @pytest.mark.parametrize("stage", ["train-router", "tune"])
     @pytest.mark.parametrize("corrupt, code", [("another_config", EXIT_CONFIG),
@@ -226,7 +226,7 @@ class TestPipeline:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             table, _, _ = pipeline.prepare_router_datasets(rows, vocab, cfg["seed"],
-                                                           cfg["svd_rank"], splits=("test",))
+                                                           cfg["svd_rank"])
         _, stored = load_bundle(out / "features.bin")
         assert set(stored) == set(table) == set(FEATURES.arrays) == {
             "x_test", "y_test", "w_test", "ell_test", "danger_test"}
@@ -985,7 +985,7 @@ def load_with_layout(run_dir, name):
         return cli._load_tokenized(run_dir)
     if name == "features.bin":
         _, table = load_bundle(path, FEATURES)
-        return RouterModel.load(run_dir / "router.bin", table["x_test"].shape[1], str(path))
+        return RouterModel.load(run_dir / "router.bin", (table["x_test"].shape[1], str(path)))
     if name == "router.bin":
         return RouterModel.load(path, load_bundle(run_dir / "features.bin")[1]["x_test"].shape[1])
     if name.startswith("specialist_"):
