@@ -181,27 +181,6 @@ class TestPipeline:
                 assert arr.dtype == want[name].dtype, (stage, name)
                 assert arr.tobytes() == want[name].tobytes(), (stage, name)
 
-    @pytest.mark.parametrize("stage", ["train-router", "tune"])
-    @pytest.mark.parametrize("corrupt, code", [("another_config", EXIT_CONFIG),
-                                               ("truncated", EXIT_DATA)])
-    def test_projecting_stages_refuse_a_foreign_or_truncated_feature_models_bin(
-            self, pipeline_dir, tmp_path, capsys, stage, corrupt, code):
-        out, cfg_path = pipeline_dir
-        run_dir = tmp_path / "run"
-        shutil.copytree(out, run_dir)
-        path = run_dir / "feature_models.bin"
-        if corrupt == "truncated":
-            path.write_bytes(path.read_bytes()[:-100])
-        else:
-            meta, arrays = load_bundle(path)
-            save_bundle(path, {**meta, "config_hash": config_hash({"seed": 99})}, arrays)
-        capsys.readouterr()
-        assert run([stage, "--config", str(cfg_path), "--out", str(run_dir)]) == code
-        err = capsys.readouterr().err
-        assert err.startswith("data error: " if code == EXIT_DATA else "config error: ")
-        assert "feature_models.bin" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
-
     def test_bundles_hold_exactly_their_documented_keys(self, specialist_dir):
         """Each bundle holds the meta keys its layout declares, its kind and its
         stamp, and exactly the arrays its layout declares."""
@@ -462,6 +441,10 @@ class TestErrorPaths:
         ("tune", "manifest.json", "truncated", EXIT_DATA),
         ("route", "timings.json", "open_brace", EXIT_DATA),
         ("eval", "features.bin", "wrong_kind", EXIT_DATA),
+        ("train-router", "feature_models.bin", "truncated", EXIT_DATA),
+        ("tune", "feature_models.bin", "truncated", EXIT_DATA),
+        ("train-router", "feature_models.bin", "other_config", EXIT_CONFIG),
+        ("tune", "feature_models.bin", "other_config", EXIT_CONFIG),
     ])
     def test_unreadable_artifact_exits_with_one_line_naming_it(
             self, pipeline_dir, tmp_path, capsys, stage, name, corrupt, code):
@@ -477,6 +460,9 @@ class TestErrorPaths:
             path.write_text(json.dumps(data))
         elif corrupt == "open_brace":
             path.write_text("{")
+        elif corrupt == "other_config":  # a bundle stamped by another config
+            meta, arrays = load_bundle(path)
+            save_bundle(path, {**meta, "config_hash": config_hash({"seed": 99})}, arrays)
         else:
             shutil.copy(run_dir / "feature_models.bin", path)
         argv = [stage, "--config", str(cfg_path), "--out", str(run_dir)]
@@ -1069,23 +1055,16 @@ class TestBundleLayouts:
         assert err.startswith("data error: ") and name in err and f"{part} {key!r}" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_an_empty_split_is_stored_in_its_declared_shape(self, tmp_path):
+    def test_an_empty_split_is_stored_in_its_declared_shape(self, tmp_path, capsys):
         """Two episodes per domain leave the test split empty: its y is
-        (0, 5), and train-router and tune build their tables as at any size."""
+        (0, 5), and train-router and tune build their tables as at any size.
+        eval cannot evaluate it, and exits 2 naming the key that sized the
+        cohort, without a traceback."""
         cfg_path = write_config(tmp_path / "config.json", cohort={"counts": dict.fromkeys(
             ("Cardiac", "Pulmonary", "Gastro", "Musculoskeletal", "Psychogenic"), 2)})
         assert run_pipeline(tmp_path, cfg_path, upto="tune") == [EXIT_OK] * 5
         _, arrays = load_bundle(tmp_path / "features.bin", FEATURES)
         assert arrays["y_test"].shape == (0, 5) and arrays["x_test"].shape[0] == 0
-
-    def test_eval_of_an_empty_test_split_is_a_config_error(self, tmp_path, capsys):
-        """An empty test split cannot be evaluated: eval exits 2 naming the
-        key that sized the cohort, without a traceback."""
-        counts = dict.fromkeys(("Cardiac", "Pulmonary", "Gastro", "Musculoskeletal",
-                                "Psychogenic"), 2)
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"seed": 3, "cohort": {"counts": counts}}))
-        assert run_pipeline(tmp_path, cfg_path, upto="tune") == [EXIT_OK] * 5
         capsys.readouterr()
         assert run(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
