@@ -445,7 +445,7 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
     episodes, vocab = _load_tokenized(out)
     with _cohort_sized(cfg, RouterError):
         rows = split_rows(episodes, cfg["k"], cfg["seed"], SPLITS)
-        table, tfidf, svd = prepare_router_datasets(rows, vocab, cfg["seed"], cfg["svd_rank"])
+        table, tfidf, svd = prepare_router_datasets(rows, vocab, cfg["svd_rank"])
     save_feature_models(out / "feature_models.bin", tfidf, svd, {"config_hash": config_hash(cfg)})
     save_bundle(out / "features.bin", {"kind": "features", "config_hash": config_hash(cfg)},
                 table)
@@ -704,7 +704,8 @@ def run(argv=None) -> int:
             raise ConfigError(f"--out {out} is not a usable artifact directory: {e}") from None
         t0 = time.time()
         code = COMMANDS[args.command](args, cfg, out)
-        _log_timing(out, args.command, time.time() - t0)
+        if args.command != "route":  # build stages only: requests would race on the file
+            _log_timing(out, args.command, time.time() - t0)
         return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

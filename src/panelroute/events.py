@@ -109,13 +109,9 @@ def render_token(event: ClinicalEvent) -> str:
 
 
 def _order_key(event: ClinicalEvent) -> tuple:
+    """Events sort chronologically, then DIAG > LAB > ORDER, then by token text
+    within a kind."""
     return event.timestamp, _PRECEDENCE.get(event.kind, 99), render_token(event)
-
-
-def order_events(events):
-    """Chronological sort, then DIAG > LAB > ORDER, then alphabetical token
-    text within a kind. Stable: fully identical keys keep input order."""
-    return sorted(events, key=_order_key)
 
 
 def _gap_marker(gap, thresholds):
@@ -126,21 +122,6 @@ def _gap_marker(gap, thresholds):
         if k * 60 <= gap:
             marker = k
     return marker
-
-
-def insert_gap_markers(events, thresholds=DEFAULT_GAP_THRESHOLDS):
-    """Insert [GAP]_H<k> between consecutive events whose gap reaches the
-    largest qualifying threshold (hours). Events must already be ordered."""
-    out = []
-    for i, ev in enumerate(events):
-        if i > 0:
-            marker = _gap_marker(ev.timestamp - events[i - 1].timestamp, thresholds)
-            if marker is not None:
-                out.append(
-                    ClinicalEvent(EventKind.GAP, str(marker), timestamp=events[i - 1].timestamp)
-                )
-        out.append(ev)
-    return out
 
 
 class Vocabulary:
@@ -198,10 +179,11 @@ def build_vocabulary(token_lists, min_count: int = 1) -> Vocabulary:
 
 
 def render_episode_tokens(events, gold_diag_code=None, gap_thresholds=DEFAULT_GAP_THRESHOLDS):
-    """Order events, insert gap markers, render, and drop the gold-label
-    diagnosis rendering (label-leak prevention). Returns token texts, as
-    rendering `insert_gap_markers(order_events(events))` would, with each event
-    rendered and validated once: its sort key holds the text emitted."""
+    """Order events by `_order_key`, insert a [GAP]_H<k> marker between
+    consecutive events whose gap reaches threshold k (hours; the largest such
+    k), render, and drop the gold-label diagnosis rendering (label-leak
+    prevention). Returns token texts, with each event rendered and validated
+    once: its sort key holds the text emitted."""
     keyed = sorted(map(_order_key, events))
     gold_text = (
         render_token(ClinicalEvent(EventKind.DIAG, gold_diag_code)) if gold_diag_code else None

@@ -1,8 +1,6 @@
-"""Pin BLAS to one thread before any test module imports numpy. The suite's
-matrices are small, so a thread pool costs more than it saves; a value already
-set in the environment wins."""
+"""Import panelroute before any test module imports numpy, so that its
+one-BLAS-thread default (a value already set in the environment wins) holds
+for the whole suite. The suite's matrices are small, so a thread pool costs
+more than it saves."""
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import panelroute  # noqa: F401

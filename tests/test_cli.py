@@ -204,8 +204,7 @@ class TestPipeline:
         rows = pipeline.split_rows(episodes, cfg["k"], cfg["seed"], pipeline.SPLITS)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            table, _, _ = pipeline.prepare_router_datasets(rows, vocab, cfg["seed"],
-                                                           cfg["svd_rank"])
+            table, _, _ = pipeline.prepare_router_datasets(rows, vocab, cfg["svd_rank"])
         _, stored = load_bundle(out / "features.bin")
         assert set(stored) == set(table) == set(FEATURES.arrays) == {
             "x_test", "y_test", "w_test", "ell_test", "danger_test"}
@@ -257,11 +256,13 @@ class TestPipeline:
             assert run(["train-specialist", "--domain", "Cardiac", "--config", str(cfg_path),
                         "--out", str(run_dir)]) == EXIT_OK
         ep_path = write_cardiac_probe(tmp_path / "ep.json")
+        timings = (run_dir / "timings.json").read_bytes()
         capsys.readouterr()
         code = run(["route", "--config", str(cfg_path), "--out", str(run_dir),
                     "--episode", str(ep_path)])
         captured = capsys.readouterr().out
         assert code == EXIT_OK
+        assert (run_dir / "timings.json").read_bytes() == timings  # a request records no time
         payload = json.loads(captured[captured.index("{"):])
         assert payload["branch"] == "TOP1_LIFE"
         assert payload["route"] == ["Cardiac"]
@@ -439,7 +440,7 @@ class TestErrorPaths:
         ("route", "thresholds.json", "unstamped", EXIT_CONFIG),
         ("report", "report.json", "truncated", EXIT_DATA),
         ("tune", "manifest.json", "truncated", EXIT_DATA),
-        ("route", "timings.json", "open_brace", EXIT_DATA),
+        ("report", "timings.json", "open_brace", EXIT_DATA),
         ("eval", "features.bin", "wrong_kind", EXIT_DATA),
         ("train-router", "feature_models.bin", "truncated", EXIT_DATA),
         ("tune", "feature_models.bin", "truncated", EXIT_DATA),
@@ -1306,6 +1307,29 @@ class TestReproducibility:
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
 
+    def test_blas_threads_default_to_one_in_a_cli_process(self, tmp_path):
+        """With OPENBLAS_NUM_THREADS and OMP_NUM_THREADS unset, featurize and
+        train-router write the bytes of a run pinned to one thread. At the
+        default pool (one thread per core) they differ on a multi-core machine."""
+        cfg_path = write_config(tmp_path / "config.json")
+        assert run_pipeline(tmp_path / "base", cfg_path, upto="tokenize") == [EXIT_OK] * 2
+        unset = {k: v for k, v in src_env().items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        written = {}
+        for name, env in (("unset", unset),
+                          ("pinned", dict(unset, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))):
+            out = tmp_path / name
+            shutil.copytree(tmp_path / "base", out)
+            for stage in ("featurize", "train-router"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "panelroute.cli", stage, "--config", str(cfg_path),
+                     "--out", str(out)], env=env, capture_output=True, text=True, timeout=300,
+                    check=False)
+                assert proc.returncode == EXIT_OK, proc.stderr
+            written[name] = {f: (out / f).read_bytes()
+                             for f in ("feature_models.bin", "features.bin", "router.bin")}
+        assert written["unset"] == written["pinned"]
+
 
 def nested(key, value):
     """A config override setting one dotted key."""
@@ -1421,6 +1445,23 @@ class TestEntryPoints:
                               capture_output=True, text=True, timeout=300, check=False)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert '"suggestions"' in proc.stdout  # the Cardiac specialist was consulted
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_featurize_process_imports_no_scipy(self, pipeline_dir, tmp_path):
+        out, cfg_path = pipeline_dir
+        shutil.copytree(out, tmp_path / "run")
+        script = (
+            "import sys, panelroute.cli\n"
+            f"code = panelroute.cli.run(['featurize', '--config', {str(cfg_path)!r}, "
+            f"'--out', {str(tmp_path / 'run')!r}])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                              capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (tmp_path / "run" / "feature_models.bin").read_bytes() == \
+            (out / "feature_models.bin").read_bytes()
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_importing_the_cli_loads_no_scipy(self):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from panelroute.events import (
     BOS_ID,
+    DEFAULT_GAP_THRESHOLDS,
     DOMAINS,
     EOS_ID,
     UNK_ID,
@@ -17,15 +18,38 @@ from panelroute.events import (
     build_vocabulary,
     episode_from_dict,
     episode_to_dict,
+    _gap_marker,
+    _order_key,
     from_multi_hot,
-    insert_gap_markers,
     multi_hot,
-    order_events,
     render_episode_tokens,
     render_token,
 )
 
 D, L, O = EventKind.DIAG, EventKind.LAB, EventKind.ORDER
+
+
+# Oracles of `render_episode_tokens`, which fuses ordering, gap markers and
+# rendering into one pass: each step on event objects, as first written.
+def order_events(events):
+    """Chronological sort, then DIAG > LAB > ORDER, then alphabetical token
+    text within a kind. Stable: fully identical keys keep input order."""
+    return sorted(events, key=_order_key)
+
+
+def insert_gap_markers(events, thresholds=DEFAULT_GAP_THRESHOLDS):
+    """Insert [GAP]_H<k> between consecutive events whose gap reaches the
+    largest qualifying threshold (hours). Events must already be ordered."""
+    out = []
+    for i, ev in enumerate(events):
+        if i > 0:
+            marker = _gap_marker(ev.timestamp - events[i - 1].timestamp, thresholds)
+            if marker is not None:
+                out.append(
+                    ClinicalEvent(EventKind.GAP, str(marker), timestamp=events[i - 1].timestamp)
+                )
+        out.append(ev)
+    return out
 
 
 def ev(kind, code, t=0, bin=None):

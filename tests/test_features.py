@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from panelroute.events import BOS_ID, EOS_ID, DomainLabel, Episode, Vocabulary, multi_hot
 from panelroute.features import (
@@ -26,6 +27,18 @@ def episode_with_tokens(eid, content_ids, labels=("Cardiac",)):
 
 def make_vocab(names):
     return Vocabulary([(n, 1) for n in names])
+
+
+def as_sparse(csr, n_cols):
+    """scipy's csr_matrix of the CSR arrays `TfidfModel.transform` returns."""
+    indptr, indices, data = csr
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_cols))
+
+
+def as_csr(x):
+    """(CSR arrays, column count) of a dense matrix, the arguments of svd_fit."""
+    m = sparse.csr_matrix(x)
+    return (m.indptr, m.indices, m.data), x.shape[1]
 
 
 class TestExpandPrefixes:
@@ -78,17 +91,17 @@ class TestTfidf:
 
     def test_oov_only_doc_is_zero_vector(self):
         model = tfidf_fit(["a b", "a b"], min_df=2)
-        row = model.transform(["zzz qqq"]).toarray()[0]
+        row = as_sparse(model.transform(["zzz qqq"]), model.n_terms).toarray()[0]
         assert np.all(row == 0)
 
     def test_identical_docs_identical_vectors(self):
         model = tfidf_fit(["a b c", "a b", "c a"], min_df=1)
-        x = model.transform(["a b", "a b"]).toarray()
+        x = as_sparse(model.transform(["a b", "a b"]), model.n_terms).toarray()
         assert np.array_equal(x[0], x[1])
 
     def test_hand_computed_transform(self):
         model = tfidf_fit(["a b", "a b", "a c", "a"], min_df=2)
-        row = model.transform(["a b"]).toarray()[0]
+        row = as_sparse(model.transform(["a b"]), model.n_terms).toarray()[0]
         idf_ab = math.log(5 / 3) + 1
         raw = np.array([1.0, idf_ab, idf_ab])  # tf=1 for a, "a b", b
         expected = raw / np.linalg.norm(raw)
@@ -96,15 +109,14 @@ class TestTfidf:
 
     def test_rows_are_unit_norm(self):
         model = tfidf_fit(["a b c", "b c d", "a d"], min_df=1)
-        x = model.transform(["a b c", "b c d"]).toarray()
+        x = as_sparse(model.transform(["a b c", "b c d"]), model.n_terms).toarray()
         assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
 
     def test_transform_of_training_docs_reproduces_matrix(self):
         docs = ["a b c", "b c", "a c c"]
         model = tfidf_fit(docs, min_df=1)
-        x1 = model.transform(docs).toarray()
-        x2 = model.transform(docs).toarray()
-        assert np.array_equal(x1, x2)
+        x1, x2 = model.transform(docs), model.transform(docs)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(x1, x2))
 
     def test_too_few_docs_rejected(self):
         with pytest.raises(FeatureError):
@@ -117,12 +129,12 @@ class TestTfidf:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=12).map(" ".join),
                     min_size=1, max_size=20))
-    def test_csr_is_bitwise_the_per_document_formula(self, docs):
+    def test_transform_is_bitwise_the_per_document_formula(self, docs):
         """The CSR arrays equal, bit for bit, each document's tf*idf vector over
         its sorted columns divided by its np.linalg.norm (an empty or OOV-only
         document gives an empty row)."""
         model = tfidf_fit(["a b c d e", "a b c", "d e f", "a f"], min_df=1)
-        indptr, indices, data = model.csr(docs)
+        indptr, indices, data = model.transform(docs)
         for i, doc in enumerate(docs):
             counts = {}
             for term in doc.split() + [" ".join(p) for p in zip(doc.split(), doc.split()[1:])]:
@@ -143,20 +155,20 @@ class TestSvd:
     def test_rank_one_matrix_single_nonzero_singular_value(self):
         x = np.outer(np.arange(1.0, 7.0), np.array([1.0, 2.0, 3.0]))
         with pytest.warns(UserWarning):
-            proj = svd_fit(x, rank=256)
+            proj = svd_fit(*as_csr(x), rank=256)
         assert proj.singular_values[0] > 1e-6
         assert np.all(proj.singular_values[1:] < 1e-9)
 
     def test_orthogonal_input_equal_singular_values(self):
         x = np.eye(5)
         with pytest.warns(UserWarning):
-            proj = svd_fit(x, rank=256)
+            proj = svd_fit(*as_csr(x), rank=256)
         assert np.allclose(proj.singular_values, 1.0, atol=1e-12)
 
     def test_frobenius_error_matches_dense_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((50, 30))
-        proj = svd_fit(x, rank=10)
+        proj = svd_fit(*as_csr(x), rank=10)
         approx = (x @ proj.components.T) @ proj.components
         err = np.linalg.norm(x - approx)
         u, s, vt = np.linalg.svd(x, full_matrices=False)
@@ -165,28 +177,67 @@ class TestSvd:
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(1)
-        proj = svd_fit(rng.standard_normal((40, 25)), rank=8)
+        proj = svd_fit(*as_csr(rng.standard_normal((40, 25))), rank=8)
         gram = proj.components @ proj.components.T
         assert np.allclose(gram, np.eye(8), atol=1e-6)
 
     def test_singular_values_non_increasing(self):
         rng = np.random.default_rng(2)
-        proj = svd_fit(rng.standard_normal((30, 30)), rank=12)
+        proj = svd_fit(*as_csr(rng.standard_normal((30, 30))), rank=12)
         assert np.all(np.diff(proj.singular_values) <= 1e-12)
 
     def test_projection_never_grows_norm(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((20, 15))
-        proj = svd_fit(x, rank=5)
+        proj = svd_fit(*as_csr(x), rank=5)
         z = x @ proj.components.T
         assert np.all(np.linalg.norm(z, axis=1) <= np.linalg.norm(x, axis=1) + 1e-9)
 
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((60, 40))
-        a = svd_fit(x, rank=6, seed=9)
-        b = svd_fit(x, rank=6, seed=9)
-        assert np.array_equal(a.components, b.components)
+    @pytest.mark.parametrize("shape", [(60, 40), (700, 600)])  # dense path, Gram path
+    def test_two_fits_are_bit_identical(self, shape):
+        x = sparse_rows(np.random.default_rng(4), *shape)
+        a, b = svd_fit(*as_csr(x), rank=6), svd_fit(*as_csr(x), rank=6)
+        assert a.components.tobytes() == b.components.tobytes()
+        assert a.singular_values.tobytes() == b.singular_values.tobytes()
+
+
+def sparse_rows(rng, n, m):
+    """A dense N x M matrix whose rows hold 0 to 11 nonzeros in random columns."""
+    x = np.zeros((n, m))
+    for i, count in enumerate(rng.integers(0, 12, size=n)):
+        x[i, rng.choice(m, count, replace=False)] = rng.random(count)
+    return x
+
+
+class TestGramPath:
+    """svd_fit above the dense cutoff, against np.linalg.svd of the same matrix."""
+
+    def fit_and_oracle(self, x, rank):
+        proj = svd_fit(*as_csr(x), rank=rank)
+        _, s, vt = np.linalg.svd(x, full_matrices=False)
+        assert min(x.shape) > 512 and proj.components.shape == (rank, x.shape[1])
+        assert np.abs(proj.components @ proj.components.T - np.eye(rank)).max() <= 1e-12
+        return proj, s[:rank], vt[:rank]
+
+    def test_matches_the_dense_svd(self):
+        x = sparse_rows(np.random.default_rng(5), 700, 600)
+        proj, s, vt = self.fit_and_oracle(x, 256)
+        assert np.abs(proj.singular_values - s).max() <= 1e-10 * s.min()
+        cosines = np.linalg.svd(proj.components @ vt.T, compute_uv=False)
+        assert cosines.min() >= 1 - 1e-10
+
+    def test_rank_deficient_input_with_an_empty_column(self):
+        # 60 distinct rows, each repeated 12 times, and no nonzero in column 17
+        distinct = sparse_rows(np.random.default_rng(6), 60, 600)
+        distinct[:, 17] = 0.0
+        x = np.repeat(distinct, 12, axis=0)
+        proj, s, vt = self.fit_and_oracle(x, 100)
+        k = np.linalg.matrix_rank(distinct)  # at most 60: some rows are empty
+        assert np.abs(proj.singular_values[:k] - s[:k]).max() <= 1e-10 * s[k - 1]
+        assert np.all(proj.singular_values[k:] <= 1e-10 * s[0])
+        cosines = np.linalg.svd(proj.components[:k] @ vt[:k].T, compute_uv=False)
+        assert cosines.min() >= 1 - 1e-10
+        assert np.abs(proj.components[:k, 17]).max() <= 1e-12
 
 
 def toy_rows_and_models():
@@ -198,7 +249,7 @@ def toy_rows_and_models():
     ]
     docs = [row_document(r, vocab) for r in rows]
     tfidf = tfidf_fit(docs, min_df=1)
-    svd = svd_fit(tfidf.transform(docs), rank=2)
+    svd = svd_fit(tfidf.transform(docs), tfidf.n_terms, rank=2)
     return vocab, rows, tfidf, svd
 
 
@@ -253,13 +304,12 @@ class TestProjection:
         vocab, train, queries, oov = case
         train_docs = [row_document(r, vocab) for r in prefix_rows(train)]
         tfidf = tfidf_fit(train_docs, min_df=1)
-        x = tfidf.transform(train_docs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # rank clamped to the toy matrix
-            svd = svd_fit(x, rank=8)
+            svd = svd_fit(tfidf.transform(train_docs), tfidf.n_terms, rank=8)
         rows = prefix_rows(queries)
         docs = [row_document(r, vocab) for r in rows]
-        want = np.asarray(tfidf.transform(docs) @ svd.components.T)
+        want = np.asarray(as_sparse(tfidf.transform(docs), tfidf.n_terms) @ svd.components.T)
         got = featurize_rows(rows, vocab, tfidf, svd)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert not want[queries.index([oov, oov])].any()
