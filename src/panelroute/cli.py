@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -243,9 +244,18 @@ def _read_json(path: Path) -> dict:
     return data
 
 
+def _environment() -> dict:
+    """What the array artifacts' bytes hinge on besides the config: the BLAS
+    library (name and version, no machine paths) and the thread counts in force."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"blas": {key: blas.get(key) for key in ("name", "version")},
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+
+
 def _update_manifest(out: Path, cfg: dict, *names: str) -> None:
     path = out / "manifest.json"
-    manifest = {"config_hash": config_hash(cfg), "tool_version": __version__, "artifacts": {}}
+    manifest = {"config_hash": config_hash(cfg), "tool_version": __version__,
+                "environment": _environment(), "artifacts": {}}
     if path.exists():
         prev = _read_json(path)
         if prev.get("config_hash") == manifest["config_hash"]:
@@ -395,16 +405,24 @@ def _specialist_split(episodes, cfg: dict, domain: DomainLabel):
         return split(pool, SplitSpec(seed=cfg["seed"]))
 
 
-def _load_specialist(out: Path, cfg: dict, domain: DomainLabel) -> SpecialistModel | None:
-    """This config's specialist for `domain`, or None when none was trained."""
-    name = f"specialist_{domain.value}.bin"
-    if not (out / name).exists():
+def _specialist_path(out: Path, domain: DomainLabel) -> Path:
+    return out / f"specialist_{domain.value}.bin"
+
+
+def _load_specialist(out: Path, cfg: dict, domain: DomainLabel,
+                     vocab: Vocabulary) -> SpecialistModel | None:
+    """This config's specialist for `domain`, refused unless it was trained on
+    a vocabulary of vocab.tsv's size, or None when none was trained."""
+    path = _specialist_path(out, domain)
+    if not path.exists():
         return None
-    model = SpecialistModel.load(out / name)
+    model = SpecialistModel.load(path)
     if model.domain != domain.value:
-        raise DataError(f"{out / name}: meta key 'domain' is {model.domain!r}, "
-                        f"not {domain.value!r}")
-    _check_hash(model.config_hash, cfg, name)
+        raise DataError(f"{path}: meta key 'domain' is {model.domain!r}, not {domain.value!r}")
+    _check_hash(model.config_hash, cfg, path.name)
+    if model.config.vocab_size != len(vocab):
+        raise DataError(f"{out / 'vocab.tsv'}: {len(vocab)} tokens, but {path} was trained "
+                        f"on {model.config.vocab_size}; re-run `panelroute train-specialist`")
     return model
 
 
@@ -501,10 +519,10 @@ def cmd_tune(args, cfg: dict, out: Path) -> int:
     table = _project_splits(out, cfg, "dev")
     model = _load_router(out, cfg, table["x_dev"].shape[1], "feature_models.bin",
                          "svd_components")
-    dev_rows = prob_rows_for(model, table, "dev")
     grid = [tuple(p) for p in cfg["grid"]] if cfg["grid"] else None
     with _cohort_sized(cfg, PolicyError):
-        result = tune_thresholds(dev_rows, grid=grid, constraint=cfg["constraint"],
+        result = tune_thresholds(*prob_rows_for(model, table, "dev"), grid=grid,
+                                 constraint=cfg["constraint"],
                                  life_guard_tau=cfg["life_guard_tau"])
     write_json(out / "thresholds.json", {
         "config_hash": config_hash(cfg),
@@ -558,10 +576,10 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
         except SpecialistError as e:
             raise ConfigError(f"specialist.peak_lr = {sc['peak_lr']}: training the "
                               f"{domain.value} specialist failed ({e}); lower it") from None
-        name = f"specialist_{domain.value}.bin"
-        model.save(out / name, {"config_hash": config_hash(cfg)})
+        path = _specialist_path(out, domain)
+        model.save(path, {"config_hash": config_hash(cfg)})
         write_curve_csv(out / f"curve_{domain.value}.csv", curve)
-        _update_manifest(out, cfg, name, f"curve_{domain.value}.csv")
+        _update_manifest(out, cfg, path.name, f"curve_{domain.value}.csv")
         best = min(r["dev_loss"] for r in curve)
         print(f"{domain.value}: best dev loss {best:.4f} (ppl {np.exp(best):.2f})")
     return EXIT_OK
@@ -572,14 +590,16 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
     model = _load_router(out, cfg, table["x_test"].shape[1], "features.bin", "x_test")
     thresholds = _load_thresholds(out, cfg)
     lm = metrics.LatencyModel(l_router=cfg["latency"]["l_router"],
-                              l_expert_default=cfg["latency"]["l_expert"])
+                              l_expert=cfg["latency"]["l_expert"])
     with _cohort_sized(cfg, metrics.MetricError):
         report = evaluate(model, table, thresholds, lm, k=cfg["k"])
-    spec_models = {d: m for d in DOMAINS if (m := _load_specialist(out, cfg, d)) is not None}
-    if spec_models:
-        episodes = _load_tokenized(out)[0]
+    if any(_specialist_path(out, d).exists() for d in DOMAINS):
+        episodes, vocab = _load_tokenized(out)
         report["specialists"] = {}
-        for domain, spec_model in spec_models.items():
+        for domain in DOMAINS:
+            spec_model = _load_specialist(out, cfg, domain, vocab)
+            if spec_model is None:
+                continue
             _, _, test_eps = _specialist_split(episodes, cfg, domain)
             test_seqs = [e.tokens for e in test_eps]
             report["specialists"][domain.value] = {
@@ -601,8 +621,7 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     tfidf, svd = _load_feature_models(out, cfg)
     model = _load_router(out, cfg, svd.rank, "feature_models.bin", "svd_components")
     thresholds = _load_thresholds(out, cfg)
-    vocab_path = _require(out, "vocab.tsv", "tokenize")
-    vocab = Vocabulary.load(vocab_path)
+    vocab = Vocabulary.load(_require(out, "vocab.tsv", "tokenize"))
     episode_path = Path(args.episode)
     try:
         episode = episode_from_dict(json.loads(episode_path.read_text()))
@@ -621,12 +640,8 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
 
     suggestions = {}
     for domain in decision.route:
-        spec_model = _load_specialist(out, cfg, domain)
+        spec_model = _load_specialist(out, cfg, domain, vocab)
         if spec_model is not None:
-            if spec_model.config.vocab_size != len(vocab):
-                raise DataError(f"{vocab_path}: {len(vocab)} tokens, but "
-                                f"specialist_{domain.value}.bin was trained on "
-                                f"{spec_model.config.vocab_size}")
             top = spec_model.suggest(episode.tokens[:-1], k=3)
             suggestions[domain] = [vocab.decode(t) for t, _ in top]
     merged = [[item, d.value] for item, d in arbitrate(suggestions)]

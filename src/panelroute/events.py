@@ -178,7 +178,7 @@ def build_vocabulary(token_lists, min_count: int = 1) -> Vocabulary:
     return Vocabulary(kept)
 
 
-def render_episode_tokens(events, gold_diag_code=None, gap_thresholds=DEFAULT_GAP_THRESHOLDS):
+def render_episode_tokens(events, gold_diag_code=None):
     """Order events by `_order_key`, insert a [GAP]_H<k> marker between
     consecutive events whose gap reaches threshold k (hours; the largest such
     k), render, and drop the gold-label diagnosis rendering (label-leak
@@ -192,7 +192,7 @@ def render_episode_tokens(events, gold_diag_code=None, gap_thresholds=DEFAULT_GA
     prev_ts = None
     for ts, _, text in keyed:
         if prev_ts is not None:
-            marker = _gap_marker(ts - prev_ts, gap_thresholds)
+            marker = _gap_marker(ts - prev_ts, DEFAULT_GAP_THRESHOLDS)
             if marker is not None:
                 out.append(f"[GAP]_H{marker}")
         if text != gold_text:

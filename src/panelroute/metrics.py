@@ -2,7 +2,7 @@
 and bootstrap metrics. All functions are pure over immutable inputs."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,18 +99,13 @@ def policy_metrics(routed, truth) -> dict:
 
 @dataclass
 class LatencyModel:
-    l_router: float = 10.0
-    per_expert: dict = field(default_factory=dict)  # {DomainLabel: ms}
-    l_expert_default: float = 50.0
-
-    def expert_ms(self, domain) -> float:
-        return float(self.per_expert.get(domain, self.l_expert_default))
+    l_router: float = 10.0  # ms per route
+    l_expert: float = 50.0  # ms per consulted expert
 
     def per_row(self, routed) -> np.ndarray:
         """L_router + consulted experts' times per row of an (N, 5) route mask,
         added in DOMAINS order (a cumulative sum keeps it; a dot product would not)."""
-        times = np.array([self.expert_ms(d) for d in DOMAINS])
-        return self.l_router + np.cumsum(np.where(routed, times, 0.0), axis=1)[:, -1]
+        return self.l_router + np.cumsum(np.where(routed, self.l_expert, 0.0), axis=1)[:, -1]
 
 
 def latency(routes, lm: LatencyModel):
@@ -127,27 +122,20 @@ def compute_savings(expected_experts: float) -> float:
 
 
 def calibration_metrics(probs, labels):
-    """Brier score, reliability table over CALIBRATION_BINS bins, and ECE."""
+    """(Brier score, ECE over CALIBRATION_BINS equal-width bins); the top bin
+    includes 1.0, and ECE is summed in bin order."""
     probs = np.asarray(probs, dtype=np.float64)
     outcomes = np.asarray(labels, dtype=np.float64)
     brier = float(np.mean((probs - outcomes) ** 2))
-    bins = CALIBRATION_BINS
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    table = []
+    edges = np.linspace(0.0, 1.0, CALIBRATION_BINS + 1)
     ece = 0.0
-    n = len(probs)
-    for b in range(bins):
-        lo, hi = edges[b], edges[b + 1]
-        mask = (probs >= lo) & (probs < hi) if b < bins - 1 else (probs >= lo) & (probs <= hi)
+    for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        mask = (probs >= lo) & ((probs < hi) if b < CALIBRATION_BINS - 1 else (probs <= hi))
         count = int(mask.sum())
-        if count == 0:
-            table.append({"bin": b, "mean_prob": None, "empirical_rate": None, "count": 0})
-            continue
-        mean_p = float(probs[mask].mean())
-        rate = float(outcomes[mask].mean())
-        table.append({"bin": b, "mean_prob": mean_p, "empirical_rate": rate, "count": count})
-        ece += (count / n) * abs(mean_p - rate)
-    return brier, table, float(ece)
+        if count:
+            ece += (count / len(probs)) * abs(float(probs[mask].mean()) -
+                                              float(outcomes[mask].mean()))
+    return brier, float(ece)
 
 
 def ndcg_at_k(ranked, relevant, k: int) -> float:
@@ -165,19 +153,17 @@ def ndcg_at_k(ranked, relevant, k: int) -> float:
     return float(dcg / ideal)
 
 
-def anytime(metric_fn, rows, ell_of, k: int) -> dict:
-    """Evaluate metric_fn per prefix-length stratum; undefined strata are
-    None, not zero."""
+def anytime(metric_fn, ell, k: int) -> dict:
+    """metric_fn of each prefix-length stratum's row indices into `ell`, for
+    ell = 1..k; an empty or undefined stratum is None, not zero."""
+    ell = np.asarray(ell)
     curve = {}
-    for ell in range(1, k + 1):
-        stratum = [r for r in rows if ell_of(r) == ell]
-        if not stratum:
-            curve[ell] = None
-            continue
+    for e in range(1, k + 1):
+        stratum = np.flatnonzero(ell == e)
         try:
-            curve[ell] = metric_fn(stratum)
+            curve[e] = metric_fn(stratum) if stratum.size else None
         except MetricError:
-            curve[ell] = None
+            curve[e] = None
     return curve
 
 

@@ -6,7 +6,7 @@ import numpy as np
 from . import features as feats
 from . import metrics, policy
 from .events import (DOMAINS, LIFE_THREAT_DOMAINS, build_vocabulary, encode_tokens,
-                     from_multi_hot, render_episode_tokens)
+                     render_episode_tokens)
 from .router import RouterModel, SplitSpec, fit_head, platt_fit, split
 
 SPLITS = ("train", "dev", "test")
@@ -68,10 +68,11 @@ def train_router(table: dict) -> RouterModel:
 
 
 def prob_rows_for(model: RouterModel, table: dict, split_name: str):
-    """(probs, truth_domains, danger) triples for the tuner and evaluators."""
-    probs = model.predict_proba(table[f"x_{split_name}"])
-    truths = [from_multi_hot(bits) for bits in table[f"y_{split_name}"]]
-    return list(zip(probs, truths, table[f"danger_{split_name}"].astype(bool).tolist()))
+    """(probs, truth, danger) of a split, for the tuner and evaluators: the
+    router's (N, 5) probabilities, the (N, 5) boolean truth mask and the (N,)
+    boolean danger flags."""
+    return (model.predict_proba(table[f"x_{split_name}"]),
+            table[f"y_{split_name}"].astype(bool), table[f"danger_{split_name}"].astype(bool))
 
 
 def _policy_metrics(routed, truth, lm: metrics.LatencyModel) -> dict:
@@ -86,24 +87,21 @@ def evaluate(model: RouterModel, table: dict, thresholds: policy.Thresholds,
     calibration, tuned-policy routing quality, baselines, anytime curves.
     An empty test split raises MetricError."""
     lm = lm or metrics.LatencyModel()
-    y = table["y_test"]
-    n = len(y)
+    n = len(table["y_test"])
     if n == 0:
         raise metrics.MetricError("the test split has no rows to evaluate")
-    probs = model.predict_proba(table["x_test"])
+    probs, truth, danger = prob_rows_for(model, table, "test")
 
     per_domain = {}
     for d, domain in enumerate(DOMAINS):
         entry = {}
         try:
-            entry["roc_auc"] = metrics.roc_auc(probs[:, d], y[:, d])
-            entry["pr_auc"] = metrics.pr_auc(probs[:, d], y[:, d])
+            entry["roc_auc"] = metrics.roc_auc(probs[:, d], truth[:, d])
+            entry["pr_auc"] = metrics.pr_auc(probs[:, d], truth[:, d])
         except metrics.MetricError:
             entry["roc_auc"] = None
             entry["pr_auc"] = None
-        brier, _, ece = metrics.calibration_metrics(probs[:, d], y[:, d])
-        entry["brier"] = brier
-        entry["ece"] = ece
+        entry["brier"], entry["ece"] = metrics.calibration_metrics(probs[:, d], truth[:, d])
         per_domain[domain.value] = entry
     defined = [v["roc_auc"] for v in per_domain.values() if v["roc_auc"] is not None]
     macro = {
@@ -111,8 +109,7 @@ def evaluate(model: RouterModel, table: dict, thresholds: policy.Thresholds,
         "brier": float(np.mean([v["brier"] for v in per_domain.values()])),
     }
 
-    truth = y.astype(bool)
-    routed, branch = policy.route_batch(probs, thresholds, table["danger_test"])
+    routed, branch = policy.route_batch(probs, thresholds, danger)
     branch_mix = {b: int(np.sum(branch == i)) for i, b in enumerate(policy.BRANCHES)}
 
     baselines = {
@@ -123,17 +120,15 @@ def evaluate(model: RouterModel, table: dict, thresholds: policy.Thresholds,
     }
 
     def stratum_auc(idx):
-        return float(np.mean([metrics.roc_auc(probs[idx][:, d], y[idx][:, d])
+        return float(np.mean([metrics.roc_auc(probs[idx, d], truth[idx, d])
                               for d in range(len(DOMAINS))]))
 
     def stratum_recall_any(idx):
         return metrics.policy_metrics(routed[idx], truth[idx])["recall_any"]
 
-    indices = list(range(n))
-    ell_of = lambda i: table["ell_test"][i]
     anytime = {
-        "macro_roc_auc": metrics.anytime(stratum_auc, indices, ell_of, k),
-        "recall_any": metrics.anytime(stratum_recall_any, indices, ell_of, k),
+        "macro_roc_auc": metrics.anytime(stratum_auc, table["ell_test"], k),
+        "recall_any": metrics.anytime(stratum_recall_any, table["ell_test"], k),
     }
 
     return {

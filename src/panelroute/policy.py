@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import DOMAINS, from_multi_hot
-from .metrics import LIFE_IDX as _LIFE_IDX, domain_mask, policy_metrics
+from .metrics import LIFE_IDX as _LIFE_IDX, policy_metrics
 from .serial import write_lines
 
 FAIL_OPEN_FLOOR = 0.25  # a row whose every probability is below it fails open
@@ -119,25 +119,24 @@ def _evaluate_point(thr: Thresholds, probs, truth, danger):
     return {"tau_hi": thr.tau_hi, "tau_lo": thr.tau_lo, **policy_metrics(routed, truth)}
 
 
-def tune_thresholds(prob_rows, grid=None, constraint: float = 0.98, **options) -> TuneResult:
+def tune_thresholds(probs, truth, danger, grid=None, constraint: float = 0.98,
+                    **options) -> TuneResult:
     """Grid search (tau_hi, tau_lo) with tau_lo <= tau_hi.
 
-    prob_rows: iterable of (probs, truth_domains, danger_flag).
+    probs: (N, 5) probabilities; truth: (N, 5) boolean truth mask; danger:
+    (N,) danger flags, as `pipeline.prob_rows_for` returns them.
     options: the other `Thresholds` fields, shared by every grid point.
     Selection: among constraint-satisfying points, minimal E[|R|] (ties:
     higher life recall, then ascending (tau_hi, tau_lo)); if none satisfies
     the constraint, maximal life recall (ties: lower E[|R|], then ascending
     point).
     """
-    prob_rows = list(prob_rows)
     if grid is None:
         grid = default_grid()
     grid = [(hi, lo) for hi, lo in grid if lo <= hi]
     if not grid:
         raise PolicyError("empty threshold grid")
-    probs = np.array([p for p, _, _ in prob_rows], dtype=np.float64).reshape(-1, len(DOMAINS))
-    truth = domain_mask(t for _, t, _ in prob_rows)
-    danger = np.array([d for _, _, d in prob_rows], dtype=bool)
+    truth = np.asarray(truth, dtype=bool)
     if not truth[:, _LIFE_IDX].any():
         raise PolicyError("no Cardiac or Pulmonary episode; safety constraint undefined")
 

@@ -31,6 +31,7 @@ _LN_EPS = 1e-5
 WARMUP_FRAC = 0.05  # of all steps, warmed up linearly
 LR_FLOOR_FRAC = 0.1  # of the peak rate, reached by cosine decay at the final step
 GRAD_CLIP = 1.0  # global gradient norm
+WEIGHT_DECAY = 0.01  # AdamW's decoupled decay of the listed weights
 EVAL_BATCH_SIZE = 32
 
 
@@ -612,8 +613,7 @@ def unigram_entropy(sequences) -> float:
 
 
 class AdamW:
-    def __init__(self, weight_decay=0.01):
-        self.weight_decay = weight_decay
+    def __init__(self):
         self.m: dict = {}
         self.v: dict = {}
         self.t = 0
@@ -640,7 +640,7 @@ class AdamW:
             update = m / (1 - b1 ** self.t)
             update /= denom
             if key in decay_keys:
-                update += self.weight_decay * p
+                update += WEIGHT_DECAY * p
             update *= lr
             p -= update
 

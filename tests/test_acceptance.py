@@ -149,7 +149,10 @@ def test_criterion_4_tuner_optimality():
         grid = [(round(hi, 2), round(lo, 2))
                 for hi in np.arange(0.5, 1.0, 0.05) for lo in np.arange(0.1, 0.55, 0.05)]
         assert len(grid) <= 100
-        result = policy.tune_thresholds(rows, grid=grid, constraint=0.98)
+        probs = np.array([p for p, _, _ in rows])
+        truth = metrics.domain_mask(t for _, t, _ in rows)
+        danger = np.array([d for _, _, d in rows])
+        result = policy.tune_thresholds(probs, truth, danger, grid=grid, constraint=0.98)
         best, table = oracle_tune(rows, grid, 0.98)
         assert (result.tau_hi, result.tau_lo) == (best["tau_hi"], best["tau_lo"])
         assert len(result.table) == len(table)
@@ -164,8 +167,8 @@ def test_criterion_5_paper_shaped_end_to_end():
     t0 = time.time()
     eps = build_cohort(total=2000, seed=0, mixture=(0.082, 0.228, 0.326, 0.038, 0.326))
     model, table = run_router_pipeline(eps, seed=0)
-    dev_rows = pipeline.prob_rows_for(model, table, "dev")
-    result = policy.tune_thresholds(dev_rows, constraint=0.98)
+    result = policy.tune_thresholds(*pipeline.prob_rows_for(model, table, "dev"),
+                                    constraint=0.98)
     thresholds = policy.Thresholds(result.tau_hi, result.tau_lo)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -307,7 +310,7 @@ def test_criterion_9_metric_oracles():
 
     probs = [0.1, 0.9, 0.4, 0.7]
     labels = [0, 1, 1, 0]
-    brier, _, _ = metrics.calibration_metrics(probs, labels)
+    brier, _ = metrics.calibration_metrics(probs, labels)
     assert abs(brier - np.mean([(p - y) ** 2 for p, y in zip(probs, labels)])) <= 1e-9
 
     ndcg = metrics.ndcg_at_k(["x", "y", "a"], {"a"}, 3)
@@ -319,7 +322,7 @@ def test_criterion_9_metric_oracles():
     r_any, r_all, r_life = metrics.routing_recalls(routes, truths)
     assert abs(r_any - 1.0) <= 1e-9 and abs(r_all - 0.8) <= 1e-9
 
-    lm = metrics.LatencyModel(l_router=10.0, l_expert_default=50.0)
+    lm = metrics.LatencyModel(l_router=10.0, l_expert=50.0)
     _, mean = metrics.latency([{C}, set(DOMAINS)], lm)
     assert abs(mean - (60.0 + 260.0) / 2) <= 1e-9
 

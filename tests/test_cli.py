@@ -225,6 +225,18 @@ class TestPipeline:
                 first = bundle_of.setdefault(digest, f"{path.name}:{name}")
                 assert first.split(":")[0] == path.name, f"{path.name}:{name} repeats {first}"
 
+    def test_manifest_records_blas_and_the_thread_settings_in_force(self, tmp_path):
+        cfg_path = write_config(tmp_path / "config.json")
+        env = {k: v for k, v in src_env().items() if k != "OMP_NUM_THREADS"}
+        subprocess.run([sys.executable, "-m", "panelroute.cli", "synth", "--config",
+                        str(cfg_path), "--out", str(tmp_path)],
+                       env={**env, "OPENBLAS_NUM_THREADS": "2"}, check=True,
+                       capture_output=True)
+        record = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert record == {"blas": {"name": blas["name"], "version": blas["version"]},
+                          "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}
+
     def test_report_structure(self, pipeline_dir):
         out, _ = pipeline_dir
         report = json.loads((out / "report.json").read_text())
@@ -865,6 +877,41 @@ class TestErrorPaths:
             assert code == EXIT_CONFIG, argv[0]
             assert err.startswith("config error: ") and "specialist_Gastro.bin" in err
             assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["route", "eval"])
+    def test_specialist_of_another_vocabulary_size_exits_3(self, pipeline_dir, tmp_path,
+                                                           capsys, stage):
+        """A specialist trained before a re-tokenize grew vocab.tsv would score token
+        ids it was never trained on; both stages that load it refuse it."""
+        out, cfg_path = pipeline_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["train-specialist", "--domain", "Gastro", "--config", str(cfg_path),
+                        "--out", str(run_dir)]) == EXIT_OK
+        cohort = run_dir / "cohort.jsonl"
+        episodes = [json.loads(line) for line in cohort.read_text().splitlines()]
+        for ep in episodes:
+            if "Gastro" in ep["labels"]:
+                ep["events"] += [{"kind": "ORDER", "code": f"NEW{i}", "t_min": 900 + i}
+                                 for i in range(5)]
+        cohort.write_text("".join(json.dumps(ep) + "\n" for ep in episodes))
+        n_vocab = len((run_dir / "vocab.tsv").read_text().splitlines())
+        assert run(["tokenize", "--config", str(cfg_path), "--out", str(run_dir)]) == EXIT_OK
+        assert len((run_dir / "vocab.tsv").read_text().splitlines()) == n_vocab + 5
+        probe = write_cardiac_probe(tmp_path / "ep.json")  # danger: consults all five
+        probe.write_text(json.dumps({**json.loads(probe.read_text()), "danger": True}))
+        argv = ["route", "--episode", str(probe)] if stage == "route" else ["eval"]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run([*argv, "--config", str(cfg_path), "--out", str(run_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ")
+        assert "specialist_Gastro.bin" in err and "vocab.tsv" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_foreign_feature_models_exit_2(self, pipeline_dir, tmp_path, capsys):
         out, cfg_path = pipeline_dir

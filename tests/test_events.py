@@ -250,19 +250,18 @@ def timed_episode(draw):
         bin = draw(st.sampled_from(["LOW", "HIGH"])) if kind == L else None
         events.append(ClinicalEvent(kind, code, bin, t))
     gold = draw(st.sampled_from([None, "", "A", "410.71", "ZZZ"]))
-    thresholds = draw(st.sampled_from([(1, 6), (6,), (1, 2, 6)]))
-    return events, gold, thresholds
+    return events, gold
 
 
 class TestRenderEpisodeTokens:
     @settings(max_examples=200, deadline=None)
     @given(timed_episode())
     def test_equals_order_gap_render_reference(self, ep):
-        events, gold, thresholds = ep
+        events, gold = ep
         gold_text = render_token(ev(D, gold)) if gold else None
-        expected = [render_token(e) for e in insert_gap_markers(order_events(events), thresholds)]
+        expected = [render_token(e) for e in insert_gap_markers(order_events(events))]
         expected = [t for t in expected if t != gold_text]
-        assert render_episode_tokens(events, gold, thresholds) == expected
+        assert render_episode_tokens(events, gold) == expected
 
     @pytest.mark.parametrize("bad", [ev(L, "TROP"), ev(O, "ECG", t=-5), ev(D, "")])
     def test_invalid_event_raises_schema_error(self, bad):

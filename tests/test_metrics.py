@@ -161,12 +161,12 @@ class TestRoutingRecalls:
 
 class TestLatency:
     def test_top1(self):
-        lm = LatencyModel(l_router=5.0, l_expert_default=50.0)
+        lm = LatencyModel(l_router=5.0, l_expert=50.0)
         per, mean = latency([{C}], lm)
         assert per == [55.0] and mean == 55.0
 
     def test_fail_open(self):
-        lm = LatencyModel(l_router=5.0, l_expert_default=50.0)
+        lm = LatencyModel(l_router=5.0, l_expert=50.0)
         assert latency([set(DOMAINS)], lm)[1] == 255.0
 
     def test_paper_scale_mean(self):
@@ -174,18 +174,13 @@ class TestLatency:
         lm = LatencyModel()
         assert 10.0 + 50.0 * 1.565 == pytest.approx(88.25)
 
-    def test_per_expert_override(self):
-        lm = LatencyModel(l_router=10.0, per_expert={C: 100.0}, l_expert_default=50.0)
-        assert latency([{C, G}], lm)[1] == 160.0
-
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(0.0, 100.0), st.lists(st.floats(0.0, 500.0), min_size=5, max_size=5),
-           st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_mask_latency_equals_domains_order_sum(self, l_router, times, n, seed):
-        lm = LatencyModel(l_router=l_router, per_expert=dict(zip(DOMAINS, times)))
+    @given(st.floats(0.0, 100.0), st.floats(0.0, 500.0), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    def test_mask_latency_equals_domains_order_sum(self, l_router, l_expert, n, seed):
+        lm = LatencyModel(l_router=l_router, l_expert=l_expert)
         routed = np.random.default_rng(seed).random((n, 5)) < 0.5
-        expected = [l_router + sum(lm.expert_ms(d) for d, m in zip(DOMAINS, row) if m)
-                    for row in routed]
+        expected = [l_router + sum(l_expert for m in row if m) for row in routed]
         assert lm.per_row(routed).tolist() == expected
         assert latency([[d for d, m in zip(DOMAINS, row) if m] for row in routed], lm) == (
             expected, float(np.mean(expected)))
@@ -226,25 +221,28 @@ class TestComputeSavings:
 
 class TestCalibration:
     def test_constant_half_predictor_brier(self):
-        brier, _, _ = calibration_metrics([0.5] * 10, [0, 1] * 5)
+        brier, _ = calibration_metrics([0.5] * 10, [0, 1] * 5)
         assert brier == pytest.approx(0.25, abs=1e-12)
 
     def test_perfect_predictions(self):
-        brier, _, ece = calibration_metrics([0.0, 1.0, 1.0], [0, 1, 1])
+        brier, ece = calibration_metrics([0.0, 1.0, 1.0], [0, 1, 1])
         assert brier == 0.0 and ece == 0.0
 
     def test_eight_sample_hand_case(self):
         probs = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]
         labels = [0, 0, 1, 0, 1, 0, 1, 1]
         expected = np.mean([(p - y) ** 2 for p, y in zip(probs, labels)])
-        brier, table, ece = calibration_metrics(probs, labels)
+        brier, ece = calibration_metrics(probs, labels)
         assert brier == pytest.approx(expected, abs=1e-12)
-        assert len(table) == 10
-        assert sum(row["count"] for row in table) == 8
+        # 0.3 lies below the third bin edge, 3 * 0.1 = 0.30000000000000004, so
+        # it shares [0.2, 0.3) with 0.2 (mean prob 0.25, rate 0.5); every other
+        # probability has a bin of its own and contributes |p - y| / 8.
+        hand = (0.1 + 2 * 0.25 + 0.4 + 0.4 + 0.7 + 0.2 + 0.1) / 8
+        assert ece == pytest.approx(hand, abs=1e-12)
 
     def test_top_bin_includes_one(self):
-        _, table, _ = calibration_metrics([1.0], [1])
-        assert table[9]["count"] == 1
+        # a miss at 1.0 counts fully only if the top bin holds 1.0
+        assert calibration_metrics([1.0], [0]) == (1.0, 1.0)
 
 
 class TestRanking:
@@ -262,16 +260,19 @@ class TestRanking:
 
 class TestAnytime:
     def test_five_strata(self):
-        rows = [(ell, v) for ell in range(1, 6) for v in (0.0, 1.0)]
-        curve = anytime(lambda s: float(np.mean([v for _, v in s])), rows,
-                        lambda r: r[0], 5)
+        ell = np.tile(np.arange(1, 6), 2)
+        values = np.repeat([0.0, 1.0], 5)
+        seen = []
+        curve = anytime(lambda idx: seen.append(idx.tolist()) or float(values[idx].mean()),
+                        ell, 5)
         assert sorted(curve) == [1, 2, 3, 4, 5]
         assert all(v == 0.5 for v in curve.values())
+        assert seen == [[e - 1, e + 4] for e in range(1, 6)]
 
     def test_undefined_stratum_is_none(self):
-        rows = [(1, 0.2, 1), (1, 0.8, 0), (2, 0.5, 1)]  # ell=2 single-class
-        curve = anytime(lambda s: roc_auc([r[1] for r in s], [r[2] for r in s]),
-                        rows, lambda r: r[0], 3)
+        ell = np.array([1, 1, 2])  # ell=2 single-class, ell=3 empty
+        scores, labels = np.array([0.2, 0.8, 0.5]), np.array([1, 0, 1])
+        curve = anytime(lambda idx: roc_auc(scores[idx], labels[idx]), ell, 3)
         assert curve[1] is not None
         assert curve[2] is None and curve[3] is None
 

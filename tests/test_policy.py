@@ -241,6 +241,13 @@ def brute_force_tune(prob_rows, grid, constraint):
     return min(pool, key=key), table, bool(feasible)
 
 
+def as_arrays(prob_rows):
+    """The tuner's (probs, truth mask, danger) arrays of (probs, truth domains, danger) rows."""
+    return (np.array([p for p, _, _ in prob_rows], dtype=np.float64).reshape(-1, len(DOMAINS)),
+            domain_mask(t for _, t, _ in prob_rows),
+            np.array([d for _, _, d in prob_rows], dtype=bool))
+
+
 def seeded_prob_rows(n, seed, life_frac=0.4):
     rng = np.random.default_rng(seed)
     rows = []
@@ -262,7 +269,7 @@ class TestTuner:
             ((0.40, 0.35, 0.10, 0.05, 0.05), (P,), False),
         ]
         grid = [(hi, lo) for hi in (0.5, 0.7, 0.9) for lo in (0.1, 0.3)]
-        result = tune_thresholds(rows, grid=grid, constraint=0.98)
+        result = tune_thresholds(*as_arrays(rows), grid=grid, constraint=0.98)
         oracle_best, oracle_table, met = brute_force_tune(rows, grid, 0.98)
         assert (result.tau_hi, result.tau_lo) == (oracle_best["tau_hi"], oracle_best["tau_lo"])
         assert result.table == oracle_table
@@ -282,7 +289,7 @@ class TestTuner:
 
     def test_feasible_selection_meets_constraint_and_minimizes_experts(self):
         rows = seeded_prob_rows(300, seed=4)
-        result = tune_thresholds(rows, constraint=0.90)
+        result = tune_thresholds(*as_arrays(rows), constraint=0.90)
         if result.constraint_met:
             assert result.life_recall >= 0.90
             feas = [r for r in result.table if r["life_recall"] >= 0.90]
@@ -291,18 +298,18 @@ class TestTuner:
     def test_infeasible_falls_back_to_max_life_recall(self):
         # Gastro-looking probabilities on life-threat truths: TOP2 misses life
         rows = [((0.05, 0.05, 0.90, 0.60, 0.05), (C,), False)] * 20
-        result = tune_thresholds(rows, grid=[(0.9, 0.5)], constraint=0.98)
+        result = tune_thresholds(*as_arrays(rows), grid=[(0.9, 0.5)], constraint=0.98)
         assert not result.constraint_met
         assert result.life_recall == max(r["life_recall"] for r in result.table)
 
     def test_no_life_truth_rejected(self):
         rows = [((0.1, 0.1, 0.8, 0.1, 0.1), (G,), False)]
         with pytest.raises(PolicyError):
-            tune_thresholds(rows)
+            tune_thresholds(*as_arrays(rows))
 
     def test_frontier_csv_round_trips(self, tmp_path):
         rows = seeded_prob_rows(50, seed=5)
-        result = tune_thresholds(rows, grid=[(0.7, 0.3), (0.9, 0.1)])
+        result = tune_thresholds(*as_arrays(rows), grid=[(0.7, 0.3), (0.9, 0.1)])
         write_frontier_csv(tmp_path / "f.csv", result.table)
         lines = (tmp_path / "f.csv").read_text().strip().split("\n")
         assert lines[0] == "tau_hi,tau_lo,life_recall,expected_experts,recall_any,recall_all"

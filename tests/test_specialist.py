@@ -20,6 +20,7 @@ from panelroute.specialist import (
     SpecialistConfig,
     SpecialistError,
     SpecialistModel,
+    WEIGHT_DECAY,
     TrainConfig,
     clip_global_norm,
     cross_entropy,
@@ -444,8 +445,7 @@ class TestOptimizer:
     def test_adamw_decays_only_listed_keys(self):
         params = {"w": np.ones(3), "b": np.ones(3)}
         grads = {"w": np.zeros(3), "b": np.zeros(3)}
-        opt = AdamW(weight_decay=0.5)
-        opt.step(params, grads, lr=0.1, decay_keys={"w"})
+        AdamW().step(params, grads, lr=0.1, decay_keys={"w"})
         assert np.all(params["w"] < 1.0)
         assert np.all(params["b"] == 1.0)
 
@@ -459,7 +459,7 @@ class TestOptimizer:
         want = {k: p.copy() for k, p in params.items()}
         arrays = dict(params)
         decay_keys = {"w"}
-        opt = AdamW(weight_decay=0.05)
+        opt = AdamW()
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
         b1, b2 = 0.9, 0.999
@@ -474,7 +474,7 @@ class TestOptimizer:
                 vhat = v[key] / (1 - b2 ** t)
                 update = mhat / (np.sqrt(vhat) + 1e-8)
                 if key in decay_keys:
-                    update = update + opt.weight_decay * want[key]
+                    update = update + WEIGHT_DECAY * want[key]
                 want[key] = want[key] - lr * update
             for key in shapes:
                 assert params[key] is arrays[key]
