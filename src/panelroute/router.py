@@ -4,12 +4,17 @@ temperature scaling. The router checkpoint holds the heads and calibrators
 only; the feature models it scores on live in `features`.
 
 The head objective is sum_i w_i * logloss + (1/(2C)) * ||weights||^2 with an
-unpenalized bias; the contract is the optimum, not a specific solver, so we
-minimize with L-BFGS and a 1e-6 gradient stop.
+unpenalized bias; the contract is the optimum, not a specific solver. Heads
+and calibrators are minimized by `lbfgs`, a numpy L-BFGS (two-loop recursion
+over the last 10 steps, Armijo backtracking from the unit step) that stops as
+scipy's L-BFGS-B does: when max|g| <= gtol (1e-6 for heads) or when the
+relative decrease of the objective is at most ftol.
 """
 
 import warnings
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +79,70 @@ def _logloss_terms(margins):
     return np.logaddexp(0.0, -margins)
 
 
-def _warn_unconverged(res, what: str) -> None:
+class Solve(NamedTuple):
+    x: np.ndarray
+    nit: int  # iterations taken
+    success: bool
+    message: str
+
+
+_LBFGS_MEMORY = 10
+_ARMIJO_C = 1e-4
+_MAX_BACKTRACKS = 60  # halvings of the unit step before the line search fails
+
+
+def _two_loop(g, pairs):
+    """H g for the L-BFGS inverse-Hessian estimate H of the (s, y, 1/(s.y))
+    pairs, with H0 = (s.y / y.y) I from the latest pair (Nocedal & Wright,
+    Algorithm 7.4)."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    s, y, _ = pairs[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
+def lbfgs(objective, x0, gtol: float, ftol: float, max_iter: int) -> Solve:
+    """Minimize objective(x) -> (f, gradient) from x0 by L-BFGS.
+
+    Stops, as scipy's L-BFGS-B does, with success when max|g| <= gtol or when
+    (f_old - f) / max(|f_old|, |f|, 1) <= ftol; without it after max_iter
+    iterations or when 60 halvings of the step find no Armijo decrease. The
+    first step is scaled to unit length; later steps start from the unit step
+    along the two-loop direction."""
+    x = np.array(x0, dtype=np.float64)
+    f, g = objective(x)
+    pairs = deque(maxlen=_LBFGS_MEMORY)
+    f_old, nit = None, 0
+    while True:
+        if np.max(np.abs(g)) <= gtol:
+            return Solve(x, nit, True, "max|g| <= gtol")
+        if f_old is not None and f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            return Solve(x, nit, True, "relative decrease <= ftol")
+        if nit >= max_iter:
+            return Solve(x, nit, False, "iteration limit reached")
+        d = -_two_loop(g, pairs) if pairs else -g / np.sqrt(g @ g)
+        slope, step = g @ d, 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = x + step * d
+            f_new, g_new = objective(x_new)
+            if f_new <= f + _ARMIJO_C * step * slope:
+                break
+            step *= 0.5
+        else:
+            return Solve(x, nit, False, "line search found no decrease")
+        s, y = x_new - x, g_new - g
+        if s @ y > np.finfo(float).eps * (y @ y):  # keep H positive definite
+            pairs.append((s, y, 1.0 / (s @ y)))
+        x, f_old, f, g, nit = x_new, f, f_new, g_new, nit + 1
+
+
+def _warn_unconverged(res: Solve, what: str) -> None:
     if not res.success:
         warnings.warn(f"{what}: L-BFGS did not converge after {res.nit} iterations: "
                       f"{res.message}", RuntimeWarning, stacklevel=3)
@@ -85,6 +153,7 @@ class LogisticHead:
     domain: DomainLabel
     weights: np.ndarray = None
     bias: float = 0.0
+    solve: Solve = field(default=None, compare=False, repr=False)  # set by fit_head only
 
     def raw_scores(self, x) -> np.ndarray:
         return np.asarray(x) @ self.weights + self.bias
@@ -115,29 +184,27 @@ def fit_head(x, y, sample_weight=None, domain=DomainLabel.CARDIAC,
         grad[dim] = g_margin.sum()
         return loss, grad
 
-    from scipy import optimize  # deferred: routing never fits, so never pays this import
-
-    res = optimize.minimize(
-        objective,
-        np.zeros(dim + 1),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": 1e-6, "ftol": 1e-12},
-    )
+    res = lbfgs(objective, np.zeros(dim + 1), gtol=1e-6, ftol=1e-12, max_iter=max_iter)
     _warn_unconverged(res, f"{domain.value} head")
-    return LogisticHead(domain=domain, weights=res.x[:dim].copy(), bias=float(res.x[dim]))
+    return LogisticHead(domain, res.x[:dim].copy(), float(res.x[dim]), res)
 
 
 @dataclass
 class PlattCalibrator:
     a: float = 1.0
     b: float = 0.0
+    solve: Solve = field(default=None, compare=False, repr=False)  # set by platt_fit only
 
     def __call__(self, scores):
         return _sigmoid(self.a * np.asarray(scores) + self.b)
 
 
-def _fit_sigmoid_ab(scores, labels):
+def platt_fit(scores, labels) -> PlattCalibrator:
+    """Sigmoid calibration: (a, b) fitted once on all the (score, label) pairs,
+    from the identity; single-class data gets the identity."""
+    if len(np.unique(labels)) < 2:
+        warnings.warn("single-class calibration data; using identity calibration")
+        return PlattCalibrator(1.0, 0.0)
     scores = np.asarray(scores, dtype=np.float64)
     sign = np.where(np.asarray(labels) > 0, 1.0, -1.0)
 
@@ -149,25 +216,15 @@ def _fit_sigmoid_ab(scores, labels):
         g = -p * sign
         return loss, np.array([g @ scores, g.sum()])
 
-    from scipy import optimize
-
-    res = optimize.minimize(objective, np.array([1.0, 0.0]), jac=True,
-                            method="L-BFGS-B", options={"gtol": 1e-9, "ftol": 1e-14})
+    res = lbfgs(objective, np.array([1.0, 0.0]), gtol=1e-9, ftol=1e-14,
+                max_iter=DEFAULT_MAX_ITER)
     _warn_unconverged(res, "Platt fit")
-    return float(res.x[0]), float(res.x[1])
-
-
-def platt_fit(scores, labels) -> PlattCalibrator:
-    """Sigmoid calibration: (a, b) fitted once on all the (score, label) pairs;
-    single-class data gets the identity."""
-    if len(np.unique(labels)) < 2:
-        warnings.warn("single-class calibration data; using identity calibration")
-        return PlattCalibrator(1.0, 0.0)
-    return PlattCalibrator(*_fit_sigmoid_ab(scores, labels))
+    return PlattCalibrator(float(res.x[0]), float(res.x[1]), res)
 
 
 def temperature_fit(logits, labels) -> float:
-    """Temperature T in TEMPERATURE_BRACKET minimizing cross-entropy of sigmoid(s/T)."""
+    """Temperature T in TEMPERATURE_BRACKET minimizing cross-entropy of
+    sigmoid(s/T), to within 1e-6."""
     logits = np.asarray(logits, dtype=np.float64)
     sign = np.where(np.asarray(labels) > 0, 1.0, -1.0)
     if len(np.unique(sign)) < 2:
@@ -176,11 +233,21 @@ def temperature_fit(logits, labels) -> float:
     def nll(t):
         return float(np.sum(_logloss_terms(sign * logits / t)))
 
-    from scipy import optimize
-
-    res = optimize.minimize_scalar(nll, bounds=TEMPERATURE_BRACKET, method="bounded",
-                                   options={"xatol": 1e-6})
-    return float(res.x)
+    # Golden-section search: the NLL is convex in 1/t, so unimodal in t.
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = TEMPERATURE_BRACKET
+    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fa, fb = nll(a), nll(b)
+    while hi - lo > 1e-6:
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - shrink * (hi - lo)
+            fa = nll(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = nll(b)
+    return (lo + hi) / 2.0
 
 
 @dataclass

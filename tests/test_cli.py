@@ -37,6 +37,7 @@ from panelroute.cli import (
 )
 from panelroute import cli, features, router, specialist
 from panelroute.cohort import default_grammars, save_grammars
+from panelroute.events import DOMAINS
 from panelroute.features import load_feature_models
 from panelroute.router import RouterModel
 from panelroute.serial import BundleError, load_bundle, save_bundle, sha256_file
@@ -118,6 +119,25 @@ class TestPipeline:
         meta, _ = load_bundle(out / "router.bin")
         manifest = json.loads((out / "manifest.json").read_text())
         assert meta["config_hash"] == manifest["config_hash"]
+
+    def test_train_router_prints_each_solve(self, pipeline_dir, tmp_path, capsys):
+        """One line per head, then per calibrator, with the solver's iterations
+        and status; the same on a rerun, and router.bin unchanged."""
+        out, cfg_path = pipeline_dir
+        shutil.copytree(out, tmp_path / "run")
+        printed = []
+        for _ in range(2):
+            assert run(["train-router", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "run")]) == EXIT_OK
+            printed.append(capsys.readouterr().out.splitlines())
+        assert printed[0] == printed[1]
+        lines = printed[0][:-1]
+        want = [f"{d.value} {part}: " for part in ("head", "calibrator") for d in DOMAINS]
+        assert [line[:len(prefix)] for line, prefix in zip(lines, want)] == want
+        assert all(re.fullmatch(r"\d+ L-BFGS iterations, converged \(.+\)", line[len(prefix):])
+                   for line, prefix in zip(lines, want))
+        assert len(lines) == 10 and printed[0][-1].startswith("router checkpoint written")
+        assert (tmp_path / "run" / "router.bin").read_bytes() == (out / "router.bin").read_bytes()
 
     def test_train_router_and_tune_do_not_read_features_bin(self, pipeline_dir, tmp_path):
         """train-router and tune project their splits from tokens.bin and
@@ -1473,43 +1493,57 @@ class TestEntryPoints:
             hashes.append(json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"])
         assert hashes[0] != hashes[1]
 
-    def test_route_process_imports_no_fitting_code(self, pipeline_dir, tmp_path):
+    @pytest.fixture(scope="class")
+    def panel_dir(self, pipeline_dir, tmp_path_factory):
+        """pipeline_dir with a Cardiac specialist, evaluated again with it, and
+        the probe episode that routes to Cardiac."""
         out, cfg_path = pipeline_dir
-        shutil.copytree(out, tmp_path / "run")
+        panel = tmp_path_factory.mktemp("panel") / "run"
+        shutil.copytree(out, panel)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert run(["train-specialist", "--domain", "Cardiac", "--config", str(cfg_path),
-                        "--out", str(tmp_path / "run")]) == EXIT_OK
-        probe = write_cardiac_probe(tmp_path / "ep.json")
-        script = (
-            "import sys, panelroute.cli\n"
-            f"code = panelroute.cli.run(['route', '--config', {str(cfg_path)!r}, "
-            f"'--out', {str(tmp_path / 'run')!r}, '--episode', {str(probe)!r}])\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "sys.exit(code)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
-                              capture_output=True, text=True, timeout=300, check=False)
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert '"suggestions"' in proc.stdout  # the Cardiac specialist was consulted
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+            for stage in (["train-specialist", "--domain", "Cardiac"], ["eval"], ["report"]):
+                assert run([*stage, "--config", str(cfg_path), "--out", str(panel)]) == EXIT_OK
+        return panel, cfg_path, write_cardiac_probe(panel.parent / "ep.json")
 
-    def test_featurize_process_imports_no_scipy(self, pipeline_dir, tmp_path):
-        out, cfg_path = pipeline_dir
-        shutil.copytree(out, tmp_path / "run")
+    # stage -> (extra arguments, the artifacts it writes)
+    STAGES = {
+        "synth": ([], ["cohort.jsonl"]),
+        "tokenize": ([], ["vocab.tsv", "tokens.bin"]),
+        "featurize": ([], ["feature_models.bin", "features.bin"]),
+        "train-router": ([], ["router.bin"]),
+        "tune": ([], ["thresholds.json", "frontier.csv"]),
+        "train-specialist": (["--domain", "Cardiac"],
+                             ["specialist_Cardiac.bin", "curve_Cardiac.csv"]),
+        "eval": ([], ["report.json", "report.csv"]),
+        "report": ([], ["anytime.csv"]),
+        "route": (["--episode", "PROBE"], []),
+    }
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_stage_process_imports_no_scipy(self, panel_dir, tmp_path, stage):
+        """Each stage, run again in a new process on a built panel, imports no
+        scipy module and rewrites its artifacts byte for byte."""
+        panel, cfg_path, probe = panel_dir
+        shutil.copytree(panel, tmp_path / "run")
+        extra, artifacts = self.STAGES[stage]
+        argv = [stage, "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                *[str(probe) if a == "PROBE" else a for a in extra]]
         script = (
-            "import sys, panelroute.cli\n"
-            f"code = panelroute.cli.run(['featurize', '--config', {str(cfg_path)!r}, "
-            f"'--out', {str(tmp_path / 'run')!r}])\n"
+            "import sys, warnings, panelroute.cli\n"
+            "warnings.simplefilter('ignore')\n"
+            f"code = panelroute.cli.run({argv!r})\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "sys.exit(code)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
                               capture_output=True, text=True, timeout=300, check=False)
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert (tmp_path / "run" / "feature_models.bin").read_bytes() == \
-            (out / "feature_models.bin").read_bytes()
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+        for name in artifacts:
+            assert (tmp_path / "run" / name).read_bytes() == (panel / name).read_bytes(), name
+        if stage == "route":
+            assert '"suggestions"' in proc.stdout  # the Cardiac specialist was consulted
 
     def test_importing_the_cli_loads_no_scipy(self):
         script = ("import sys, panelroute.cli\n"

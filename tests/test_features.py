@@ -9,7 +9,9 @@ from scipy import sparse
 
 from panelroute.events import BOS_ID, EOS_ID, DomainLabel, Episode, Vocabulary, multi_hot
 from panelroute.features import (
+    _BLOCK_ROWS,
     FeatureError,
+    _project_csr,
     PrefixRow,
     expand_cohort,
     expand_prefixes,
@@ -239,6 +241,13 @@ class TestGramPath:
         assert cosines.min() >= 1 - 1e-10
         assert np.abs(proj.components[:k, 17]).max() <= 1e-12
 
+    def test_singular_values_are_bitwise_the_column_norms(self):
+        x = sparse_rows(np.random.default_rng(7), 2 * _BLOCK_ROWS + 52, 600)
+        csr, n_cols = as_csr(x)
+        proj = svd_fit(csr, n_cols, rank=40)
+        want = np.linalg.norm(_project_csr(*csr, proj.components), axis=0)
+        assert proj.singular_values.tobytes() == want.tobytes()
+
 
 def toy_rows_and_models():
     vocab = make_vocab(["[ACTION]_ORD_A", "[ACTION]_ORD_B", "[OBS]_LAB_C:HIGH"])
@@ -298,6 +307,22 @@ def prefix_rows(token_lists):
 
 
 class TestProjection:
+    def test_blocked_projection_is_bitwise_the_sparse_product(self):
+        rng = np.random.default_rng(8)
+        n = 3 * _BLOCK_ROWS + 100  # four blocks, the last one short
+        x = sparse_rows(rng, n, 70)
+        edges = [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS,
+                 3 * _BLOCK_ROWS, n - 1]
+        x[edges[::2]] = 0.0  # empty rows on block edges
+        x[edges[1::2]] = rng.random((len(edges[1::2]), 70))  # full rows on the others
+        x[rng.choice(n, 200, replace=False)] = 0.0  # empty rows inside blocks
+        csr, n_cols = as_csr(x)
+        components = rng.standard_normal((12, n_cols))
+        want = np.asarray(as_sparse(csr, n_cols) @ components.T)
+        got = _project_csr(*csr, components)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got[edges[::2]].any()
+
     @settings(max_examples=200, deadline=None)
     @given(projection_cases())
     def test_featurize_rows_is_bitwise_the_sparse_product(self, case):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from panelroute.cohort import DEFAULT_MIXTURE, CohortConfig, generate_cohort
+from panelroute import router
 from panelroute.events import DOMAINS, DomainLabel
 from panelroute.router import (
     LogisticHead,
@@ -12,10 +13,10 @@ from panelroute.router import (
     RouterModel,
     SplitSpec,
     fit_head,
+    lbfgs,
     platt_fit,
     split,
     temperature_fit,
-    _fit_sigmoid_ab,
     _sigmoid,
 )
 
@@ -115,6 +116,30 @@ class TestFitHead:
             warnings.simplefilter("error")
             platt_fit(fit_head(x, y).raw_scores(x), y)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scipy_lbfgsb(self, seed):
+        from scipy import optimize  # the oracle; the program imports no scipy
+
+        rng = np.random.default_rng(seed)
+        n, dim = 300 + 100 * seed, 4 + 6 * seed
+        x = rng.standard_normal((n, dim))
+        y = (x @ rng.standard_normal(dim) + rng.standard_normal(n) > 0.5).astype(float)
+        w = rng.uniform(0.1, 1.0, size=n)
+        sign, c = 2.0 * y - 1.0, 2.0
+
+        def objective(theta):
+            margins = sign * (x @ theta[:dim] + theta[dim])
+            loss = w @ np.logaddexp(0.0, -margins) + theta[:dim] @ theta[:dim] / (2.0 * c)
+            g_margin = -w * sign / (1.0 + np.exp(margins))
+            return loss, np.append(x.T @ g_margin + theta[:dim] / c, g_margin.sum())
+
+        want = optimize.minimize(objective, np.zeros(dim + 1), jac=True, method="L-BFGS-B",
+                                 options={"maxiter": 3000, "gtol": 1e-6, "ftol": 1e-12})
+        head = fit_head(x, y, w, c=c)
+        assert want.success and head.solve.success
+        assert np.abs(head.weights - want.x[:dim]).max() <= 1e-4
+        assert abs(head.bias - want.x[dim]) <= 1e-4
+
     def test_weight_norm_non_increasing_as_c_decreases(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((80, 4))
@@ -200,15 +225,22 @@ class TestPlatt:
         assert after <= before + 1e-6
 
     def test_unconverged_fit_warns(self, monkeypatch):
-        from scipy import optimize
+        monkeypatch.setattr(router, "DEFAULT_MAX_ITER", 1)  # the solver's budget
+        rng = np.random.default_rng(4)
+        scores = rng.standard_normal(200)
+        y = (rng.random(200) < _sigmoid(3.0 * scores - 1.0)).astype(float)
+        with pytest.warns(RuntimeWarning, match="Platt fit: L-BFGS did not converge after "
+                                                "1 iterations: iteration limit reached"):
+            cal = platt_fit(scores, y)
+        assert (cal.solve.nit, cal.solve.success) == (1, False)
 
-        def no_convergence(fun, x0, **kwargs):
-            return optimize.OptimizeResult(x=np.asarray(x0), success=False, nit=7,
-                                           message="ABNORMAL_TERMINATION_IN_LNSRCH")
-
-        monkeypatch.setattr(optimize, "minimize", no_convergence)
-        with pytest.warns(RuntimeWarning, match="Platt fit: .* after 7 .*ABNORMAL"):
-            assert _fit_sigmoid_ab(np.array([0.1, 0.9]), np.array([0, 1])) == (1.0, 0.0)
+    def test_failed_line_search_warns(self):
+        # a NaN score makes every trial step's loss NaN, so no step decreases it
+        with np.errstate(invalid="ignore"), pytest.warns(
+                RuntimeWarning, match="Platt fit: L-BFGS did not converge after "
+                                      "0 iterations: line search found no decrease"):
+            cal = platt_fit(np.array([0.1, np.nan]), np.array([0, 1]))
+        assert (cal.a, cal.b) == (1.0, 0.0)
 
     def test_positive_slope_preserves_ordering(self):
         rng = np.random.default_rng(3)
@@ -217,7 +249,37 @@ class TestPlatt:
         assert np.array_equal(np.argsort(scores), np.argsort(cal(scores)))
 
 
+class TestLbfgs:
+    def test_minimizes_the_rosenbrock_function(self):
+        def rosenbrock(v):
+            a, b = v
+            return ((1 - a) ** 2 + 100 * (b - a * a) ** 2,
+                    np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]))
+
+        res = lbfgs(rosenbrock, np.array([-1.2, 1.0]), gtol=1e-8, ftol=0.0, max_iter=500)
+        assert res.success and res.message == "max|g| <= gtol"
+        assert np.abs(res.x - 1.0).max() <= 1e-6
+
+    def test_start_at_the_minimum_takes_no_step(self):
+        res = lbfgs(lambda v: (float(v @ v), 2 * v), np.zeros(3), gtol=1e-9, ftol=0.0,
+                    max_iter=10)
+        assert (res.nit, res.success) == (0, True)
+
+
 class TestTemperature:
+    def test_matches_scipy_bounded_minimize_scalar(self):
+        from scipy import optimize  # the oracle; the program imports no scipy
+
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.02, 0.98, size=5000)
+        logits = 2.5 * np.log(p / (1 - p))
+        y = (rng.random(5000) < p).astype(float)
+        sign = 2.0 * y - 1.0
+        want = optimize.minimize_scalar(
+            lambda t: np.logaddexp(0.0, -sign * logits / t).sum(),
+            bounds=router.TEMPERATURE_BRACKET, method="bounded", options={"xatol": 1e-6})
+        assert temperature_fit(logits, y) == pytest.approx(want.x, abs=1e-5)
+
     def test_calibrated_logits_give_unit_temperature(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(0.02, 0.98, size=10_000)
