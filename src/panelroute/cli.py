@@ -504,10 +504,9 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
     _update_manifest(out, cfg, "router.bin")
     for part, fitted in (("head", model.heads), ("calibrator", model.calibrators)):
         for domain, res in zip(DOMAINS, (f.solve for f in fitted)):
-            print(f"{domain.value} {part}: " + (
-                "identity, single-class dev labels" if res is None else
-                f"{res.nit} L-BFGS iterations, "
-                f"{'converged' if res.success else 'NOT converged'} ({res.message})"))
+            status = "converged" if res and res.success else "NOT converged"
+            print(f"{domain.value} {part}: " + ("identity, single-class dev labels" if res is None
+                  else f"{res.nit} L-BFGS iterations, {status} ({res.message})"))
     print(f"router checkpoint written to {out / 'router.bin'}")
     return EXIT_OK
 
