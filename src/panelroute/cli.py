@@ -244,6 +244,15 @@ def _read_json(path: Path) -> dict:
     return data
 
 
+def _field(path: Path, data: dict, key: str, kind: str):
+    """data[key] if it is `kind`, "a number" (not a bool) or "an object";
+    anything else, or no such key, is a data error naming the file and key."""
+    if type(data.get(key)) not in {"a number": (int, float), "an object": (dict,)}[kind]:
+        got = json.dumps(data[key]) if key in data else "nothing"
+        raise DataError(f"{path}: key {key!r} must be {kind}, got {got}")
+    return data[key]
+
+
 def _environment() -> dict:
     """What the array artifacts' bytes hinge on besides the config: the BLAS
     library (name and version, no machine paths) and the thread counts in force."""
@@ -259,7 +268,7 @@ def _update_manifest(out: Path, cfg: dict, *names: str) -> None:
     if path.exists():
         prev = _read_json(path)
         if prev.get("config_hash") == manifest["config_hash"]:
-            manifest["artifacts"] = prev.get("artifacts", {})
+            manifest["artifacts"] = _field(path, prev, "artifacts", "an object")
     for name in names:
         manifest["artifacts"][name] = sha256_file(out / name)
     write_json(path, manifest)
@@ -554,7 +563,11 @@ def _load_thresholds(out: Path, cfg: dict) -> Thresholds:
     path = _require(out, "thresholds.json", "tune")
     data = _read_json(path)
     _check_hash(data.get("config_hash"), cfg, "thresholds.json")
-    return Thresholds(data["tau_hi"], data["tau_lo"], life_guard_tau=cfg["life_guard_tau"])
+    taus = [_field(path, data, key, "a number") for key in ("tau_hi", "tau_lo")]
+    try:
+        return Thresholds(*taus, life_guard_tau=cfg["life_guard_tau"])
+    except PolicyError as e:  # the life guard was checked with the config
+        raise DataError(f"{path}: keys 'tau_hi' and 'tau_lo': {e}") from None
 
 
 def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
@@ -586,7 +599,7 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
         write_curve_csv(out / f"curve_{domain.value}.csv", curve)
         _update_manifest(out, cfg, path.name, f"curve_{domain.value}.csv")
         best = min(r["dev_loss"] for r in curve)
-        print(f"{domain.value}: best dev loss {best:.4f} (ppl {np.exp(best):.2f})")
+        print(f"{domain.value}: best dev loss {best:.4f} (ppl {perplexity_from_loss(best):.2f})")
     return EXIT_OK
 
 
@@ -665,10 +678,16 @@ def cmd_report(args, cfg: dict, out: Path) -> int:
     path = _require(out, "report.json", "eval")
     report = _read_json(path)
     _check_hash(report.get("config_hash"), cfg, "report.json")
+    anytime = _field(path, report, "anytime", "an object")
+    for metric_name, curve in anytime.items():
+        if type(curve) is not dict or not all(
+                ell.isdecimal() and type(v) in (int, float, type(None)) for ell, v in curve.items()):
+            raise DataError(f"{path}: key 'anytime': {metric_name!r} must map prefix lengths "
+                            f"to numbers or null, got {json.dumps(curve)}")
     write_lines(out / "anytime.csv", [
         "ell,metric,value\n",
         *(f"{ell},{metric_name},{'' if curve[ell] is None else repr(curve[ell])}\n"
-          for metric_name, curve in report["anytime"].items() for ell in sorted(curve, key=int))])
+          for metric_name, curve in anytime.items() for ell in sorted(curve, key=int))])
     _update_manifest(out, cfg, "anytime.csv")
     print(f"anytime curves written to {out / 'anytime.csv'}")
     return EXIT_OK

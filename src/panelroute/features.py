@@ -167,24 +167,24 @@ def _fix_signs(vt: np.ndarray) -> np.ndarray:
     return out
 
 
-_DENSE_CUTOFF = 512  # at or below this min-dimension, the dense SVD is cheap
-
-
-def svd_fit(csr, n_cols: int, rank: int = 256) -> SvdProjector:
+def svd_fit(csr, n_cols: int, rank: int) -> SvdProjector:
     """Best rank-r' approximation, r' = min(rank, N, M), of the N x M matrix
     X given as CSR arrays csr = (indptr, indices, data) with M = n_cols.
 
-    Exact on both paths. With min(N, M) <= 512, X is densified and takes
-    np.linalg.svd. Otherwise the right singular vectors are the top r'
-    eigenvectors of the M x M Gram matrix X^T X (Eckart-Young), and each
-    singular value is ||X v_i||: the square root of its eigenvalue would lose
-    the small end to squaring.
+    Exact for every shape: the right singular vectors are the top r'
+    eigenvectors of the M x M Gram matrix X^T X (Eckart-Young), ordered by
+    ||X v_i||, which is each singular value: the square root of its
+    eigenvalue would lose the small end to squaring. Signs follow
+    `_fix_signs`.
 
-    Cost: the Gram matrix holds M^2 floats and eigh is O(M^3), where M, the
-    TF-IDF term count, is at most V + V^2 for V vocabulary tokens. On 2 vCPUs
-    at one BLAS thread, the paper cohort's 6995 x 863 matrix takes 0.2 s; at
-    k = 60, the `long` workload's 16800 x 1366 matrix takes 1.5 s, and its
-    featurize process peaks at 168 MB.
+    Cost: the Gram matrix holds M^2 floats and eigh is O(M^3). On the
+    featurize matrix M < 2N: each training episode adds min(k, L) prefix rows
+    and at most 2 min(k, L) - 1 distinct terms (unigrams and bigrams of its
+    longest prefix, of which every shorter prefix's terms are a subset). On 2
+    vCPUs at one BLAS thread (medians of 5), the `paper` workload's 6995 x 867
+    matrix takes 0.17 s and the `long` workload's 1400 x 452 one 0.05 s; at
+    k = 60, `long`'s 16800 x 1366 matrix takes 1.5 s, and its featurize
+    process peaks at 168 MB.
     """
     indptr, indices, data = csr
     n, m = len(indptr) - 1, n_cols
@@ -196,11 +196,6 @@ def svd_fit(csr, n_cols: int, rank: int = 256) -> SvdProjector:
 
     nnz = np.diff(indptr)
     row = np.repeat(np.arange(n), nnz)  # the row of each nonzero
-    if min(n, m) <= _DENSE_CUTOFF:
-        dense = np.bincount(row * m + indices, weights=data, minlength=n * m).reshape(n, m)
-        _, s, vt = np.linalg.svd(dense, full_matrices=False)
-        return SvdProjector(_fix_signs(vt[:r]), s[:r])
-
     # X^T X: step p pairs the p-th nonzero of each row that has one with
     # every nonzero of that row.
     gram = np.zeros(m * m)

@@ -90,6 +90,21 @@ def src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
+# JSON artifacts edited off their shape: each edit and the key its error names.
+JSON_EDITS = {
+    "no_tau_hi": (lambda d: d.pop("tau_hi"), "tau_hi"),
+    "no_tau_lo": (lambda d: d.pop("tau_lo"), "tau_lo"),
+    "string_tau_hi": (lambda d: d.update(tau_hi="0.5"), "tau_hi"),
+    "null_tau_lo": (lambda d: d.update(tau_lo=None), "tau_lo"),
+    "tau_hi_2": (lambda d: d.update(tau_hi=2.0), "tau_hi"),
+    "no_anytime": (lambda d: d.pop("anytime"), "anytime"),
+    "anytime_list": (lambda d: d.update(anytime=[]), "anytime"),
+    "anytime_ell_x": (lambda d: d["anytime"]["recall_any"].update(x=0.5), "anytime"),
+    "artifacts_list": (lambda d: d.update(artifacts=[]), "artifacts"),
+    "artifacts_null": (lambda d: d.update(artifacts=None), "artifacts"),
+}
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -478,6 +493,13 @@ class TestErrorPaths:
         ("tune", "feature_models.bin", "truncated", EXIT_DATA),
         ("train-router", "feature_models.bin", "other_config", EXIT_CONFIG),
         ("tune", "feature_models.bin", "other_config", EXIT_CONFIG),
+        *((stage, "thresholds.json", corrupt, EXIT_DATA) for stage, corrupt in [
+            ("eval", "no_tau_hi"), ("route", "no_tau_lo"), ("route", "string_tau_hi"),
+            ("eval", "null_tau_lo"), ("eval", "tau_hi_2"), ("route", "tau_hi_2")]),
+        *(("report", "report.json", corrupt, EXIT_DATA)
+          for corrupt in ["no_anytime", "anytime_list", "anytime_ell_x"]),
+        *(("tune", "manifest.json", corrupt, EXIT_DATA)
+          for corrupt in ["artifacts_list", "artifacts_null"]),
     ])
     def test_unreadable_artifact_exits_with_one_line_naming_it(
             self, pipeline_dir, tmp_path, capsys, stage, name, corrupt, code):
@@ -485,7 +507,12 @@ class TestErrorPaths:
         run_dir = tmp_path / "run"
         shutil.copytree(out, run_dir)
         path = run_dir / name
-        if corrupt == "truncated":
+        if corrupt in JSON_EDITS:
+            edit, key = JSON_EDITS[corrupt]
+            data = json.loads(path.read_text())
+            edit(data)
+            path.write_text(json.dumps(data))
+        elif corrupt == "truncated":
             path.write_bytes(path.read_bytes()[:40])
         elif corrupt == "unstamped":
             data = json.loads(path.read_text())
@@ -507,7 +534,7 @@ class TestErrorPaths:
             assert run(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("data error: " if code == EXIT_DATA else "config error: ")
-        assert name in err
+        assert name in err and (corrupt not in JSON_EDITS or repr(key) in err)
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("corrupt", ["truncated", "bad_kind", "sentinel_kind", "missing_key"])

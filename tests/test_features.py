@@ -195,7 +195,7 @@ class TestSvd:
         z = x @ proj.components.T
         assert np.all(np.linalg.norm(z, axis=1) <= np.linalg.norm(x, axis=1) + 1e-9)
 
-    @pytest.mark.parametrize("shape", [(60, 40), (700, 600)])  # dense path, Gram path
+    @pytest.mark.parametrize("shape", [(60, 40), (700, 600)])  # M < N < 512; 512 < M < N
     def test_two_fits_are_bit_identical(self, shape):
         x = sparse_rows(np.random.default_rng(4), *shape)
         a, b = svd_fit(*as_csr(x), rank=6), svd_fit(*as_csr(x), rank=6)
@@ -211,8 +211,51 @@ def sparse_rows(rng, n, m):
     return x
 
 
+@st.composite
+def svd_cases(draw):
+    """(x, rank): a sparse matrix with M >= 12, tall with M <= 512 < N or wide
+    with N < M, whose rows hold 0 to 11 nonzeros. It may repeat a few distinct
+    rows (rank-deficient) and have empty columns. The rank may exceed min(N, M)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # tall
+        n, m = draw(st.integers(513, 640)), draw(st.integers(12, 48))
+    else:  # wide
+        n = draw(st.integers(2, 40))
+        m = draw(st.integers(max(n + 1, 12), 96))
+    distinct = min(draw(st.sampled_from([n, 1, 3, 10])), n)
+    x = sparse_rows(rng, distinct, m)[rng.integers(0, distinct, n)]
+    x[:, rng.random(m) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
+    return x, draw(st.integers(1, min(n, m) + 2))
+
+
+class TestOnePath:
+    """svd_fit on both sides of min(N, M) = 512, against np.linalg.svd."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(svd_cases())
+    def test_matches_the_dense_svd(self, case):
+        x, rank = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a rank above min(N, M) is clamped
+            proj = svd_fit(*as_csr(x), rank=rank)
+        c, r = proj.components, min(rank, *x.shape)
+        _, s, vt = np.linalg.svd(x, full_matrices=False)
+        tol = 1e-10 * s[0]
+        assert c.shape == (r, x.shape[1])
+        assert np.abs(c @ c.T - np.eye(r)).max() <= 1e-10
+        assert np.all(c[np.arange(r), np.abs(c).argmax(axis=1)] > 0)  # the sign rule
+        norms = np.linalg.norm(x @ c.T, axis=0)
+        assert np.all(np.diff(proj.singular_values) <= 0)
+        assert np.abs(norms - proj.singular_values).max() <= tol
+        assert np.abs(norms - s[:r]).max() <= tol
+        for j in range(1, r + 1):  # top-j subspaces, where sigma_j stands apart
+            if s[j - 1] - (s[j] if j < len(s) else 0.0) > 1e-3 * s[0]:
+                cosines = np.linalg.svd(c[:j] @ vt[:j].T, compute_uv=False)
+                assert cosines.min() >= 1 - 1e-10
+
+
 class TestGramPath:
-    """svd_fit above the dense cutoff, against np.linalg.svd of the same matrix."""
+    """svd_fit on matrices with min(N, M) > 512, against np.linalg.svd."""
 
     def fit_and_oracle(self, x, rank):
         proj = svd_fit(*as_csr(x), rank=rank)
