@@ -52,7 +52,8 @@ from .events import (
     tokenize_episode,
     write_episodes_jsonl,
 )
-from .features import expand_prefixes, featurize_rows, load_feature_models, save_feature_models
+from .features import (FeatureError, expand_prefixes, featurize_rows, load_feature_models,
+                       save_feature_models)
 from .pipeline import (
     SPLITS,
     TABLE,
@@ -111,9 +112,13 @@ def _grid_rule(grid) -> None:
         Thresholds(*pair)
 
 
-def _peak_lr_rule(v) -> None:
-    if not v > 0:  # a learning rate of 0 trains nothing, and a negative one ascends the loss
-        raise ConfigError(f"specialist.peak_lr must be > 0, got {v!r}")
+def _positive(key: str) -> Callable:
+    """The rule refusing `key` unless it is > 0: a learning rate or LoRA alpha of
+    0 trains nothing, and a negative learning rate ascends the loss."""
+    def rule(v) -> None:
+        if not v > 0:
+            raise ConfigError(f"{key} must be > 0, got {v!r}")
+    return rule
 
 
 # Every config key by dotted path; CohortConfig, SpecialistConfig and Thresholds keep their own.
@@ -140,10 +145,10 @@ _SCHEMA = {
     "specialist.heads": _Key(2, 1),
     "specialist.epochs": _Key(5, 1),
     "specialist.batch_size": _Key(16, 1),
-    "specialist.peak_lr": _Key(1e-3, rule=_peak_lr_rule),
+    "specialist.peak_lr": _Key(1e-3, rule=_positive("specialist.peak_lr")),
     "specialist.scope_cap": _Key(0, 0),
     "specialist.lora_rank": _Key(0, 0),
-    "specialist.lora_alpha": _Key(8.0),
+    "specialist.lora_alpha": _Key(8.0, rule=_positive("specialist.lora_alpha")),
 }
 
 
@@ -328,17 +333,19 @@ def _grammars(cfg: dict):
 
 
 @contextlib.contextmanager
-def _cohort_sized(cfg: dict, *errors):
-    """Report `errors` as a config error naming the keys that sized the cohort:
-    too few episodes to split, or a split lacking a class, cannot be fitted."""
+def _cohort_sized(cfg: dict, *errors, keys=()):
+    """Report `errors` as a config error naming `keys`, then the keys that sized
+    the cohort: too few episodes to split, a split lacking a class, or prefixes
+    sharing no TF-IDF term, cannot be fitted."""
     try:
         yield
     except errors as e:
         c = cfg["cohort"]
-        keys = ["counts" if c["counts"] is not None else "total"]
-        keys += ["sample_target"] if c["sample_target"] else []
-        sized = ", ".join(f"cohort.{key} = {json.dumps(c[key])}" for key in keys)
-        raise ConfigError(f"{sized}: {e}") from None
+        cohort = ["counts" if c["counts"] is not None else "total"]
+        cohort += ["sample_target"] if c["sample_target"] else []
+        sized = [f"{key} = {json.dumps(cfg[key])}" for key in keys]
+        sized += [f"cohort.{key} = {json.dumps(c[key])}" for key in cohort]
+        raise ConfigError(f"{', '.join(sized)}: {e}") from None
 
 
 def _token_inputs(out: Path) -> dict:
@@ -472,6 +479,7 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
     episodes, vocab = _load_tokenized(out)
     with _cohort_sized(cfg, RouterError):
         rows = split_rows(episodes, cfg["k"], cfg["seed"], SPLITS)
+    with _cohort_sized(cfg, FeatureError, keys=["k"]):
         table, tfidf, svd = prepare_router_datasets(rows, vocab, cfg["svd_rank"])
     save_feature_models(out / "feature_models.bin", tfidf, svd, {"config_hash": config_hash(cfg)})
     save_bundle(out / "features.bin", {"kind": "features", "config_hash": config_hash(cfg)},
@@ -511,8 +519,8 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
         model = train_router(table)
     model.save(out / "router.bin", {"config_hash": config_hash(cfg)})
     _update_manifest(out, cfg, "router.bin")
-    for part, fitted in (("head", model.heads), ("calibrator", model.calibrators)):
-        for domain, res in zip(DOMAINS, (f.solve for f in fitted)):
+    for part, solves in model.solves.items():
+        for domain, res in zip(DOMAINS, solves):
             status = "converged" if res and res.success else "NOT converged"
             print(f"{domain.value} {part}: " + ("identity, single-class dev labels" if res is None
                   else f"{res.nit} L-BFGS iterations, {status} ({res.message})"))

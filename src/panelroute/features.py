@@ -22,7 +22,6 @@ class FeatureError(Exception):
 
 @dataclass
 class PrefixRow:
-    episode_id: str
     ell: int
     tokens: list  # first ell content token ids
     label_bits: tuple
@@ -39,7 +38,6 @@ def expand_prefixes(episode: Episode, k: int) -> list:
     for ell in range(1, min(k, len(content)) + 1):
         rows.append(
             PrefixRow(
-                episode_id=episode.episode_id,
                 ell=ell,
                 tokens=content[:ell],
                 label_bits=bits,

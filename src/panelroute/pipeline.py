@@ -64,7 +64,10 @@ def train_router(table: dict) -> RouterModel:
              for d, domain in enumerate(DOMAINS)]
     calibrators = [platt_fit(head.raw_scores(table["x_dev"]), table["y_dev"][:, d])
                    for d, head in enumerate(heads)]
-    return RouterModel(heads, calibrators)
+    return RouterModel(np.stack([h.weights for h in heads]), np.array([h.bias for h in heads]),
+                       np.array([[cal.a, cal.b] for cal in calibrators]),
+                       solves={"head": [h.solve for h in heads],
+                               "calibrator": [cal.solve for cal in calibrators]})
 
 
 def prob_rows_for(model: RouterModel, table: dict, split_name: str):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .events import DOMAINS, DomainLabel
-from .serial import Layout, load_bundle, save_bundle
+from .serial import BundleError, Layout, load_bundle, save_bundle
 
 DEFAULT_C = 2.0
 DEFAULT_MAX_ITER = 3000
@@ -252,41 +252,37 @@ def temperature_fit(logits, labels) -> float:
 
 @dataclass
 class RouterModel:
-    heads: list  # 5 LogisticHead in DOMAINS order
-    calibrators: list  # 5 PlattCalibrator
+    weights: np.ndarray  # (5, dim) float64: a head per domain, in DOMAINS order
+    biases: np.ndarray  # (5,) float64
+    calibrators: np.ndarray  # (5, 2) float64: each head's Platt (a, b)
     config_hash: str = ""  # the stamp `load` read from the checkpoint, if any
+    solves: dict = field(default=None, repr=False)  # each part's Solves, set by train_router
 
     def predict_raw(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        w = np.stack([h.weights for h in self.heads])
-        b = np.array([h.bias for h in self.heads])
-        return x @ w.T + b
+        return np.atleast_2d(np.asarray(x, dtype=np.float64)) @ self.weights.T + self.biases
 
     def predict_proba(self, x) -> np.ndarray:
-        raw = self.predict_raw(x)
-        out = np.empty_like(raw)
-        for d, cal in enumerate(self.calibrators):
-            out[:, d] = cal(raw[:, d])
-        return out
+        return PlattCalibrator(*self.calibrators.T)(self.predict_raw(x))
 
     def save(self, path, extra_meta: dict | None = None) -> None:
-        meta = {
-            "kind": "router",
-            "calibrators": [[cal.a, cal.b] for cal in self.calibrators],
-            "biases": [h.bias for h in self.heads],
-            **(extra_meta or {}),
-        }
-        save_bundle(path, meta, {"head_weights": np.stack([h.weights for h in self.heads])})
+        meta = {"kind": "router", "calibrators": self.calibrators.tolist(),
+                "biases": self.biases.tolist(), **(extra_meta or {})}
+        save_bundle(path, meta, {"head_weights": self.weights})
 
     @classmethod
     def load(cls, path, dim) -> "RouterModel":
         """The router in `path`, refused unless its heads score features of width
-        `dim`, given as a width or as (width, where it was read)."""
+        `dim`, given as a width or as (width, where it was read), and every value
+        is finite."""
         meta, arrays = load_bundle(path, LAYOUT, dim=dim)
-        heads = [LogisticHead(domain=d, weights=arrays["head_weights"][i], bias=float(b))
-                 for i, (d, b) in enumerate(zip(DOMAINS, meta["biases"]))]
-        return cls(heads, [PlattCalibrator(float(a), float(b)) for a, b in meta["calibrators"]],
-                   meta.get("config_hash", ""))
+        model = cls(arrays["head_weights"], np.array(meta["biases"], dtype=np.float64),
+                    np.array(meta["calibrators"], dtype=np.float64), meta.get("config_hash", ""))
+        for where, values in (("array 'head_weights'", model.weights),
+                              ("meta key 'biases'", model.biases),
+                              ("meta key 'calibrators'", model.calibrators)):
+            if not np.isfinite(values).all():
+                raise BundleError(f"{path}: {where} holds a non-finite value")
+        return model
 
 
 # router.bin: a head per domain over features of width dim, and each head's Platt (a, b).

@@ -401,33 +401,51 @@ class TestErrorPaths:
     def test_missing_artifact_exits_3(self, tmp_path):
         assert run(["tokenize", "--out", str(tmp_path)]) == EXIT_DATA
 
-    @pytest.mark.parametrize("corrupt", ["truncated", "wrong_kind", "header_length",
-                                         "negative_shape"])
-    def test_bad_router_checkpoint_exits_3(self, pipeline_dir, tmp_path, capsys, corrupt):
+    @pytest.mark.parametrize("corrupt, stage", [
+        pytest.param(corrupt, stage, id=corrupt if stage == "route" else f"{corrupt}-{stage}")
+        for corrupt in ("truncated", "wrong_kind", "header_length", "negative_shape",
+                        "nan_head_weights", "nan_biases", "inf_calibrators")
+        for stage in ("route", "tune", "eval")])
+    def test_bad_router_checkpoint_exits_3(self, pipeline_dir, tmp_path, capsys, corrupt, stage):
         out, cfg_path = pipeline_dir
         shutil.copytree(out, tmp_path / "run")
         router = tmp_path / "run" / "router.bin"
         raw = router.read_bytes()
+        key = corrupt.partition("_")[2]
         if corrupt == "truncated":
             router.write_bytes(raw[: len(raw) // 2])
         elif corrupt == "wrong_kind":
             shutil.copy(tmp_path / "run" / "feature_models.bin", router)
         elif corrupt == "header_length":  # 1 TiB, far past the end of the file
             router.write_bytes(raw[:8] + struct.pack("<Q", 2**40) + raw[16:])
-        else:  # (-1, dim): read as (4, dim) from the 5 heads' bytes, were it let through
+        elif corrupt == "negative_shape":  # (-1, dim): read as (4, dim), were it let through
             (hlen,) = struct.unpack("<Q", raw[8:16])
             header = json.loads(raw[16:16 + hlen])
             (spec,) = header["arrays"]
             spec["shape"][0] = -1
             new = json.dumps(header).encode()
             router.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + hlen:])
+        else:  # one value of a well-formed checkpoint is NaN or infinite
+            meta, arrays = load_bundle(router)
+            value = float(corrupt.partition("_")[0])
+            if key == "head_weights":
+                arrays[key][1, 3] = value
+            elif key == "biases":
+                meta[key][2] = value
+            else:  # Gastro's Platt slope a
+                meta[key][2][0] = value
+            save_bundle(router, meta, arrays)
+        argv = [stage, "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+        if stage == "route":
+            argv += ["--episode", str(write_cardiac_probe(tmp_path / "ep.json"))]
         capsys.readouterr()
-        code = run(["route", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
-                    "--episode", str(write_cardiac_probe(tmp_path / "ep.json"))])
+        code = run(argv)
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.startswith("data error: ") and "router.bin" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        if corrupt.startswith(("nan", "inf")):
+            assert f"{key!r} holds a non-finite value" in err
 
     @pytest.mark.parametrize("stage, name, part, key", [
         ("train-router", "feature_models.bin", "array", "svd_components"),
@@ -692,6 +710,8 @@ class TestErrorPaths:
         ({"grid": [[0.9, -0.1]]}, [], "grid: need 0 <= tau_lo <= tau_hi <= 1"),
         ({"life_guard_tau": 1.01}, [], "life_guard_tau: need 0 <= life_guard_tau <= 1"),
         ({"specialist": {"peak_lr": -1e-9}}, [], "specialist.peak_lr must be > 0"),
+        ({"specialist": {"lora_alpha": 0}}, [], "specialist.lora_alpha"),
+        ({"specialist": {"lora_alpha": -8.0}}, [], "specialist.lora_alpha must be > 0"),
     ])
     def test_config_value_of_wrong_type_exits_2_and_names_it(self, tmp_path, capsys, config,
                                                              flags, key):
@@ -731,6 +751,24 @@ class TestErrorPaths:
         assert err.startswith(f"config error: {key} = ") and (domain or "") in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir() if p.name != "timings.json") == listing
+
+    def test_prefixes_sharing_no_tfidf_term_exit_2_naming_k_and_counts(self, tmp_path, capsys):
+        """At k = 1, the train split's one-event prefixes of an 11-episode
+        cohort share no term, so no term reaches min_df."""
+        counts = {"Cardiac": 2, "Pulmonary": 2, "Gastro": 2, "Musculoskeletal": 2,
+                  "Psychogenic": 3}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"seed": 0, "k": 1, "cohort": {"counts": counts}}))
+        assert run_pipeline(tmp_path, cfg_path, upto="tokenize") == [EXIT_OK] * 2
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="no episodes for"):  # dev and test lack domains
+            code = run(["featurize", "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: k = 1, cohort.counts = {json.dumps(counts)}: "
+                              "no term reaches min_df")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "feature_models.bin").exists()
 
     def test_sentinel_event_kind_in_route_episode_exits_3(self, pipeline_dir, tmp_path,
                                                           capsys):

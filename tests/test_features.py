@@ -295,9 +295,9 @@ class TestGramPath:
 def toy_rows_and_models():
     vocab = make_vocab(["[ACTION]_ORD_A", "[ACTION]_ORD_B", "[OBS]_LAB_C:HIGH"])
     rows = [
-        PrefixRow("e0", 2, [4, 5], (1, 0, 0, 0, 0), 0.4),
-        PrefixRow("e1", 2, [5, 6], (0, 1, 0, 0, 0), 0.4),
-        PrefixRow("e2", 3, [4, 5, 6], (0, 0, 1, 0, 0), 0.6),
+        PrefixRow(2, [4, 5], (1, 0, 0, 0, 0), 0.4),
+        PrefixRow(2, [5, 6], (0, 1, 0, 0, 0), 0.4),
+        PrefixRow(3, [4, 5, 6], (0, 0, 1, 0, 0), 0.6),
     ]
     docs = [row_document(r, vocab) for r in rows]
     tfidf = tfidf_fit(docs, min_df=1)
@@ -346,7 +346,7 @@ def projection_cases(draw):
 
 
 def prefix_rows(token_lists):
-    return [PrefixRow(f"e{i}", len(t), t, (1, 0, 0, 0, 0), 1.0) for i, t in enumerate(token_lists)]
+    return [PrefixRow(len(t), t, (1, 0, 0, 0, 0), 1.0) for t in token_lists]
 
 
 class TestProjection:

@@ -8,7 +8,7 @@ import numpy as np
 
 from panelroute import metrics, pipeline, policy
 from panelroute.events import DOMAINS
-from panelroute.router import LogisticHead, PlattCalibrator, RouterModel
+from panelroute.router import RouterModel
 
 
 def row_anytime(metric_fn, rows, ell_of, k):
@@ -52,10 +52,9 @@ def synthetic_case(seed=3, n=400, dim=6):
     labels follow the scores, one row in ten has a second label, stratum 4 is
     empty and stratum 5 holds one row, so its AUC is undefined."""
     rng = np.random.default_rng(seed)
-    heads = [LogisticHead(domain=d, weights=rng.standard_normal(dim), bias=rng.normal())
-             for d in DOMAINS]
-    model = RouterModel(heads, [PlattCalibrator(rng.uniform(0.5, 2.0), rng.normal())
-                                for _ in DOMAINS])
+    model = RouterModel(rng.standard_normal((len(DOMAINS), dim)), rng.normal(size=len(DOMAINS)),
+                        np.column_stack([rng.uniform(0.5, 2.0, len(DOMAINS)),
+                                         rng.normal(size=len(DOMAINS))]))
     x = rng.standard_normal((n, dim))
     y = np.zeros((n, len(DOMAINS)), dtype=np.uint8)
     y[np.arange(n), np.argmax(model.predict_raw(x) + rng.normal(0, 2, (n, 5)), axis=1)] = 1

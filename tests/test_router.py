@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panelroute.cohort import DEFAULT_MIXTURE, CohortConfig, generate_cohort
 from panelroute import router
 from panelroute.events import DOMAINS, DomainLabel
 from panelroute.router import (
-    LogisticHead,
     PlattCalibrator,
     RouterError,
     RouterModel,
@@ -149,9 +151,31 @@ class TestFitHead:
 
 
 def toy_router():
-    heads = [LogisticHead(domain=d, weights=np.zeros(2), bias=0.0) for d in DOMAINS]
-    cals = [PlattCalibrator(1.0, 0.0)] * 5
-    return RouterModel(heads, cals)
+    return RouterModel(np.zeros((5, 2)), np.zeros(5), np.tile([1.0, 0.0], (5, 1)))
+
+
+def per_domain_proba(model, x):
+    """The per-domain loop predict_proba once ran: each head's raw scores
+    through its own PlattCalibrator, one column at a time."""
+    raw = x @ np.stack(list(model.weights)).T + np.array([float(b) for b in model.biases])
+    out = np.empty_like(raw)
+    for d, (a, b) in enumerate(model.calibrators):
+        out[:, d] = PlattCalibrator(float(a), float(b))(raw[:, d])
+    return out
+
+
+finite = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def routers_and_rows(draw):
+    dim = draw(st.integers(1, 6))
+    weights = draw(arrays(np.float64, (5, dim), elements=finite))
+    biases = draw(arrays(np.float64, 5, elements=finite))
+    # slopes up to 200 push a * raw + b far past the ~37 where the sigmoid rounds to 1.0
+    calibrators = draw(arrays(np.float64, (5, 2), elements=st.floats(-200.0, 200.0)))
+    x = draw(arrays(np.float64, (draw(st.integers(1, 8)), dim), elements=finite))
+    return RouterModel(weights, biases, calibrators), x
 
 
 class TestRouterModel:
@@ -168,22 +192,36 @@ class TestRouterModel:
 
     def test_hand_computed_two_domain_path(self):
         model = toy_router()
-        model.heads[0].weights = np.array([0.5, -0.25])
-        model.heads[0].bias = 0.1
-        model.calibrators = list(model.calibrators)
-        model.calibrators[0] = PlattCalibrator(1.5, 0.2)
+        model.weights[0] = [0.5, -0.25]
+        model.biases[0] = 0.1
+        model.calibrators[0] = [1.5, 0.2]
         z = np.array([[2.0, 4.0]])
         raw = 0.5 * 2.0 - 0.25 * 4.0 + 0.1
         expected = 1.0 / (1.0 + np.exp(-(1.5 * raw + 0.2)))
         assert model.predict_proba(z)[0, 0] == pytest.approx(expected, abs=1e-9)
 
+    @given(routers_and_rows())
+    @example((RouterModel(np.ones((5, 1)), np.zeros(5), np.tile([200.0, 0.0], (5, 1))),
+              np.array([[1.0], [-1.0]])))
+    def test_predict_proba_is_the_per_domain_loop_bit_for_bit(self, case):
+        model, x = case
+        got = model.predict_proba(x)
+        assert got.tobytes() == per_domain_proba(model, x).tobytes()
+
+    def test_large_slopes_saturate_to_one(self):
+        model = RouterModel(np.ones((5, 1)), np.zeros(5), np.tile([200.0, 0.0], (5, 1)))
+        assert np.all(model.predict_proba(np.array([[1.0]])) == 1.0)
+
     def test_save_load_round_trip(self, tmp_path):
         model = toy_router()
-        model.heads[2].weights = np.array([0.3, 0.7])
+        model.weights[2] = [0.3, 0.7]
+        model.biases[4] = -0.5
+        model.calibrators[1] = [2.0, 0.25]
         model.save(tmp_path / "r.bin")
         loaded = RouterModel.load(tmp_path / "r.bin", dim=2)
-        x = np.array([[1.0, -1.0], [0.5, 2.0]])
-        assert np.array_equal(model.predict_proba(x), loaded.predict_proba(x))
+        for name in ("weights", "biases", "calibrators"):
+            got = getattr(loaded, name)
+            assert got.dtype == np.float64 and np.array_equal(got, getattr(model, name)), name
 
     def test_serialization_deterministic(self, tmp_path):
         model = toy_router()
