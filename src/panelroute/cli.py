@@ -1,9 +1,8 @@
 """Command-line orchestration of the full pipeline.
 
-Subcommands: synth, tokenize, featurize, train-router, tune, train-specialist,
-eval, route, report. One config file plus flag overrides (flags win). Stages
-stamp the artifacts later stages read back with the config hash and refuse one
-built under another config. Only tokenize reads cohort.jsonl: it writes the
+Subcommands are the rows of STAGES. One config file plus flag overrides (flags win).
+Stages stamp the artifacts later stages read back with the config hash and refuse
+one built under another config. Only tokenize reads cohort.jsonl: it writes the
 episodes' token ids to tokens.bin, stamped with the SHA-256 of the cohort.jsonl
 and vocab.tsv they were encoded from, and later stages read the ids back.
 
@@ -106,6 +105,8 @@ class _Key(NamedTuple):
 
 
 def _grid_rule(grid) -> None:
+    if not grid:  # null, not [], asks for the default grid
+        raise ConfigError("grid must hold at least one [tau_hi, tau_lo] pair, or be null")
     for pair in grid:
         if not isinstance(pair, list) or len(pair) != 2 or {type(v) for v in pair} - {int, float}:
             raise ConfigError(f"grid must be a list of [tau_hi, tau_lo] number pairs, got {grid!r}")
@@ -286,19 +287,18 @@ def _log_timing(out: Path, command: str, seconds: float) -> None:
     write_json(path, data)
 
 
-def _require(out: Path, name: str, producer: str) -> Path:
+def _require(out: Path, name: str) -> Path:
     path = out / name
     if not path.exists():
+        producer = next(cmd for cmd, stage in STAGES.items() if name in stage.writes)
         raise DataError(f"missing artifact {name}; run `panelroute {producer}` first")
     return path
 
 
 def _check_hash(found: str | None, cfg: dict, artifact: str) -> None:
     if found != config_hash(cfg):
-        raise ConfigError(
-            f"{artifact} was built with a different config (hash mismatch); "
-            "re-run the producing stage"
-        )
+        raise ConfigError(f"{artifact} was built with a different config (hash mismatch); "
+                          "re-run the producing stage")
 
 
 # --- stage helpers -------------------------------------------------------------
@@ -350,8 +350,8 @@ def _cohort_sized(cfg: dict, *errors, keys=()):
 
 def _token_inputs(out: Path) -> dict:
     """tokens.bin's stamp: the SHA-256 of each file it is encoded from."""
-    return {"cohort.jsonl": sha256_file(_require(out, "cohort.jsonl", "synth")),
-            "vocab.tsv": sha256_file(_require(out, "vocab.tsv", "tokenize"))}
+    return {"cohort.jsonl": sha256_file(_require(out, "cohort.jsonl")),
+            "vocab.tsv": sha256_file(_require(out, "vocab.tsv"))}
 
 
 # features.bin: the test split's TABLE arrays; train-router and tune project their splits.
@@ -382,7 +382,7 @@ def _save_tokens(out: Path, episodes, vocab: Vocabulary) -> None:
 def _load_tokenized(out: Path):
     """(episodes, vocab) from tokens.bin. The episodes carry id, token ids,
     labels and danger flag, but no events."""
-    path = _require(out, "tokens.bin", "tokenize")
+    path = _require(out, "tokens.bin")
     inputs = _token_inputs(out)
     vocab = Vocabulary.load(out / "vocab.tsv")
     try:
@@ -421,6 +421,11 @@ def _specialist_split(episodes, cfg: dict, domain: DomainLabel):
         return split(pool, SplitSpec(seed=cfg["seed"]))
 
 
+def _domains(args) -> list:
+    """The domains train-specialist trains: --domain's, or all five."""
+    return [DomainLabel(args.domain)] if getattr(args, "domain", None) else list(DOMAINS)
+
+
 def _specialist_path(out: Path, domain: DomainLabel) -> Path:
     return out / f"specialist_{domain.value}.bin"
 
@@ -454,13 +459,12 @@ def cmd_synth(args, cfg: dict, out: Path) -> int:
     if target:
         episodes = proportional_sample(episodes, target, seed=cfg["seed"])
     write_episodes_jsonl(out / "cohort.jsonl", episodes)
-    _update_manifest(out, cfg, "cohort.jsonl")
     print(f"wrote {len(episodes)} episodes to {out / 'cohort.jsonl'}")
     return EXIT_OK
 
 
 def cmd_tokenize(args, cfg: dict, out: Path) -> int:
-    cohort_path = _require(out, "cohort.jsonl", "synth")
+    cohort_path = _require(out, "cohort.jsonl")
     episodes, vocab = tokenize_cohort(read_episodes_jsonl(cohort_path), cfg["min_count"])
     if not any(ep.content_tokens for ep in episodes):
         raise DataError(f"{cohort_path}: no episode has a content token, so the vocabulary "
@@ -470,7 +474,6 @@ def cmd_tokenize(args, cfg: dict, out: Path) -> int:
                           f"{cohort_path.name}, so the vocabulary would hold only the sentinels")
     vocab.save(out / "vocab.tsv")
     _save_tokens(out, episodes, vocab)
-    _update_manifest(out, cfg, "vocab.tsv", "tokens.bin")
     print(f"vocabulary of {len(vocab)} tokens written to {out / 'vocab.tsv'}")
     return EXIT_OK
 
@@ -484,14 +487,13 @@ def cmd_featurize(args, cfg: dict, out: Path) -> int:
     save_feature_models(out / "feature_models.bin", tfidf, svd, {"config_hash": config_hash(cfg)})
     save_bundle(out / "features.bin", {"kind": "features", "config_hash": config_hash(cfg)},
                 table)
-    _update_manifest(out, cfg, "feature_models.bin", "features.bin")
     print(f"feature table: { {name: len(r) for name, r in rows.items()} } rows, dim {svd.rank}")
     return EXIT_OK
 
 
 def _load_feature_models(out: Path, cfg: dict):
     """(tfidf, svd): this config's fitted models in feature_models.bin."""
-    tfidf, svd, stamp = load_feature_models(_require(out, "feature_models.bin", "featurize"))
+    tfidf, svd, stamp = load_feature_models(_require(out, "feature_models.bin"))
     _check_hash(stamp, cfg, "feature_models.bin")
     return tfidf, svd
 
@@ -508,7 +510,7 @@ def _project_splits(out: Path, cfg: dict, *names: str) -> dict:
 
 def _load_test_table(out: Path, cfg: dict) -> dict:
     """This config's test table: the arrays in features.bin."""
-    meta, table = load_bundle(_require(out, "features.bin", "featurize"), FEATURES)
+    meta, table = load_bundle(_require(out, "features.bin"), FEATURES)
     _check_hash(meta.get("config_hash"), cfg, "features.bin")
     return table
 
@@ -518,7 +520,6 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
     with _cohort_sized(cfg, RouterError):
         model = train_router(table)
     model.save(out / "router.bin", {"config_hash": config_hash(cfg)})
-    _update_manifest(out, cfg, "router.bin")
     for part, solves in model.solves.items():
         for domain, res in zip(DOMAINS, solves):
             status = "converged" if res and res.success else "NOT converged"
@@ -531,7 +532,7 @@ def cmd_train_router(args, cfg: dict, out: Path) -> int:
 def _load_router(out: Path, cfg: dict, dim: int, name: str, array: str) -> RouterModel:
     """This config's router, refused unless its heads score features of width
     `dim`, read from the artifact `name`'s `array`."""
-    model = RouterModel.load(_require(out, "router.bin", "train-router"),
+    model = RouterModel.load(_require(out, "router.bin"),
                              (dim, f"{out / name} array {array!r}"))
     _check_hash(model.config_hash, cfg, "router.bin")
     return model
@@ -556,7 +557,6 @@ def cmd_tune(args, cfg: dict, out: Path) -> int:
         "constraint_met": result.constraint_met,
     })
     write_frontier_csv(out / "frontier.csv", result.table)
-    _update_manifest(out, cfg, "thresholds.json", "frontier.csv")
     print(f"selected (tau_hi, tau_lo) = ({result.tau_hi}, {result.tau_lo}); "
           f"dev life recall {result.life_recall:.3f}, E[|R|] {result.expected_experts:.3f}")
     if not result.constraint_met:
@@ -568,7 +568,7 @@ def cmd_tune(args, cfg: dict, out: Path) -> int:
 
 def _load_thresholds(out: Path, cfg: dict) -> Thresholds:
     """The routing policy: the tuned thresholds and the config's life guard."""
-    path = _require(out, "thresholds.json", "tune")
+    path = _require(out, "thresholds.json")
     data = _read_json(path)
     _check_hash(data.get("config_hash"), cfg, "thresholds.json")
     taus = [_field(path, data, key, "a number") for key in ("tau_hi", "tau_lo")]
@@ -586,9 +586,8 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
                                  d_model=sc["d_model"], heads=sc["heads"])
     except SpecialistError as e:
         raise ConfigError(f"specialist.heads = {sc['heads']}: {e}") from None
-    domains = [DomainLabel(args.domain)] if args.domain else list(DOMAINS)
-    for domain in domains:
-        train_eps, dev_eps, _ = _specialist_split(episodes, cfg, domain)
+    splits = {d: _specialist_split(episodes, cfg, d) for d in _domains(args)}  # before training
+    for domain, (train_eps, dev_eps, _) in splits.items():
         model = SpecialistModel(shape, seed=cfg["seed"], domain=domain.value)
         if sc["lora_rank"]:
             try:
@@ -602,10 +601,8 @@ def cmd_train_specialist(args, cfg: dict, out: Path) -> int:
         except SpecialistError as e:
             raise ConfigError(f"specialist.peak_lr = {sc['peak_lr']}: training the "
                               f"{domain.value} specialist failed ({e}); lower it") from None
-        path = _specialist_path(out, domain)
-        model.save(path, {"config_hash": config_hash(cfg)})
+        model.save(_specialist_path(out, domain), {"config_hash": config_hash(cfg)})
         write_curve_csv(out / f"curve_{domain.value}.csv", curve)
-        _update_manifest(out, cfg, path.name, f"curve_{domain.value}.csv")
         best = min(r["dev_loss"] for r in curve)
         print(f"{domain.value}: best dev loss {best:.4f} (ppl {perplexity_from_loss(best):.2f})")
     return EXIT_OK
@@ -638,7 +635,6 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
         "domain,roc_auc,pr_auc,brier,ece\n",
         *(f"{dom},{row['roc_auc']!r},{row['pr_auc']!r},{row['brier']!r},{row['ece']!r}\n"
           for dom, row in report["router"]["per_domain"].items())])
-    _update_manifest(out, cfg, "report.json", "report.csv")
     print(json.dumps(report["policy"], sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -647,7 +643,7 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     tfidf, svd = _load_feature_models(out, cfg)
     model = _load_router(out, cfg, svd.rank, "feature_models.bin", "svd_components")
     thresholds = _load_thresholds(out, cfg)
-    vocab = Vocabulary.load(_require(out, "vocab.tsv", "tokenize"))
+    vocab = Vocabulary.load(_require(out, "vocab.tsv"))
     episode_path = Path(args.episode)
     try:
         episode = episode_from_dict(json.loads(episode_path.read_text()))
@@ -683,7 +679,7 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_report(args, cfg: dict, out: Path) -> int:
-    path = _require(out, "report.json", "eval")
+    path = _require(out, "report.json")
     report = _read_json(path)
     _check_hash(report.get("config_hash"), cfg, "report.json")
     anytime = _field(path, report, "anytime", "an object")
@@ -696,21 +692,32 @@ def cmd_report(args, cfg: dict, out: Path) -> int:
         "ell,metric,value\n",
         *(f"{ell},{metric_name},{'' if curve[ell] is None else repr(curve[ell])}\n"
           for metric_name, curve in anytime.items() for ell in sorted(curve, key=int))])
-    _update_manifest(out, cfg, "anytime.csv")
     print(f"anytime curves written to {out / 'anytime.csv'}")
     return EXIT_OK
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "tokenize": cmd_tokenize,
-    "featurize": cmd_featurize,
-    "train-router": cmd_train_router,
-    "tune": cmd_tune,
-    "train-specialist": cmd_train_specialist,
-    "eval": cmd_eval,
-    "route": cmd_route,
-    "report": cmd_report,
+class Stage(NamedTuple):
+    """A subcommand: what runs it, the artifacts run() records in manifest.json when it
+    returns ("{domain}": each domain it trained), and its (flag, add_argument keywords)."""
+    run: Callable
+    writes: tuple = ()
+    flags: tuple = ()
+
+
+STAGES = {
+    "synth": Stage(cmd_synth, ("cohort.jsonl",), (
+        ("--total", {"type": int}), ("--counts", {"help": 'JSON, e.g. {"Cardiac": 10}'}),
+        ("--mixture", {"help": "comma-separated prevalences"}),
+        ("--multi-label-rate", {"type": float}))),
+    "tokenize": Stage(cmd_tokenize, ("vocab.tsv", "tokens.bin")),
+    "featurize": Stage(cmd_featurize, ("feature_models.bin", "features.bin")),
+    "train-router": Stage(cmd_train_router, ("router.bin",)),
+    "tune": Stage(cmd_tune, ("thresholds.json", "frontier.csv")),
+    "train-specialist": Stage(cmd_train_specialist, ("specialist_{domain}.bin", "curve_{domain}.csv"),
+                              (("--domain", {"choices": [d.value for d in DOMAINS]}),)),
+    "eval": Stage(cmd_eval, ("report.json", "report.csv")),
+    "route": Stage(cmd_route, flags=(("--episode", {"required": True, "help": "episode JSON file"}),)),
+    "report": Stage(cmd_report, ("anytime.csv",)),
 }
 
 
@@ -718,22 +725,14 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="panelroute")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, stage in STAGES.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=".", help="artifact directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--k", type=int, default=None)
-        if name == "synth":
-            p.add_argument("--total", type=int, default=None)
-            p.add_argument("--counts", default=None, help='JSON, e.g. {"Cardiac": 10}')
-            p.add_argument("--mixture", default=None, help="comma-separated prevalences")
-            p.add_argument("--multi-label-rate", type=float, default=None,
-                           dest="multi_label_rate")
-        if name == "train-specialist":
-            p.add_argument("--domain", default=None, choices=[d.value for d in DOMAINS])
-        if name == "route":
-            p.add_argument("--episode", required=True, help="episode JSON file")
+        for flag, keywords in stage.flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -749,10 +748,13 @@ def run(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise ConfigError(f"--out {out} is not a usable artifact directory: {e}") from None
+        stage = STAGES[args.command]
         t0 = time.time()
-        code = COMMANDS[args.command](args, cfg, out)
-        if args.command != "route":  # build stages only: requests would race on the file
-            _log_timing(out, args.command, time.time() - t0)
+        code = stage.run(args, cfg, out)
+        if stage.writes:  # build stages only: requests would race on timings.json
+            _log_timing(out, args.command, time.time() - t0)  # first: exit 3 records nothing
+            _update_manifest(out, cfg, *sorted({name.format(domain=d.value)
+                                                for name in stage.writes for d in _domains(args)}))
         return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

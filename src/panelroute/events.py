@@ -283,13 +283,19 @@ def write_episodes_jsonl(path, episodes) -> None:
 
 
 def read_episodes_jsonl(path) -> list:
-    """Episodes of a JSONL file; a malformed line raises SchemaError naming it."""
-    episodes = []
+    """Episodes of a JSONL file; a malformed line, or one repeating an earlier
+    line's episode_id, raises SchemaError naming it."""
+    episodes, first = [], {}
     for lineno, line in _text_lines(path):
         line = line.strip()
         if line:
             try:
-                episodes.append(episode_from_dict(json.loads(line)))
+                ep = episode_from_dict(json.loads(line))
+                seen = first.setdefault(ep.episode_id, lineno)  # an unhashable id is a TypeError
             except (ValueError, KeyError, TypeError, AttributeError, SchemaError) as e:
                 raise SchemaError(f"{path}, line {lineno}: not an episode: {e!r}") from None
+            if seen != lineno:
+                raise SchemaError(f"{path}, line {lineno}: episode_id {ep.episode_id!r} "
+                                  f"repeats line {seen}")
+            episodes.append(ep)
     return episodes

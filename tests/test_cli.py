@@ -708,6 +708,7 @@ class TestErrorPaths:
         ({"cohort": {"signal_strength": 2.0}}, [], "cohort.signal_strength"),
         ({"grid": [[0.7, "x"]]}, [], "grid must be a list of [tau_hi, tau_lo] number pairs"),
         ({"grid": [[0.9, -0.1]]}, [], "grid: need 0 <= tau_lo <= tau_hi <= 1"),
+        ({"grid": []}, [], "grid must hold at least one [tau_hi, tau_lo] pair"),
         ({"life_guard_tau": 1.01}, [], "life_guard_tau: need 0 <= life_guard_tau <= 1"),
         ({"specialist": {"peak_lr": -1e-9}}, [], "specialist.peak_lr must be > 0"),
         ({"specialist": {"lora_alpha": 0}}, [], "specialist.lora_alpha"),
@@ -1617,3 +1618,109 @@ class TestEntryPoints:
                               capture_output=True, text=True, timeout=300, check=False)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestStageTable:
+    # stage -> (extra arguments, every artifact it requires from earlier stages)
+    REQUIRES = {
+        "tokenize": ([], ["cohort.jsonl"]),
+        "featurize": ([], ["tokens.bin", "cohort.jsonl", "vocab.tsv"]),
+        "train-router": ([], ["feature_models.bin", "tokens.bin", "cohort.jsonl", "vocab.tsv"]),
+        "tune": ([], ["feature_models.bin", "tokens.bin", "cohort.jsonl", "vocab.tsv",
+                      "router.bin"]),
+        "train-specialist": (["--domain", "Cardiac"], ["tokens.bin", "cohort.jsonl", "vocab.tsv"]),
+        "eval": ([], ["features.bin", "router.bin", "thresholds.json", "tokens.bin",
+                      "cohort.jsonl", "vocab.tsv"]),
+        "route": (["--episode", "PROBE"], ["feature_models.bin", "router.bin", "thresholds.json",
+                                           "vocab.tsv"]),
+        "report": ([], ["report.json"]),
+    }
+
+    @pytest.mark.parametrize("stage, name", [(stage, name) for stage, (_, names) in
+                                             REQUIRES.items() for name in names])
+    def test_missing_input_exits_3_naming_the_stage_that_writes_it(
+            self, specialist_dir, tmp_path, capsys, stage, name):
+        out, cfg_path, _ = specialist_dir
+        shutil.copytree(out, tmp_path / "run")
+        (tmp_path / "run" / name).unlink()
+        (producer,) = [cmd for cmd, row in cli.STAGES.items() if name in row.writes]
+        extra = [str(write_cardiac_probe(tmp_path / "ep.json")) if a == "PROBE" else a
+                 for a in self.REQUIRES[stage][0]]
+        capsys.readouterr()
+        assert run([stage, "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                    *extra]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: missing artifact {name}; run `panelroute {producer}` first\n"
+
+    def test_every_required_name_is_in_the_table(self):
+        import ast
+
+        tree = ast.parse(Path(cli.__file__).read_text())
+        required = {node.args[1].value for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_require"}
+        assert required == {name for _, names in self.REQUIRES.values() for name in names}
+
+    def test_manifest_records_every_build_output_once_with_its_hash(self, specialist_dir):
+        out, _, _ = specialist_dir
+        names = ["cohort.jsonl", "vocab.tsv", "tokens.bin", "feature_models.bin", "features.bin",
+                 "router.bin", "thresholds.json", "frontier.csv", "report.json", "report.csv",
+                 "anytime.csv", *(f"{kind}_{d.value}.{ext}" for d in DOMAINS
+                                  for kind, ext in (("specialist", "bin"), ("curve", "csv")))]
+        manifest = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert manifest == {name: sha256_file(out / name) for name in names}
+
+    @pytest.mark.parametrize("case, code", [
+        ("router_deleted", EXIT_DATA), ("other_seed", EXIT_CONFIG),
+        ("scope_cap_5", EXIT_CONFIG), ("cohort_doubled", EXIT_DATA),
+        ("timings_unreadable", EXIT_DATA)])
+    def test_a_refused_stage_leaves_manifest_and_timings_as_they_were(
+            self, specialist_dir, tmp_path, case, code):
+        out, cfg_path, _ = specialist_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        stage, flags = {"router_deleted": ("tune", []), "other_seed": ("eval", ["--seed", "99"]),
+                        "scope_cap_5": ("train-specialist", []),
+                        "cohort_doubled": ("tokenize", []),
+                        "timings_unreadable": ("report", [])}[case]
+        if case == "router_deleted":
+            (run_dir / "router.bin").unlink()
+        elif case == "scope_cap_5":
+            cfg_path = write_config(tmp_path / "config.json", specialist={"epochs": 1,
+                                                                          "scope_cap": 5})
+        elif case == "cohort_doubled":
+            (run_dir / "cohort.jsonl").write_text((run_dir / "cohort.jsonl").read_text() * 2)
+        elif case == "timings_unreadable":  # report writes anytime.csv, then cannot log its time
+            (run_dir / "timings.json").write_text("{")
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            del manifest["artifacts"]["anytime.csv"]  # so recording it would change the bytes
+            (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        before = {name: (run_dir / name).read_bytes() for name in ("manifest.json", "timings.json")}
+        assert run([stage, "--config", str(cfg_path), "--out", str(run_dir), *flags]) == code
+        assert {name: (run_dir / name).read_bytes() for name in before} == before
+
+    def test_train_specialist_refuses_a_small_pool_before_training_any(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "config.json", specialist={"epochs": 1}, cohort={
+            "counts": {"Cardiac": 30, "Pulmonary": 30, "Gastro": 30, "Musculoskeletal": 5,
+                       "Psychogenic": 30}})
+        assert run_pipeline(tmp_path, cfg_path, upto="tokenize") == [EXIT_OK] * 2
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        capsys.readouterr()
+        assert run(["train-specialist", "--config", str(cfg_path),
+                    "--out", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "Musculoskeletal: only 5 episodes" in captured.err and captured.out == ""
+        assert not list(tmp_path.glob("specialist_*")) and not list(tmp_path.glob("curve_*"))
+        assert (tmp_path / "manifest.json").read_bytes() == manifest
+
+    def test_repeated_episode_id_exits_3_naming_file_line_and_id(self, tmp_path, capsys):
+        assert run(["synth", "--total", "20", "--out", str(tmp_path)]) == EXIT_OK
+        cohort = tmp_path / "cohort.jsonl"
+        lines = cohort.read_text().splitlines(keepends=True)
+        cohort.write_text("".join(lines + lines[2:3]))
+        first = json.loads(lines[2])["episode_id"]
+        capsys.readouterr()
+        assert run(["tokenize", "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"data error: {cohort}, line {len(lines) + 1}: episode_id {first!r} "
+                       "repeats line 3\n")
+        assert not (tmp_path / "vocab.tsv").exists()
