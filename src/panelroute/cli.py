@@ -280,6 +280,11 @@ def _update_manifest(out: Path, cfg: dict, *names: str) -> None:
     write_json(path, manifest)
 
 
+def _csv_number(value) -> str:
+    """A CSV cell for a number: its repr, or empty where it is undefined (None)."""
+    return "" if value is None else repr(value)
+
+
 def _log_timing(out: Path, command: str, seconds: float) -> None:
     path = out / "timings.json"
     data = _read_json(path) if path.exists() else {}
@@ -430,21 +435,26 @@ def _specialist_path(out: Path, domain: DomainLabel) -> Path:
     return out / f"specialist_{domain.value}.bin"
 
 
-def _load_specialist(out: Path, cfg: dict, domain: DomainLabel,
-                     vocab: Vocabulary) -> SpecialistModel | None:
-    """This config's specialist for `domain`, refused unless it was trained on
-    a vocabulary of vocab.tsv's size, or None when none was trained."""
-    path = _specialist_path(out, domain)
-    if not path.exists():
-        return None
-    model = SpecialistModel.load(path)
-    if model.domain != domain.value:
-        raise DataError(f"{path}: meta key 'domain' is {model.domain!r}, not {domain.value!r}")
-    _check_hash(model.config_hash, cfg, path.name)
-    if model.config.vocab_size != len(vocab):
-        raise DataError(f"{out / 'vocab.tsv'}: {len(vocab)} tokens, but {path} was trained "
-                        f"on {model.config.vocab_size}; re-run `panelroute train-specialist`")
-    return model
+def _load_specialists(out: Path, cfg: dict, domains, vocab: Vocabulary):
+    """Yield (domain, model) for this config's specialists among `domains` that
+    have a checkpoint, one at a time, each refused unless it was trained on a
+    vocabulary of vocab.tsv's size and manifest.json records it, as a finished
+    train-specialist does."""
+    paths = {d: path for d in domains if (path := _specialist_path(out, d)).exists()}
+    manifest = out / "manifest.json"
+    recorded = _field(manifest, _read_json(manifest), "artifacts", "an object") if paths else {}
+    for domain, path in paths.items():
+        model = SpecialistModel.load(path)
+        if model.domain != domain.value:
+            raise DataError(f"{path}: meta key 'domain' is {model.domain!r}, not {domain.value!r}")
+        _check_hash(model.config_hash, cfg, path.name)
+        if model.config.vocab_size != len(vocab):
+            raise DataError(f"{out / 'vocab.tsv'}: {len(vocab)} tokens, but {path} was trained "
+                            f"on {model.config.vocab_size}; re-run `panelroute train-specialist`")
+        if path.name not in recorded:
+            raise DataError(f"{path}: manifest.json does not record it, so its training did "
+                            "not finish; re-run `panelroute train-specialist`")
+        yield domain, model
 
 
 # --- commands ----------------------------------------------------------------
@@ -619,10 +629,7 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
     if any(_specialist_path(out, d).exists() for d in DOMAINS):
         episodes, vocab = _load_tokenized(out)
         report["specialists"] = {}
-        for domain in DOMAINS:
-            spec_model = _load_specialist(out, cfg, domain, vocab)
-            if spec_model is None:
-                continue
+        for domain, spec_model in _load_specialists(out, cfg, DOMAINS, vocab):
             _, _, test_eps = _specialist_split(episodes, cfg, domain)
             test_seqs = [e.tokens for e in test_eps]
             report["specialists"][domain.value] = {
@@ -631,9 +638,10 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
             }
     report["config_hash"] = config_hash(cfg)
     write_json(out / "report.json", report)
+    columns = ("roc_auc", "pr_auc", "brier", "ece")
     write_lines(out / "report.csv", [
-        "domain,roc_auc,pr_auc,brier,ece\n",
-        *(f"{dom},{row['roc_auc']!r},{row['pr_auc']!r},{row['brier']!r},{row['ece']!r}\n"
+        ",".join(("domain", *columns)) + "\n",
+        *(",".join((dom, *(_csv_number(row[c]) for c in columns))) + "\n"
           for dom, row in report["router"]["per_domain"].items())])
     print(json.dumps(report["policy"], sort_keys=True, indent=2))
     return EXIT_OK
@@ -652,7 +660,7 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     tokenize_episode(episode, vocab)
     rows = expand_prefixes(episode, cfg["k"])
     if not rows:
-        raise DataError(f"episode {episode.episode_id} has no content tokens")
+        raise DataError(f"{episode_path}: episode {episode.episode_id} has no content tokens")
     row = rows[-1]  # longest available prefix, at most K events
     x = featurize_rows([row], vocab, tfidf, svd)
     raw = model.predict_raw(x)[0]
@@ -661,11 +669,9 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     decision.timestamp = datetime.now(timezone.utc).isoformat()
 
     suggestions = {}
-    for domain in decision.route:
-        spec_model = _load_specialist(out, cfg, domain, vocab)
-        if spec_model is not None:
-            top = spec_model.suggest(episode.tokens[:-1], k=3)
-            suggestions[domain] = [vocab.decode(t) for t, _ in top]
+    for domain, spec_model in _load_specialists(out, cfg, decision.route, vocab):
+        top = spec_model.suggest(episode.tokens[:-1], k=3)
+        suggestions[domain] = [vocab.decode(t) for t, _ in top]
     merged = [[item, d.value] for item, d in arbitrate(suggestions)]
 
     record = {**dataclasses.asdict(decision), "episode_id": episode.episode_id}
@@ -690,7 +696,7 @@ def cmd_report(args, cfg: dict, out: Path) -> int:
                             f"to numbers or null, got {json.dumps(curve)}")
     write_lines(out / "anytime.csv", [
         "ell,metric,value\n",
-        *(f"{ell},{metric_name},{'' if curve[ell] is None else repr(curve[ell])}\n"
+        *(f"{ell},{metric_name},{_csv_number(curve[ell])}\n"
           for metric_name, curve in anytime.items() for ell in sorted(curve, key=int))])
     print(f"anytime curves written to {out / 'anytime.csv'}")
     return EXIT_OK

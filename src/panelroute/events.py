@@ -161,7 +161,10 @@ class Vocabulary:
                 raise SchemaError(f"{path}, line {lineno}: expected id, token and count "
                                   f"separated by tabs, got {line.rstrip()!r}") from None
         rows.sort()
-        return cls([(tok, cnt) for sid, tok, cnt in rows if tok not in SENTINELS])
+        try:
+            return cls([(tok, cnt) for sid, tok, cnt in rows if tok not in SENTINELS])
+        except SchemaError as e:  # a repeated token
+            raise SchemaError(f"{path}: {e}") from None
 
 
 def build_vocabulary(token_lists, min_count: int = 1) -> Vocabulary:

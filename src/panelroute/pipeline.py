@@ -59,15 +59,17 @@ def prepare_router_datasets(rows: dict, vocab, svd_rank: int):
 
 
 def train_router(table: dict) -> RouterModel:
-    """Fit a head per domain on train and Platt-calibrate each on dev."""
+    """Fit a head per domain on train, then Platt-calibrate each on its column of
+    the router's raw dev scores, the scores `predict_proba` calibrates."""
     heads = [fit_head(table["x_train"], table["y_train"][:, d], table["w_train"], domain=domain)
              for d, domain in enumerate(DOMAINS)]
-    calibrators = [platt_fit(head.raw_scores(table["x_dev"]), table["y_dev"][:, d])
-                   for d, head in enumerate(heads)]
-    return RouterModel(np.stack([h.weights for h in heads]), np.array([h.bias for h in heads]),
-                       np.array([[cal.a, cal.b] for cal in calibrators]),
-                       solves={"head": [h.solve for h in heads],
-                               "calibrator": [cal.solve for cal in calibrators]})
+    model = RouterModel(np.stack([h.x[:-1] for h in heads]), np.array([h.x[-1] for h in heads]),
+                        np.tile([1.0, 0.0], (len(DOMAINS), 1)))
+    raw = model.predict_raw(table["x_dev"])
+    calibrators = [platt_fit(raw[:, d], table["y_dev"][:, d]) for d in range(len(DOMAINS))]
+    model.calibrators = np.array([[cal.a, cal.b] for cal in calibrators])
+    model.solves = {"head": heads, "calibrator": [cal.solve for cal in calibrators]}
+    return model
 
 
 def prob_rows_for(model: RouterModel, table: dict, split_name: str):
@@ -84,6 +86,19 @@ def _policy_metrics(routed, truth, lm: metrics.LatencyModel) -> dict:
             "latency_mean_ms": float(lm.per_row(routed).mean())}
 
 
+def _roc_aucs(probs, truth):
+    """(each domain's ROC-AUC, None where its rows hold one class only; their
+    macro mean over the defined ones, None if none is)."""
+    aucs = []
+    for d in range(len(DOMAINS)):
+        try:
+            aucs.append(metrics.roc_auc(probs[:, d], truth[:, d]))
+        except metrics.MetricError:
+            aucs.append(None)
+    defined = [v for v in aucs if v is not None]
+    return aucs, float(np.mean(defined)) if defined else None
+
+
 def evaluate(model: RouterModel, table: dict, thresholds: policy.Thresholds,
              lm: metrics.LatencyModel | None = None, k: int = 5) -> dict:
     """Full metric report on the test split: per-head discrimination and
@@ -95,20 +110,15 @@ def evaluate(model: RouterModel, table: dict, thresholds: policy.Thresholds,
         raise metrics.MetricError("the test split has no rows to evaluate")
     probs, truth, danger = prob_rows_for(model, table, "test")
 
+    aucs, macro_auc = _roc_aucs(probs, truth)
     per_domain = {}
     for d, domain in enumerate(DOMAINS):
-        entry = {}
-        try:
-            entry["roc_auc"] = metrics.roc_auc(probs[:, d], truth[:, d])
-            entry["pr_auc"] = metrics.pr_auc(probs[:, d], truth[:, d])
-        except metrics.MetricError:
-            entry["roc_auc"] = None
-            entry["pr_auc"] = None
+        entry = {"roc_auc": aucs[d], "pr_auc": None if aucs[d] is None
+                 else metrics.pr_auc(probs[:, d], truth[:, d])}
         entry["brier"], entry["ece"] = metrics.calibration_metrics(probs[:, d], truth[:, d])
         per_domain[domain.value] = entry
-    defined = [v["roc_auc"] for v in per_domain.values() if v["roc_auc"] is not None]
     macro = {
-        "roc_auc": float(np.mean(defined)) if defined else None,
+        "roc_auc": macro_auc,
         "brier": float(np.mean([v["brier"] for v in per_domain.values()])),
     }
 
@@ -123,8 +133,7 @@ def evaluate(model: RouterModel, table: dict, thresholds: policy.Thresholds,
     }
 
     def stratum_auc(idx):
-        return float(np.mean([metrics.roc_auc(probs[idx, d], truth[idx, d])
-                              for d in range(len(DOMAINS))]))
+        return _roc_aucs(probs[idx], truth[idx])[1]
 
     def stratum_recall_any(idx):
         return metrics.policy_metrics(routed[idx], truth[idx])["recall_any"]

@@ -148,20 +148,10 @@ def _warn_unconverged(res: Solve, what: str) -> None:
                       f"{res.message}", RuntimeWarning, stacklevel=3)
 
 
-@dataclass
-class LogisticHead:
-    domain: DomainLabel
-    weights: np.ndarray = None
-    bias: float = 0.0
-    solve: Solve = field(default=None, compare=False, repr=False)  # set by fit_head only
-
-    def raw_scores(self, x) -> np.ndarray:
-        return np.asarray(x) @ self.weights + self.bias
-
-
 def fit_head(x, y, sample_weight=None, domain=DomainLabel.CARDIAC,
-             c: float = DEFAULT_C, max_iter: int = DEFAULT_MAX_ITER) -> LogisticHead:
-    """L2 logistic regression: argmin sum w_i*logloss + ||beta||^2/(2C)."""
+             c: float = DEFAULT_C, max_iter: int = DEFAULT_MAX_ITER) -> Solve:
+    """L2 logistic regression: argmin sum w_i*logloss + ||beta||^2/(2C). The
+    solve's x holds the weights beta, then the bias."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if sample_weight is None:
@@ -186,7 +176,7 @@ def fit_head(x, y, sample_weight=None, domain=DomainLabel.CARDIAC,
 
     res = lbfgs(objective, np.zeros(dim + 1), gtol=1e-6, ftol=1e-12, max_iter=max_iter)
     _warn_unconverged(res, f"{domain.value} head")
-    return LogisticHead(domain, res.x[:dim].copy(), float(res.x[dim]), res)
+    return res
 
 
 @dataclass

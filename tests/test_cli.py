@@ -294,6 +294,37 @@ class TestPipeline:
         assert baselines["consult_all"]["recall_all"] == 1.0
         assert baselines["fixed_cardiac_pulmonary"]["expected_experts"] == 2.0
 
+    def test_synth_sample_target_tops_up_from_multi_label_episodes(self, tmp_path, capsys):
+        """Single-label episodes fill each domain's quota first; the rest of the
+        target comes from the remainder, here multi-label episodes."""
+        cfg_path = write_config(tmp_path / "config.json", cohort={
+            "counts": None, "total": 60, "multi_label_rate": 0.5, "sample_target": 50})
+        capsys.readouterr()
+        assert run(["synth", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote 50 episodes to {tmp_path / 'cohort.jsonl'}\n"
+        episodes = [json.loads(line) for line in
+                    (tmp_path / "cohort.jsonl").read_text().splitlines()]
+        assert len({ep["episode_id"] for ep in episodes}) == 50
+        assert any(len(ep["labels"]) > 1 for ep in episodes)
+
+    def test_a_domain_without_test_positives_leaves_empty_cells(self, tmp_path):
+        """Two Musculoskeletal episodes leave the test split without one: its AUCs
+        are undefined, empty cells in report.csv, and the anytime macro ROC-AUC
+        averages the other four domains, as the report's macro does."""
+        cfg_path = write_config(tmp_path / "config.json", seed=3, cohort={"counts": {
+            "Cardiac": 30, "Pulmonary": 30, "Gastro": 30, "Musculoskeletal": 2,
+            "Psychogenic": 30}})
+        assert run_pipeline(tmp_path, cfg_path) == [EXIT_OK] * 7
+        report = json.loads((tmp_path / "report.json").read_text())
+        rows = dict(line.split(",", 1) for line in
+                    (tmp_path / "report.csv").read_text().splitlines())
+        entry = report["router"]["per_domain"]["Musculoskeletal"]
+        assert entry["roc_auc"] is None
+        assert rows["Musculoskeletal"] == f",,{entry['brier']!r},{entry['ece']!r}"
+        anytime = (tmp_path / "anytime.csv").read_text().splitlines()
+        assert f"5,macro_roc_auc,{report['anytime']['macro_roc_auc']['5']!r}" in anytime
+        assert report["anytime"]["macro_roc_auc"]["5"] is not None  # every episode's K-prefix
+
     def test_route_high_confidence_cardiac_episode(self, pipeline_dir, capsys, tmp_path):
         out, cfg_path = pipeline_dir
         run_dir = tmp_path / "run"
@@ -359,10 +390,12 @@ class TestErrorPaths:
         assert capsys.readouterr().out.startswith("usage: panelroute")
 
     @pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
-                                      "out_is_a_file"])
+                                      "out_is_a_file", "config_missing"])
     def test_unopenable_front_end_path_exits_2_naming_it(self, tmp_path, capsys, case):
         cfg_path, out = write_config(tmp_path / "config.json"), tmp_path / "out"
-        if case == "config_is_a_directory":
+        if case == "config_missing":
+            cfg_path = tmp_path / "none.json"
+        elif case == "config_is_a_directory":
             cfg_path = tmp_path / "config.d"
             cfg_path.mkdir()
         elif case == "config_not_utf8":
@@ -375,6 +408,7 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         assert err.startswith("config error: ")
         assert str(out if case == "out_is_a_file" else cfg_path) in err
+        assert case != "config_missing" or err.startswith("config error: config file not found")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("override, named", [
@@ -404,7 +438,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("corrupt, stage", [
         pytest.param(corrupt, stage, id=corrupt if stage == "route" else f"{corrupt}-{stage}")
         for corrupt in ("truncated", "wrong_kind", "header_length", "negative_shape",
-                        "nan_head_weights", "nan_biases", "inf_calibrators")
+                        "format_version", "nan_head_weights", "nan_biases", "inf_calibrators")
         for stage in ("route", "tune", "eval")])
     def test_bad_router_checkpoint_exits_3(self, pipeline_dir, tmp_path, capsys, corrupt, stage):
         out, cfg_path = pipeline_dir
@@ -416,6 +450,8 @@ class TestErrorPaths:
             router.write_bytes(raw[: len(raw) // 2])
         elif corrupt == "wrong_kind":
             shutil.copy(tmp_path / "run" / "feature_models.bin", router)
+        elif corrupt == "format_version":  # a bundle format this build does not read
+            router.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
         elif corrupt == "header_length":  # 1 TiB, far past the end of the file
             router.write_bytes(raw[:8] + struct.pack("<Q", 2**40) + raw[16:])
         elif corrupt == "negative_shape":  # (-1, dim): read as (4, dim), were it let through
@@ -446,6 +482,8 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and "Traceback" not in err
         if corrupt.startswith(("nan", "inf")):
             assert f"{key!r} holds a non-finite value" in err
+        if corrupt == "format_version":
+            assert "router.bin: unsupported bundle version 2" in err
 
     @pytest.mark.parametrize("stage, name, part, key", [
         ("train-router", "feature_models.bin", "array", "svd_components"),
@@ -503,6 +541,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("stage, name, corrupt, code", [
         ("route", "thresholds.json", "truncated", EXIT_DATA),
         ("route", "thresholds.json", "unstamped", EXIT_CONFIG),
+        ("route", "thresholds.json", "top_level_list", EXIT_DATA),
         ("report", "report.json", "truncated", EXIT_DATA),
         ("tune", "manifest.json", "truncated", EXIT_DATA),
         ("report", "timings.json", "open_brace", EXIT_DATA),
@@ -538,6 +577,8 @@ class TestErrorPaths:
             path.write_text(json.dumps(data))
         elif corrupt == "open_brace":
             path.write_text("{")
+        elif corrupt == "top_level_list":
+            path.write_text("[]")
         elif corrupt == "other_config":  # a bundle stamped by another config
             meta, arrays = load_bundle(path)
             save_bundle(path, {**meta, "config_hash": config_hash({"seed": 99})}, arrays)
@@ -553,6 +594,7 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("data error: " if code == EXIT_DATA else "config error: ")
         assert name in err and (corrupt not in JSON_EDITS or repr(key) in err)
+        assert corrupt != "top_level_list" or f"{name}: expected a JSON object" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("corrupt", ["truncated", "bad_kind", "sentinel_kind", "missing_key"])
@@ -601,6 +643,7 @@ class TestErrorPaths:
         ("negative_count", "counts"),
         ("fractional_count", "cohort.counts"),
         ("boolean_count", "cohort.counts"),
+        ("unknown_domain_count", "'Cardio' is not a valid DomainLabel"),
     ])
     def test_bad_cohort_config_exits_2_and_names_it(self, tmp_path, capsys, case, key):
         cohort = {"counts": None, "total": 50}
@@ -633,6 +676,8 @@ class TestErrorPaths:
             cohort["counts"] = {"Cardiac": 40.9, "Pulmonary": 10}
         elif case == "boolean_count":
             cohort["counts"] = {"Cardiac": 40, "Pulmonary": True}
+        elif case == "unknown_domain_count":
+            cohort["counts"] = {"Cardio": 10, "Pulmonary": 10}
         else:
             cohort["mixture"] = [0.5] * 5
         cfg_path = write_config(tmp_path / "config.json", cohort=cohort)
@@ -792,7 +837,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("corrupt, named", [("garbage", "vocab.tsv, line 1"),
                                                 ("not_utf8", "vocab.tsv: not UTF-8"),
-                                                ("cut_short", "vocab.tsv: 20 tokens")])
+                                                ("cut_short", "vocab.tsv: 20 tokens"),
+                                                ("repeated_token", "vocab.tsv: duplicate token")])
     def test_malformed_vocab_exits_3(self, specialist_dir, tmp_path, capsys, corrupt, named):
         """route reads vocab.tsv, and decodes its specialists' suggestions with it;
         "cut_short" is what a write cut off at a line boundary leaves."""
@@ -803,6 +849,10 @@ class TestErrorPaths:
             vocab.write_text("garbage\n")
         elif corrupt == "not_utf8":
             vocab.write_bytes(vocab.read_bytes() + b"\xff\xfe")
+        elif corrupt == "repeated_token":  # the last token again, under a new id
+            lines = vocab.read_text().splitlines(keepends=True)
+            _, token, count = lines[-1].split("\t")
+            vocab.write_text("".join(lines) + f"{len(lines)}\t{token}\t{count}")
         else:
             vocab.write_text("".join(vocab.read_text().splitlines(keepends=True)[:20]))
         capsys.readouterr()
@@ -824,6 +874,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "cohort.jsonl: not UTF-8" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_route_episode_without_content_tokens_exits_3(self, pipeline_dir, tmp_path,
+                                                         capsys):
+        out, cfg_path = pipeline_dir
+        probe = tmp_path / "ep.json"
+        probe.write_text(json.dumps({"episode_id": "empty", "events": [], "labels": [],
+                                     "gold": ""}))
+        audit = (out / "audit.jsonl").read_bytes() if (out / "audit.jsonl").exists() else None
+        capsys.readouterr()
+        code = run(["route", "--config", str(cfg_path), "--out", str(out),
+                    "--episode", str(probe)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err == f"data error: {probe}: episode empty has no content tokens\n"
+        assert ((out / "audit.jsonl").read_bytes()
+                if (out / "audit.jsonl").exists() else None) == audit
 
     def test_truncated_episode_exits_3(self, pipeline_dir, tmp_path, capsys):
         out, cfg_path = pipeline_dir
@@ -963,6 +1029,40 @@ class TestErrorPaths:
             assert code == EXIT_CONFIG, argv[0]
             assert err.startswith("config error: ") and "specialist_Gastro.bin" in err
             assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["route", "eval"])
+    @pytest.mark.parametrize("case", ["unrecorded", "no_manifest"])
+    def test_specialist_the_manifest_does_not_record_exits_3(self, specialist_dir, tmp_path,
+                                                             capsys, stage, case):
+        """A checkpoint an interrupted train-specialist left behind is on disk but
+        not in manifest.json; both stages that load specialists refuse it."""
+        out, cfg_path, _ = specialist_dir
+        run_dir = tmp_path / "run"
+        shutil.copytree(out, run_dir)
+        manifest = run_dir / "manifest.json"
+        if case == "unrecorded":
+            data = json.loads(manifest.read_text())
+            del data["artifacts"]["specialist_Musculoskeletal.bin"]
+            manifest.write_text(json.dumps(data))
+        else:
+            manifest.unlink()
+        probe = write_cardiac_probe(tmp_path / "ep.json")  # danger: consults all five
+        probe.write_text(json.dumps({**json.loads(probe.read_text()), "danger": True}))
+        argv = ["route", "--episode", str(probe)] if stage == "route" else ["eval"]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run([*argv, "--config", str(cfg_path), "--out", str(run_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        if case == "unrecorded":
+            assert err == (f"data error: {run_dir / 'specialist_Musculoskeletal.bin'}: "
+                           "manifest.json does not record it, so its training did not "
+                           "finish; re-run `panelroute train-specialist`\n")
+        else:
+            assert err.startswith(f"data error: {manifest}: not readable JSON: ")
+            assert "No such file" in err and err.count("\n") == 1
+        assert not (run_dir / "audit.jsonl").exists()
 
     @pytest.mark.parametrize("stage", ["route", "eval"])
     def test_specialist_of_another_vocabulary_size_exits_3(self, pipeline_dir, tmp_path,

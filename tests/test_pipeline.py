@@ -1,12 +1,13 @@
 """`pipeline.evaluate` against per-row reference formulas on a seeded synthetic
 table: the anytime curves of a row list filtered by a per-row `ell_of`, and
-ECE summed over a reliability table built bin by bin."""
+ECE summed over a reliability table built bin by bin. `pipeline.train_router`'s
+calibrators against `platt_fit` on the columns of `predict_raw`."""
 
 import warnings
 
 import numpy as np
 
-from panelroute import metrics, pipeline, policy
+from panelroute import metrics, pipeline, policy, router
 from panelroute.events import DOMAINS
 from panelroute.router import RouterModel
 
@@ -47,6 +48,13 @@ def table_ece(probs, labels, bins=10):
     return float(ece)
 
 
+def defined_mean_auc(probs, y):
+    """The mean ROC-AUC over the domains whose rows hold both classes, or None."""
+    aucs = [metrics.roc_auc(probs[:, d], y[:, d]) for d in range(len(DOMAINS))
+            if 0 < y[:, d].sum() < len(y)]
+    return float(np.mean(aucs)) if aucs else None
+
+
 def synthetic_case(seed=3, n=400, dim=6):
     """A router of random heads and calibrators and a test table it scores:
     labels follow the scores, one row in ten has a second label, stratum 4 is
@@ -80,9 +88,8 @@ def test_evaluate_matches_the_per_row_formulas():
     rows = list(range(len(y)))
     ell_of = lambda i: table["ell_test"][i]
     want = {
-        "macro_roc_auc": row_anytime(
-            lambda idx: float(np.mean([metrics.roc_auc(probs[idx][:, d], y[idx][:, d])
-                                       for d in range(len(DOMAINS))])), rows, ell_of, 5),
+        "macro_roc_auc": row_anytime(lambda idx: defined_mean_auc(probs[idx], y[idx]),
+                                     rows, ell_of, 5),
         "recall_any": row_anytime(
             lambda idx: metrics.policy_metrics(routed[idx], truth[idx])["recall_any"],
             rows, ell_of, 5),
@@ -94,3 +101,51 @@ def test_evaluate_matches_the_per_row_formulas():
         got = report["router"]["per_domain"][domain.value]
         assert got["brier"] == float(np.mean((probs[:, d] - y[:, d]) ** 2))
         assert got["ece"] == table_ece(probs[:, d], y[:, d])
+
+
+def test_a_stratum_lacking_a_class_averages_its_defined_domains():
+    """Stratum 2 holds no Musculoskeletal positive: its macro ROC-AUC is the mean
+    of the other four domains' AUCs, the report's rule on those rows alone."""
+    model, table = synthetic_case()
+    y, rows = table["y_test"], table["ell_test"] == 2
+    y[rows, 0] |= y[rows, 3]
+    y[rows, 3] = 0
+    thresholds = policy.Thresholds(0.7, 0.3)
+    stratum = {key: value[rows] for key, value in table.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = pipeline.evaluate(model, table, thresholds, k=5)
+        alone = pipeline.evaluate(model, stratum, thresholds, k=5)
+    probs = model.predict_proba(stratum["x_test"])
+    want = float(np.mean([metrics.roc_auc(probs[:, d], stratum["y_test"][:, d])
+                          for d in (0, 1, 2, 4)]))
+    assert report["anytime"]["macro_roc_auc"][2] == want
+    assert alone["router"]["macro"]["roc_auc"] == want
+    assert alone["router"]["per_domain"]["Musculoskeletal"]["roc_auc"] is None
+
+
+def train_dev_case(seed=5, n_train=300, n_dev=200, dim=24):
+    """Train and dev tables whose labels follow a random linear router plus
+    noise; every domain holds both classes in both splits."""
+    rng = np.random.default_rng(seed)
+    w, b = rng.standard_normal((len(DOMAINS), dim)), rng.normal(size=len(DOMAINS))
+    table = {}
+    for name, n in (("train", n_train), ("dev", n_dev)):
+        x = rng.standard_normal((n, dim))
+        table[f"x_{name}"] = x
+        table[f"y_{name}"] = (x @ w.T + b + rng.normal(0, 2, (n, 5)) > 0).astype(np.uint8)
+        table[f"w_{name}"] = rng.uniform(0.2, 1.0, n)
+    return table
+
+
+def test_each_calibrator_is_fitted_on_its_column_of_predict_raw():
+    """The calibrators are fitted on the raw dev scores `predict_proba` applies
+    them to, bit for bit. With OpenBLAS, a per-head matrix-vector product rounds
+    some of this case's scores differently from `predict_raw`'s matrix product."""
+    table = train_dev_case()
+    model = pipeline.train_router(table)
+    raw = model.predict_raw(table["x_dev"])
+    for d in range(len(DOMAINS)):
+        cal = router.platt_fit(raw[:, d], table["y_dev"][:, d])
+        assert model.calibrators[d].tobytes() == np.array([cal.a, cal.b]).tobytes(), d
+        assert model.solves["calibrator"][d].x.tobytes() == cal.solve.x.tobytes()

@@ -80,14 +80,14 @@ class TestFitHead:
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         head = fit_head(x, y)
-        preds = head.raw_scores(x) > 0
+        preds = x @ head.x[:-1] + head.x[-1] > 0
         assert np.array_equal(preds, y.astype(bool))
 
     def test_symmetric_data_boundary_at_zero(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([0.0, 1.0])
         head = fit_head(x, y, c=1e6)
-        assert head.raw_scores(np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-3)
+        assert head.x[-1] == pytest.approx(0.0, abs=1e-3)  # the raw score at x = 0
 
     def test_doubling_weights_equals_halving_c(self):
         rng = np.random.default_rng(0)
@@ -96,8 +96,7 @@ class TestFitHead:
         w = rng.uniform(0.5, 1.5, size=60)
         h1 = fit_head(x, y, w, c=2.0)
         h2 = fit_head(x, y, 2.0 * w, c=1.0)
-        assert np.allclose(h1.weights, h2.weights, atol=1e-5)
-        assert h1.bias == pytest.approx(h2.bias, abs=1e-5)
+        assert np.allclose(h1.x, h2.x, atol=1e-5)  # weights and bias
 
     def test_single_class_rejected(self):
         with pytest.raises(RouterError):
@@ -116,7 +115,8 @@ class TestFitHead:
         y = (x[:, 0] + 0.5 * rng.standard_normal(50) > 0).astype(float)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            platt_fit(fit_head(x, y).raw_scores(x), y)
+            head = fit_head(x, y)
+            platt_fit(x @ head.x[:-1] + head.x[-1], y)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_scipy_lbfgsb(self, seed):
@@ -138,15 +138,14 @@ class TestFitHead:
         want = optimize.minimize(objective, np.zeros(dim + 1), jac=True, method="L-BFGS-B",
                                  options={"maxiter": 3000, "gtol": 1e-6, "ftol": 1e-12})
         head = fit_head(x, y, w, c=c)
-        assert want.success and head.solve.success
-        assert np.abs(head.weights - want.x[:dim]).max() <= 1e-4
-        assert abs(head.bias - want.x[dim]) <= 1e-4
+        assert want.success and head.success
+        assert np.abs(head.x - want.x).max() <= 1e-4  # weights, then the bias
 
     def test_weight_norm_non_increasing_as_c_decreases(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((80, 4))
         y = (x @ np.array([1.0, -0.5, 0.2, 0.0]) > 0).astype(float)
-        norms = [np.linalg.norm(fit_head(x, y, c=c).weights) for c in (10, 2, 1, 0.1)]
+        norms = [np.linalg.norm(fit_head(x, y, c=c).x[:-1]) for c in (10, 2, 1, 0.1)]
         assert all(b <= a + 1e-8 for a, b in zip(norms, norms[1:]))
 
 
