@@ -435,12 +435,15 @@ def _specialist_path(out: Path, domain: DomainLabel) -> Path:
     return out / f"specialist_{domain.value}.bin"
 
 
-def _load_specialists(out: Path, cfg: dict, domains, vocab: Vocabulary):
-    """Yield (domain, model) for this config's specialists among `domains` that
-    have a checkpoint, one at a time, each refused unless it was trained on a
-    vocabulary of vocab.tsv's size and manifest.json records it, as a finished
-    train-specialist does."""
-    paths = {d: path for d in domains if (path := _specialist_path(out, d)).exists()}
+def _specialist_paths(out: Path, domains) -> dict:
+    """Each of `domains` that has a specialist checkpoint, mapped to its path."""
+    return {d: path for d in domains if (path := _specialist_path(out, d)).exists()}
+
+
+def _load_specialists(out: Path, cfg: dict, paths: dict, vocab: Vocabulary):
+    """Yield (domain, model) for this config's specialists at `paths`, one at a
+    time, each refused unless it was trained on a vocabulary of vocab.tsv's size
+    and manifest.json records it, as a finished train-specialist does."""
     manifest = out / "manifest.json"
     recorded = _field(manifest, _read_json(manifest), "artifacts", "an object") if paths else {}
     for domain, path in paths.items():
@@ -626,10 +629,10 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
                               l_expert=cfg["latency"]["l_expert"])
     with _cohort_sized(cfg, metrics.MetricError):
         report = evaluate(model, table, thresholds, lm, k=cfg["k"])
-    if any(_specialist_path(out, d).exists() for d in DOMAINS):
+    if paths := _specialist_paths(out, DOMAINS):
         episodes, vocab = _load_tokenized(out)
         report["specialists"] = {}
-        for domain, spec_model in _load_specialists(out, cfg, DOMAINS, vocab):
+        for domain, spec_model in _load_specialists(out, cfg, paths, vocab):
             _, _, test_eps = _specialist_split(episodes, cfg, domain)
             test_seqs = [e.tokens for e in test_eps]
             report["specialists"][domain.value] = {
@@ -669,7 +672,8 @@ def cmd_route(args, cfg: dict, out: Path) -> int:
     decision.timestamp = datetime.now(timezone.utc).isoformat()
 
     suggestions = {}
-    for domain, spec_model in _load_specialists(out, cfg, decision.route, vocab):
+    paths = _specialist_paths(out, decision.route)
+    for domain, spec_model in _load_specialists(out, cfg, paths, vocab):
         top = spec_model.suggest(episode.tokens[:-1], k=3)
         suggestions[domain] = [vocab.decode(t) for t, _ in top]
     merged = [[item, d.value] for item, d in arbitrate(suggestions)]

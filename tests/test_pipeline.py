@@ -6,6 +6,7 @@ calibrators against `platt_fit` on the columns of `predict_raw`."""
 import warnings
 
 import numpy as np
+import pytest
 
 from panelroute import metrics, pipeline, policy, router
 from panelroute.events import DOMAINS
@@ -145,6 +146,10 @@ def test_each_calibrator_is_fitted_on_its_column_of_predict_raw():
     table = train_dev_case()
     model = pipeline.train_router(table)
     raw = model.predict_raw(table["x_dev"])
+    per_head = [table["x_dev"] @ model.weights[d] + model.biases[d] for d in range(len(DOMAINS))]
+    if all(per_head[d].tobytes() == raw[:, d].tobytes() for d in range(len(DOMAINS))):
+        pytest.skip("this BLAS rounds per-head and matrix-product scores alike, "
+                    "so the case cannot tell the two fitting rules apart")
     for d in range(len(DOMAINS)):
         cal = router.platt_fit(raw[:, d], table["y_dev"][:, d])
         assert model.calibrators[d].tobytes() == np.array([cal.a, cal.b]).tobytes(), d

@@ -96,7 +96,8 @@ class TestFitHead:
         w = rng.uniform(0.5, 1.5, size=60)
         h1 = fit_head(x, y, w, c=2.0)
         h2 = fit_head(x, y, 2.0 * w, c=1.0)
-        assert np.allclose(h1.x, h2.x, atol=1e-5)  # weights and bias
+        assert np.allclose(h1.x[:-1], h2.x[:-1], atol=1e-5)  # weights
+        assert h1.x[-1] == pytest.approx(h2.x[-1], abs=1e-5)  # bias
 
     def test_single_class_rejected(self):
         with pytest.raises(RouterError):
